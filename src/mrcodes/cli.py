@@ -60,7 +60,7 @@ def _blocks(stream: TextIO, size: int, q: int, allow_erasures: bool):
 def _apply_erasures(block: list, erasures: Sequence[int], n: int) -> list:
     for idx in erasures:
         if not 0 <= idx < n:
-            raise ParseError(f"erasure index {idx} outside [0, {n})", 0, 0)
+            raise ParseError(f"--erasures: index {idx} outside [0, {n})")
         block[idx] = None
     return block
 
@@ -104,7 +104,7 @@ def _parse_erasures(text: Optional[str]) -> list[int]:
     try:
         return [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise ParseError(f"bad --erasures list: {text!r}", 0, 0) from None
+        raise ParseError(f"--erasures: not a comma-separated integer list: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,7 +190,8 @@ def _run(args) -> int:
         try:
             q_list = [int(t) for t in args.q_list.split(",") if t.strip()]
         except ValueError:
-            raise ParseError(f"bad --q-list: {args.q_list!r}", 0, 0) from None
+            raise ParseError(f"--q-list: not a comma-separated integer list: "
+                             f"{args.q_list!r}") from None
         json.dump(scaling_table(args.r, q_list), sys.stdout, indent=2)
         print()
         return 0

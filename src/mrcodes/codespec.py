@@ -89,11 +89,24 @@ def _rebuild_field(q: int, gamma: int) -> Field:
 
 
 def code_from_dict(doc: dict) -> MrCode:
+    """Rebuild a code from its spec document; a document that is missing a
+    key or holds a value of the wrong type raises Mismatch."""
+    if not isinstance(doc, dict):
+        raise Mismatch(f"spec is a {type(doc).__name__}, not a JSON object")
+    try:
+        return _code_from_doc(doc)
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise Mismatch(f"malformed spec: {type(exc).__name__}: {exc}") from None
+
+
+def _code_from_doc(doc: dict) -> MrCode:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise Mismatch(f"unsupported schema_version {doc.get('schema_version')}")
     q = _dec(doc["q"])
     gamma = _dec(doc["gamma"])
     r = doc["r"]
+    if type(r) is not int:
+        raise Mismatch(f"r={r!r} is not an integer")
     field = _rebuild_field(q, gamma)
     if field.N != _dec(doc["N"]):
         raise Mismatch("stored N does not equal q-1")
@@ -132,4 +145,8 @@ def save_code(code: MrCode, path) -> None:
 
 def load_code(path) -> MrCode:
     with open(path) as fh:
-        return code_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise Mismatch(f"spec {path} is not valid JSON: {exc}") from None
+    return code_from_dict(doc)

@@ -77,6 +77,10 @@ class Inconsistent(MrCodesError):
     pass
 
 
+class BadSymbol(MrCodesError):
+    """A codec symbol that is not an int in [0, q)."""
+
+
 # pipeline / cli
 class FieldTooSmall(MrCodesError):
     pass
@@ -87,7 +91,10 @@ class TargetUnreachable(MrCodesError):
 
 
 class ParseError(MrCodesError):
-    def __init__(self, message, line, column):
-        super().__init__(f"line {line}, column {column}: {message}")
+    """Bad input text; line and column are None when it did not come from a
+    stream position (a command-line flag)."""
+
+    def __init__(self, message, line=None, column=None):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column

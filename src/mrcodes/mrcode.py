@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import (Inconsistent, LengthMismatch, Mismatch,
+from .errors import (BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                      MultipleErasuresInGroup, NotCorrectable, NotInGroup, TooLarge)
 from .family import ZeroSumFamily
 from .field import Field, FieldElement
@@ -129,8 +129,9 @@ class MrReport:
         return not self.violations and self.local_distance_ok
 
 
-def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
-    """Rank scan over (r+1)-column subsets plus the in-group distance check.
+def _scan_subsets(code: MrCode, seed: int, mode: str, subset_rank) -> MrReport:
+    """Report subset_rank(subset) against the expected rank (r for a repair
+    group, r+1 otherwise) over the (r+1)-column subsets.
 
     Exhaustive when C(n, r+1) is within the guard; otherwise all repair
     groups plus uniformly sampled subsets (flagged in report.mode).
@@ -138,7 +139,7 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     "sampled" always samples.
     """
     r, k = code.r, code.k
-    group_sets = {frozenset(g): g for g in code.repair_groups}
+    group_sets = {frozenset(g) for g in code.repair_groups}
     within_guard = math.comb(code.n, k) <= _EXHAUSTIVE_SUBSET_GUARD
     if mode == "exhaustive" and not within_guard:
         raise TooLarge(f"C({code.n}, {k}) exceeds the exhaustive guard")
@@ -153,13 +154,66 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
         subsets = iter(sampled)
     report = MrReport(mode="exhaustive" if exhaustive else "sampled")
     for subset in subsets:
-        rk = rank(code.columns(subset))
+        rk = subset_rank(subset)
         expected = r if frozenset(subset) in group_sets else k
         report.mds_subsets_checked += 1
         if rk == r:
             report.deficient_subsets.append(tuple(subset))
         if rk != expected:
             report.violations.append((tuple(subset), rk, expected))
+    return report
+
+
+def _closed_form_values(code: MrCode) -> Optional[list[int]]:
+    """The first-row values x_j when G is the closed-form matrix, else None.
+
+    Closed form: column j is (x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) with
+    x = x_j nonzero and the x_j pairwise distinct.  Reads only G and q.
+    """
+    q, r, n = code.field.q, code.r, code.n
+    G = code.G
+    if code.k != r + 1 or len(G) != code.k or any(len(row) != n for row in G):
+        return None
+    xs = [e.value for e in G[0]]
+    if 0 in xs or len(set(xs)) != n:
+        return None
+    sign = 1 if (r + 1) % 2 == 0 else q - 1
+    for j, x in enumerate(xs):
+        power = x
+        for ell in range(1, r):
+            power = power * x % q
+            if G[ell][j].value != power:
+                return None
+        if G[r][j].value != (power * x + sign) % q:
+            return None
+    return xs
+
+
+def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
+    """Check that the deficient (r+1)-column subsets are the repair groups.
+
+    When G has the closed form (see _closed_form_values), the determinant of
+    any r+1 of its columns is V(x) * (prod x - 1) with V the Vandermonde
+    determinant of their first-row values, so a subset is deficient (rank r)
+    exactly when its values multiply to 1 mod q, and otherwise has rank
+    r+1.  Every r columns have rank r (their top r rows are a scaled
+    Vandermonde matrix), so the in-group distance check always passes.  Any
+    other G gets the rank scan (_rank_scan) and its report.  Subset choice
+    and report mode: see _scan_subsets.
+    """
+    xs = _closed_form_values(code)
+    if xs is None:
+        return _rank_scan(code, seed, mode)
+    r, k, q = code.r, code.k, code.field.q
+    return _scan_subsets(code, seed, mode,
+                         lambda subset: r if math.prod(xs[j] for j in subset) % q == 1 else k)
+
+
+def _rank_scan(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
+    """verify_mr by brute force: a rank per subset plus the in-group
+    distance check.  Trusts no structure of G."""
+    report = _scan_subsets(code, seed, mode, lambda subset: rank(code.columns(subset)))
+    r = code.r
     for group in code.repair_groups:
         for subset in combinations(group, r):
             if rank(code.columns(subset)) != r:
@@ -169,7 +223,13 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
 
 
 def _as_element(code: MrCode, x) -> FieldElement:
-    return x if isinstance(x, FieldElement) else code.field.element(x)
+    """x itself if it is a FieldElement, else x as one; BadSymbol unless x
+    is an int (bool excluded) in [0, q)."""
+    if isinstance(x, FieldElement):
+        return x
+    if type(x) is not int or not 0 <= x < code.field.q:
+        raise BadSymbol(f"symbol {x!r} is not an integer in [0, {code.field.q})")
+    return FieldElement(x, code.field)
 
 
 def encode(code: MrCode, message: Sequence) -> list[FieldElement]:

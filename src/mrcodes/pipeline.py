@@ -116,7 +116,9 @@ def simulate(code: MrCode, p: float, trials: int, seed: int) -> SimReport:
         except NotCorrectable:
             counts["failures"] += 1
             continue
-        assert [x.value for x in recovered] == message
+        values = [x.value for x in recovered]
+        if values != message:
+            raise PropertyViolation(f"decode returned {values} for message {message}")
         counts["global_decodes" if heavy else "local_only"] += 1
     return SimReport(trials=trials, p=p, seed=seed, rng=RNG_NAME, counts=counts,
                      avg_symbols_read_per_repair=symbols_read / repairs if repairs else 0.0)

@@ -120,26 +120,53 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
         raise ValueError("need r >= 2 and m >= 1")
     if m > _EXHAUSTIVE_MAX_M:
         raise RangeTooLarge(f"m={m} > {_EXHAUSTIVE_MAX_M}")
-    best: list[int] = []
+    # sizes[L] = maximum size for {1..L}.  The defining equation is
+    # translation invariant, so sizes[L] also bounds any L consecutive
+    # integers, and sizes[L] <= sizes[L-1] + 1; each search uses the
+    # smaller searches' results as its pruning bound.
+    sizes = [0]
+    for L in range(1, m + 1):
+        best = _search_best(L, r, sizes + [sizes[-1] + 1])
+        sizes.append(len(best))
+    witness = verify_progression_free(best, r)
+    if witness is not None:
+        raise AssertionError(f"exhaustive search produced a violation: {witness}")
+    return ProgressionFreeSet(m=m, r=r, elements=tuple(best), method="exhaustive")
 
-    def extend(start: int, cur: list[int]):
+
+def _search_best(m: int, r: int, bound: list[int]) -> list[int]:
+    """Include-first DFS over {1..m}; bound[L] caps the size of a valid
+    subset of any L consecutive integers.
+
+    Sets are bitmasks: sums[j] has bit s set when some j-multiset of the
+    current set sums to s, and means has bit r*d set for each member d.
+    Appending x, the largest element so far, creates a solution exactly
+    when x + (r-1 members, repeats allowed) = r*d for a member d < x; a
+    tuple with x as d_r forces all terms equal to x.
+    """
+    best: list[int] = []
+    cur: list[int] = []
+
+    def extend(start: int, sums: list[int], means: int):
         nonlocal best
-        if len(cur) + (m - start + 1) <= len(best):
+        if len(cur) + bound[m - start + 1] <= len(best):
             return
         if start > m:
-            if len(cur) > len(best):
-                best = cur.copy()
+            best = cur.copy()
             return
         # include-first DFS in increasing element order: the first subset
         # reaching a given size is the lexicographically smallest one
-        cur.append(start)
-        if verify_progression_free(cur, r) is None:
-            extend(start + 1, cur)
-        cur.pop()
-        extend(start + 1, cur)
+        grown = [sums[0]]
+        for j in range(1, r):
+            grown.append(sums[j] | grown[j - 1] << start)
+        if not (means >> start) & grown[r - 1]:
+            cur.append(start)
+            extend(start + 1, grown, means | 1 << (r * start))
+            cur.pop()
+        extend(start + 1, sums, means)
 
-    extend(1, [])
-    return ProgressionFreeSet(m=m, r=r, elements=tuple(best), method="exhaustive")
+    extend(1, [1] + [0] * (r - 1), 0)
+    return best
 
 
 def from_elements(elements, m: int, r: int) -> ProgressionFreeSet:

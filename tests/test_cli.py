@@ -141,3 +141,60 @@ class TestMain:
         assert main(["scaling", "--r", "2", "--q-list", "101,211"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert [row["q"] for row in rows] == [101, 211]
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize("command", ["decode", "repair"])
+    @pytest.mark.parametrize("flag,msg", [
+        ("99", "--erasures: index 99 outside [0, 6)"),
+        ("1,x", "--erasures: not a comma-separated integer list: '1,x'"),
+    ])
+    def test_erasures(self, spec_path, capsys, monkeypatch, command, flag, msg):
+        monkeypatch.setattr("sys.stdin", io.StringIO("2 27 58 4 54 65\n"))
+        assert main([command, "--spec", str(spec_path), "--erasures", flag]) == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
+    def test_erasures_error_has_no_position(self, code6):
+        with pytest.raises(ParseError, match="^--erasures: index 6 ") as err:
+            decode_file(code6, io.StringIO("2 27 58 4 54 65\n"), io.StringIO(),
+                        erasures=[6])
+        assert err.value.line is None and err.value.column is None
+
+    def test_q_list(self, capsys):
+        assert main(["scaling", "--r", "2", "--q-list", "101,x"]) == 2
+        assert capsys.readouterr().err.startswith("error: --q-list: ")
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda doc: _without(doc, "lambda"),
+    lambda doc: _without(doc, "G"),
+    lambda doc: doc | {"r": "2"},
+    lambda doc: doc | {"r": True},
+    lambda doc: doc | {"r": None},
+    lambda doc: doc | {"G": 5},
+    lambda doc: doc | {"G": [1, 2, 3]},
+    lambda doc: doc | {"G": "abc"},
+    lambda doc: doc | {"lambda": [1, 16]},
+    lambda doc: doc | {"delta": {"num": 1, "den": 0}},
+    lambda doc: doc | {"D": []},
+    lambda doc: doc | {"exponents": None},
+    lambda doc: [doc],
+], ids=["no-lambda", "no-G", "r-str", "r-bool", "r-null", "G-int", "G-flat", "G-str",
+        "lambda-list", "delta-den-0", "D-empty", "exponents-null", "not-object"])
+def test_malformed_spec_is_typed_error(code6, tmp_path, capsys, mangle):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mangle(code_to_dict(code6))))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_spec_not_json(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: spec ")

@@ -3,10 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from mrcodes.errors import (Inconsistent, LengthMismatch, Mismatch,
+from mrcodes.errors import (BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                             MultipleErasuresInGroup, NotCorrectable, NotInGroup)
-from mrcodes.mrcode import (ErasurePattern, build_code, decode, encode,
-                            is_correctable, local_repair, rank, verify_mr)
+from mrcodes.mrcode import (ErasurePattern, _closed_form_values, _rank_scan, build_code,
+                            decode, encode, is_correctable, local_repair, rank, verify_mr)
 from mrcodes.pipeline import construct
 
 
@@ -237,3 +237,77 @@ def test_mutation_breaks_verifier(code6):
                                   G=tuple(tuple(r) for r in G),
                                   repair_groups=code6.repair_groups)
             assert not verify_mr(mutated).ok, f"mutation at ({i},{j}) undetected"
+
+
+class TestClosedFormVerify:
+    """verify_mr's determinant shortcut against the rank scan it replaces."""
+
+    @pytest.mark.parametrize("r,q", [(2, 101), (3, 653), (2, 1601), (4, 1283)])
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_matches_rank_scan(self, r, q, mode):
+        code = construct(r, q)[0]
+        assert _closed_form_values(code) is not None
+        report = verify_mr(code, mode=mode)
+        assert report == _rank_scan(code, mode=mode)
+        assert report.ok and report.mode == mode
+
+    def test_sampled_seed(self, code8):
+        assert verify_mr(code8, seed=5, mode="sampled") == _rank_scan(code8, seed=5,
+                                                                      mode="sampled")
+
+    def test_mutations_fall_back_to_rank_scan(self, code6):
+        q = code6.field.q
+        for i in range(code6.k):
+            for j in range(code6.n):
+                for value in range(q):
+                    if value == code6.G[i][j].value:
+                        continue
+                    mutated = _with_entry(code6, i, j, value)
+                    assert _closed_form_values(mutated) is None, (i, j, value)
+                    report = verify_mr(mutated, mode="exhaustive")
+                    assert not report.ok, (i, j, value)
+                    assert report == _rank_scan(mutated, mode="exhaustive"), (i, j, value)
+
+    def test_product_one_subset_reported(self, code6):
+        # closed-form G whose x-values 2*3*17 = 102 = 1 (mod 101) lie in
+        # different repair groups: the fast path must report what the rank
+        # scan reports
+        f = code6.field
+        xs = [2, 3, 5, 17, 7, 11]
+        rows = [[f.element(pow(x, ell, 101)) for x in xs] for ell in (1, 2)]
+        rows.append([f.element(pow(x, 3, 101) - 1) for x in xs])
+        code = type(code6)(field=f, family=code6.family, r=2, n=6, k=3,
+                           G=tuple(tuple(row) for row in rows),
+                           repair_groups=code6.repair_groups)
+        assert _closed_form_values(code) == xs
+        report = verify_mr(code, mode="exhaustive")
+        assert report == _rank_scan(code, mode="exhaustive")
+        assert (0, 1, 3) in report.deficient_subsets and not report.ok
+
+    def test_tampered_repair_groups(self, code6):
+        code = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+                           G=code6.G, repair_groups=((0, 1, 3), (2, 4, 5)))
+        report = verify_mr(code)
+        assert report == _rank_scan(code)
+        assert not report.ok
+
+
+def _with_entry(code, i, j, value):
+    G = [list(row) for row in code.G]
+    G[i][j] = code.field.element(value)
+    return type(code)(field=code.field, family=code.family, r=code.r, n=code.n,
+                      k=code.k, G=tuple(tuple(row) for row in G),
+                      repair_groups=code.repair_groups)
+
+
+@pytest.mark.parametrize("bad", [101 + 27, -1, 2.5, True])
+def test_bad_symbols_rejected(code6, bad):
+    with pytest.raises(BadSymbol):
+        encode(code6, [bad, 0, 0])
+    received = [s.value for s in encode(code6, [1, 2, 3])]
+    received[1] = bad
+    with pytest.raises(BadSymbol):
+        decode(code6, received)
+    received[0] = None
+    with pytest.raises(BadSymbol):
+        local_repair(code6, received, 0)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mrcodes.errors import FieldTooSmall, TargetUnreachable
+from mrcodes import pipeline
+from mrcodes.errors import FieldTooSmall, PropertyViolation, TargetUnreachable
 from mrcodes.pipeline import (choose_params, construct, exact_failure_probability,
                               scaling_table, simulate)
 
@@ -99,3 +100,16 @@ def test_scaling_table_fixed_r():
     ratios = [row["log_q_over_log_n"] for row in rows]
     assert ratios[-1] < ratios[0]  # ratio decreases as q grows, r fixed
     assert all("indicative" in row["note"] for row in rows)
+
+
+def test_simulate_wrong_decode_raises(monkeypatch):
+    code, _ = construct(2, 101)
+    real_decode = pipeline.decode
+
+    def wrong(code, received):
+        message = real_decode(code, received)
+        return [message[0] + 1] + message[1:]
+
+    monkeypatch.setattr(pipeline, "decode", wrong)
+    with pytest.raises(PropertyViolation, match="decode returned"):
+        simulate(code, 0.3, 50, seed=1)

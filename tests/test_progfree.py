@@ -124,3 +124,32 @@ def test_from_elements_rejects_bad_set():
         from_elements([1, 2, 3], m=10, r=2)
     d = from_elements([1, 4], m=10, r=2)
     assert d.method == "user_supplied"
+
+
+def reference_exhaustive_best(m, r):
+    """Unpruned exhaustive search, the oracle for the pruned one: include-
+    first DFS re-running the whole-set check at every node."""
+    best = []
+
+    def extend(start, cur):
+        nonlocal best
+        if len(cur) + (m - start + 1) <= len(best):
+            return
+        if start > m:
+            if len(cur) > len(best):
+                best = cur.copy()
+            return
+        cur.append(start)
+        if verify_progression_free(cur, r) is None:
+            extend(start + 1, cur)
+        cur.pop()
+        extend(start + 1, cur)
+
+    extend(1, [])
+    return tuple(best)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_exhaustive_matches_reference_search(r):
+    for m in range(1, 25):
+        assert exhaustive_best(m, r).elements == reference_exhaustive_best(m, r), m
