@@ -144,9 +144,11 @@ def save_code(code: MrCode, path) -> None:
 
 
 def load_code(path) -> MrCode:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise Mismatch(f"spec {path} is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise Mismatch(f"spec {path} cannot be read: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise Mismatch(f"spec {path} is not valid JSON: {exc}") from None
     return code_from_dict(doc)

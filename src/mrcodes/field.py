@@ -156,14 +156,16 @@ class FieldElement:
         return self * other.inv()
 
     def __eq__(self, other):
+        # an int equals only its canonical residue, so equal objects hash
+        # alike: f.element(5) == 5 and 5 in {f.element(5)}, but != 106
         if isinstance(other, FieldElement):
             return self.value == other.value and self.field.q == other.field.q
         if isinstance(other, int):
-            return self.value == other % self.field.q
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.field.q))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0

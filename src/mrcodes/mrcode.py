@@ -17,10 +17,12 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
-from typing import Optional, Sequence
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (BadSymbol, Inconsistent, LengthMismatch, Mismatch,
-                     MultipleErasuresInGroup, NotCorrectable, NotInGroup, TooLarge)
+                     MultipleErasuresInGroup, NotCorrectable, NotInGroup,
+                     PropertyViolation, TooLarge)
 from .family import ZeroSumFamily
 from .field import Field, FieldElement
 
@@ -29,6 +31,15 @@ _EXHAUSTIVE_SUBSET_GUARD = 10**7
 _SAMPLED_SUBSETS = 10**5
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
+
+
+class _DecodePlan(NamedTuple):
+    """What decode needs for one erasure set, derived from G alone."""
+    erased: frozenset[int]
+    correctable: bool
+    pivots: tuple[int, ...] = ()
+    # message = inverse . (symbols at pivots), all mod q
+    inverse: tuple[tuple[int, ...], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,18 @@ class MrCode:
     k: int
     G: Matrix                                 # (r+1) rows x n columns
     repair_groups: tuple[tuple[int, ...], ...]
+    # Codec state derived from this object's own G, never shared between codes:
+    # the columns of G as ints, the local-repair coefficients per erased
+    # column, and the plan of the last erasure set decoded.
+    _int_columns: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
+    _repair_coeffs: dict = dc_field(init=False, repr=False, compare=False,
+                                    default_factory=dict)
+    _plan: Optional[_DecodePlan] = dc_field(init=False, repr=False, compare=False,
+                                            default=None)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_int_columns",
+                           tuple(zip(*((e.value for e in row) for row in self.G))))
 
     @property
     def h(self) -> int:
@@ -222,22 +245,24 @@ def _rank_scan(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     return report
 
 
-def _as_element(code: MrCode, x) -> FieldElement:
-    """x itself if it is a FieldElement, else x as one; BadSymbol unless x
-    is an int (bool excluded) in [0, q)."""
+def _symbol(code: MrCode, x) -> int:
+    """x as an int in [0, q); BadSymbol unless x is such an int (bool
+    excluded) or a FieldElement of the code's field."""
     if isinstance(x, FieldElement):
-        return x
+        if x.field.q != code.field.q:
+            raise BadSymbol(f"symbol {x!r} is not an element of GF({code.field.q})")
+        return x.value
     if type(x) is not int or not 0 <= x < code.field.q:
         raise BadSymbol(f"symbol {x!r} is not an integer in [0, {code.field.q})")
-    return FieldElement(x, code.field)
+    return x
 
 
 def encode(code: MrCode, message: Sequence) -> list[FieldElement]:
     if len(message) != code.k:
         raise LengthMismatch(f"message length {len(message)} != k={code.k}")
-    msg = [_as_element(code, x) for x in message]
-    return [sum((m * code.G[i][j] for i, m in enumerate(msg)), code.field.zero)
-            for j in range(code.n)]
+    msg = [_symbol(code, x) for x in message]
+    field, q = code.field, code.field.q
+    return [FieldElement(sum(map(mul, msg, col)) % q, field) for col in code._int_columns]
 
 
 def _solve(matrix: list[list[FieldElement]], rhs: list[FieldElement],
@@ -274,6 +299,22 @@ def _solve(matrix: list[list[FieldElement]], rhs: list[FieldElement],
     return solution
 
 
+def _repair_coefficients(code: MrCode, erased_index: int, others: list[int]) -> tuple[int, ...]:
+    """The c with G_erased = sum c_i G_others[i], memoised per column."""
+    coeffs = code._repair_coeffs.get(erased_index)
+    if coeffs is None:
+        # g_erased is in the span of the other r group columns (group rank
+        # is r, any r of them independent)
+        A = [[code.G[i][j] for j in others] for i in range(code.k)]
+        g = [code.G[i][erased_index] for i in range(code.k)]
+        solution = _solve(A, g, code.field.zero)
+        if solution is None:
+            raise PropertyViolation(f"repair system for column {erased_index} unsolvable; "
+                                    f"code structure violated")
+        coeffs = code._repair_coeffs[erased_index] = tuple(c.value for c in solution)
+    return coeffs
+
+
 def local_repair(code: MrCode, received: Sequence, erased_index: int) -> FieldElement:
     """Recover one erased symbol from the r other symbols of its group.
 
@@ -290,15 +331,9 @@ def local_repair(code: MrCode, received: Sequence, erased_index: int) -> FieldEl
         if s is None:
             raise MultipleErasuresInGroup(f"group {code.group_of(erased_index)} "
                                           f"has another erasure at column {j}")
-        symbols.append(_as_element(code, s))
-    # g_erased is in the span of the other r group columns (group rank is r,
-    # any r of them independent); solve for the combination then apply it
-    A = [[code.G[i][j] for j in others] for i in range(code.k)]
-    g = [code.G[i][erased_index] for i in range(code.k)]
-    coeffs = _solve(A, g, code.field.zero)
-    if coeffs is None:
-        raise AssertionError("repair system unsolvable; code structure violated")
-    return sum((c * s for c, s in zip(coeffs, symbols)), code.field.zero)
+        symbols.append(_symbol(code, s))
+    coeffs = _repair_coefficients(code, erased_index, others)
+    return FieldElement(sum(map(mul, coeffs, symbols)) % code.field.q, code.field)
 
 
 def _erased_indices(code: MrCode, pattern) -> frozenset[int]:
@@ -314,42 +349,57 @@ def is_correctable(code: MrCode, pattern) -> bool:
     return rank(code.columns(survivors)) == code.k
 
 
+def _build_plan(code: MrCode, erased: frozenset[int]) -> _DecodePlan:
+    """Correctability verdict, k pivot columns chosen greedily left to right
+    among the present ones, and the inverse of their k x k block."""
+    if not is_correctable(code, ErasurePattern(erased)):
+        return _DecodePlan(erased, correctable=False)
+    pivots: list[int] = []
+    for j in range(code.n):
+        if j not in erased and rank(code.columns(pivots + [j])) > len(pivots):
+            pivots.append(j)
+            if len(pivots) == code.k:
+                break
+    if len(pivots) < code.k:
+        raise PropertyViolation("fewer than k independent present columns despite full rank")
+    # message * G = codeword restricted to the pivots  <=>  At * message =
+    # symbols with At[c][i] = G[i][pivots[c]]; column c of At^-1 solves At x = e_c
+    At = [[code.G[i][j] for i in range(code.k)] for j in pivots]
+    field = code.field
+    inverse_cols = []
+    for c in range(code.k):
+        unit = [field.one if i == c else field.zero for i in range(code.k)]
+        solution = _solve(At, unit, field.zero)
+        if solution is None:
+            raise PropertyViolation("pivot system unsolvable despite full rank")
+        inverse_cols.append([x.value for x in solution])
+    return _DecodePlan(erased, correctable=True, pivots=tuple(pivots),
+                       inverse=tuple(zip(*inverse_cols)))
+
+
 def decode(code: MrCode, received: Sequence) -> list[FieldElement]:
     """Recover the message from a codeword with None marking erasures.
 
-    Single-erasure groups are repaired locally first; the message is then
-    solved from k independent surviving columns (greedy left-to-right) and
-    cross-checked against every originally present symbol.
+    The message is solved from k independent present columns (chosen
+    greedily left to right) and cross-checked against every present symbol;
+    Inconsistent names the first present column that contradicts it.  The
+    column choice and its inverse are kept for the last erasure set decoded,
+    so a run of blocks sharing one pattern pays for them once.
     """
     if len(received) != code.n:
         raise LengthMismatch(f"received length {len(received)} != n={code.n}")
     erased = frozenset(j for j, s in enumerate(received) if s is None)
-    if not is_correctable(code, ErasurePattern(erased)):
+    plan = code._plan  # read once: another caller may replace it meanwhile
+    if plan is None or plan.erased != erased:
+        plan = _build_plan(code, erased)
+        object.__setattr__(code, "_plan", plan)
+    if not plan.correctable:
         raise NotCorrectable(f"erasure pattern {sorted(erased)} is not correctable")
-    working: list[Optional[FieldElement]] = [
-        None if s is None else _as_element(code, s) for s in received
-    ]
-    for group in code.repair_groups:
-        missing = [j for j in group if working[j] is None]
-        if len(missing) == 1:
-            working[missing[0]] = local_repair(code, working, missing[0])
-    # greedy pivot columns among the known positions
-    known = [j for j in range(code.n) if working[j] is not None]
-    pivot_cols: list[int] = []
-    for j in known:
-        if rank(code.columns(pivot_cols + [j])) > len(pivot_cols):
-            pivot_cols.append(j)
-        if len(pivot_cols) == code.k:
-            break
-    A = [[code.G[i][j] for j in pivot_cols] for i in range(code.k)]
-    # message * G = codeword  <=>  transpose(G_cols) * message = symbols
-    At = [[A[i][c] for i in range(code.k)] for c in range(len(pivot_cols))]
-    rhs = [working[j] for j in pivot_cols]
-    message = _solve(At, rhs, code.field.zero)
-    if message is None:
-        raise AssertionError("pivot system unsolvable despite full rank")
-    reencoded = encode(code, message)
-    for j in range(code.n):
-        if j not in erased and reencoded[j] != _as_element(code, received[j]):
+    symbols = [None if s is None else _symbol(code, s) for s in received]
+    q = code.field.q
+    pivot_symbols = [symbols[j] for j in plan.pivots]
+    message = [sum(map(mul, row, pivot_symbols)) % q for row in plan.inverse]
+    for j, (s, col) in enumerate(zip(symbols, code._int_columns)):
+        if s is not None and sum(map(mul, message, col)) % q != s:
             raise Inconsistent(f"symbol at column {j} contradicts the decoded message")
-    return message
+    return [FieldElement(m, code.field) for m in message]

@@ -193,6 +193,13 @@ def test_malformed_spec_is_typed_error(code6, tmp_path, capsys, mangle):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_spec_is_typed_error(tmp_path, capsys, name):
+    assert main(["verify", str(tmp_path / name)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: spec ") and "Traceback" not in err
+
+
 def test_spec_not_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

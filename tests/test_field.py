@@ -65,6 +65,15 @@ def test_pow():
         g.zero ** -1
 
 
+def test_eq_hash_contract():
+    f = make_field(101)
+    five = f.element(5)
+    assert five == 5 and 5 in {five} and five in {5} and {5: "x"}[five] == "x"
+    assert five != 106 and 106 not in {five}
+    assert hash(five) == hash(5) == hash(make_field(103).element(5))
+    assert len({five, f.element(106), 5}) == 1
+
+
 @pytest.mark.parametrize("q", [3, 13, 101, 653, 997])
 def test_gamma_generates_full_group(q):
     f = make_field(q)

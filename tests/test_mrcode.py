@@ -3,10 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from mrcodes.errors import (BadSymbol, Inconsistent, LengthMismatch, Mismatch,
-                            MultipleErasuresInGroup, NotCorrectable, NotInGroup)
-from mrcodes.mrcode import (ErasurePattern, _closed_form_values, _rank_scan, build_code,
-                            decode, encode, is_correctable, local_repair, rank, verify_mr)
+import mrcodes.mrcode
+from mrcodes.errors import (BadSymbol, Inconsistent, LengthMismatch, Mismatch, MrCodesError,
+                            MultipleErasuresInGroup, NotCorrectable, NotInGroup,
+                            PropertyViolation)
+from mrcodes.field import FieldElement, make_field
+from mrcodes.mrcode import (ErasurePattern, _closed_form_values, _rank_scan, _solve,
+                            build_code, decode, encode, is_correctable, local_repair, rank,
+                            verify_mr)
 from mrcodes.pipeline import construct
 
 
@@ -311,3 +315,236 @@ def test_bad_symbols_rejected(code6, bad):
     received[0] = None
     with pytest.raises(BadSymbol):
         local_repair(code6, received, 0)
+
+
+def _ref_element(code, x):
+    """A FieldElement passes; anything else must be an int in [0, q)."""
+    if isinstance(x, FieldElement):
+        return x
+    if type(x) is not int or not 0 <= x < code.field.q:
+        raise BadSymbol(f"symbol {x!r} is not an integer in [0, {code.field.q})")
+    return code.field.element(x)
+
+
+def _reference_encode(code, message):
+    zero = code.field.zero
+    msg = [_ref_element(code, x) for x in message]
+    return [sum((m * code.G[i][j] for i, m in enumerate(msg)), zero) for j in range(code.n)]
+
+
+def _reference_decode(code, received):
+    """Decoding by FieldElement arithmetic with no memo: local repair of every
+    single-erasure group, greedy pivots among the known columns, _solve, then
+    a re-encode check of every originally present symbol."""
+    if len(received) != code.n:
+        raise LengthMismatch(f"received length {len(received)} != n={code.n}")
+    erased = frozenset(j for j, s in enumerate(received) if s is None)
+    if not is_correctable(code, ErasurePattern(erased)):
+        raise NotCorrectable(f"erasure pattern {sorted(erased)} is not correctable")
+    working = [None if s is None else _ref_element(code, s) for s in received]
+    zero = code.field.zero
+    for group in code.repair_groups:
+        missing = [j for j in group if working[j] is None]
+        if len(missing) == 1:
+            others = [j for j in group if j != missing[0]]
+            A = [[code.G[i][j] for j in others] for i in range(code.k)]
+            coeffs = _solve(A, [code.G[i][missing[0]] for i in range(code.k)], zero)
+            if coeffs is None:
+                raise AssertionError("repair system unsolvable; code structure violated")
+            working[missing[0]] = sum((c * working[j] for c, j in zip(coeffs, others)), zero)
+    known = [j for j in range(code.n) if working[j] is not None]
+    pivot_cols = []
+    for j in known:
+        if rank(code.columns(pivot_cols + [j])) > len(pivot_cols):
+            pivot_cols.append(j)
+        if len(pivot_cols) == code.k:
+            break
+    At = [[code.G[i][j] for i in range(code.k)] for j in pivot_cols]
+    message = _solve(At, [working[j] for j in pivot_cols], zero)
+    if message is None:
+        raise AssertionError("pivot system unsolvable despite full rank")
+    for j in range(code.n):
+        if j not in erased:
+            value = sum((m * code.G[i][j] for i, m in enumerate(message)), zero)
+            if value != working[j]:
+                raise Inconsistent(f"symbol at column {j} contradicts the decoded message")
+    return message
+
+
+def _outcome(decoder, code, received):
+    """The decoded values, or the class of the typed error raised."""
+    try:
+        return [s.value for s in decoder(code, received)]
+    except MrCodesError as exc:
+        return type(exc)
+
+
+def _assert_agrees(code, received):
+    expected = _outcome(_reference_decode, code, received)
+    assert _outcome(decode, code, received) == expected, received
+    return expected
+
+
+def _codeword(code, rng):
+    return [s.value for s in _reference_encode(code, [rng.randrange(code.field.q)
+                                                      for _ in range(code.k)])]
+
+
+def _pattern(code, rng, cls):
+    """A seeded erasure set of the given class."""
+    groups = code.repair_groups
+    if cls == "local":
+        chosen = rng.sample(groups, rng.randint(1, len(groups)))
+        return frozenset(rng.choice(g) for g in chosen)
+    if cls == "global":
+        while True:
+            heavy = rng.choice(groups)
+            erased = set(rng.sample(heavy, rng.randint(2, code.r + 1)))
+            erased.update(rng.choice(g) for g in groups if g != heavy and rng.random() < 0.3)
+            if is_correctable(code, erased):
+                return frozenset(erased)
+    if cls == "uncorrectable":
+        if rng.random() < 0.5:
+            survivors = set(rng.choice(groups))
+        else:
+            survivors = set(rng.sample(range(code.n), rng.randint(0, code.r)))
+        return frozenset(range(code.n)) - survivors
+    raise ValueError(cls)
+
+
+def _received(codeword, erased):
+    return [None if j in erased else s for j, s in enumerate(codeword)]
+
+
+def _corrupt(code, received, rng):
+    j = rng.choice([j for j, s in enumerate(received) if s is not None])
+    received = list(received)
+    received[j] = (received[j] + rng.randrange(1, code.field.q)) % code.field.q
+    return received
+
+
+class TestDecodeMatchesReference:
+    """decode (int loops, last-pattern plan) against _reference_decode."""
+
+    def test_encode_matches_reference(self, code8):
+        rng = random.Random(3)
+        for code in (code8, construct(2, 1601)[0]):
+            for _ in range(20):
+                msg = [rng.randrange(code.field.q) for _ in range(code.k)]
+                assert encode(code, msg) == _reference_encode(code, msg)
+
+    def test_all_patterns_r2_q101(self, code6):
+        rng = random.Random(1)
+        classes = set()
+        for size in range(code6.n + 1):
+            for erased in combinations(range(code6.n), size):
+                received = _received(_codeword(code6, rng), set(erased))
+                classes.add(_assert_agrees(code6, received) is NotCorrectable)
+                if size < code6.n:
+                    _assert_agrees(code6, _corrupt(code6, received, rng))
+        assert classes == {True, False}
+
+    @pytest.mark.parametrize("r,q", [(3, 653), (2, 1601)])
+    def test_seeded_classes(self, r, q):
+        code = construct(r, q)[0]
+        rng = random.Random(q)
+        seen = {}
+        for cls in ("local", "global", "uncorrectable", "corrupted"):
+            for _ in range(40):
+                base = rng.choice(("local", "global")) if cls == "corrupted" else cls
+                received = _received(_codeword(code, rng), _pattern(code, rng, base))
+                if cls == "corrupted":
+                    received = _corrupt(code, received, rng)
+                got = _assert_agrees(code, received)
+                seen.setdefault(cls, set()).add(got if isinstance(got, type) else list)
+        assert seen["local"] == seen["global"] == {list}
+        assert seen["uncorrectable"] == {NotCorrectable}
+        assert Inconsistent in seen["corrupted"]
+
+    def test_plan_hits_misses_and_replacements(self, monkeypatch):
+        code = construct(2, 1601)[0]
+        rng = random.Random(8)
+        a, b = _pattern(code, rng, "local"), _pattern(code, rng, "global")
+        u = _pattern(code, rng, "uncorrectable")
+        runs = [a] * 5 + [b] * 3 + [a] * 4 + [u] * 3 + [a] * 2
+        cases = []
+        for i, erased in enumerate(runs):
+            received = _received(_codeword(code, rng), erased)
+            if i in (2, 6, 10):
+                received = _corrupt(code, received, rng)
+            cases.append((received, _outcome(_reference_decode, code, received)))
+        builds = []
+        original = mrcodes.mrcode.is_correctable
+        monkeypatch.setattr(mrcodes.mrcode, "is_correctable",
+                            lambda c, p: builds.append(p) or original(c, p))
+        for received, expected in cases:
+            assert _outcome(decode, code, received) == expected
+        assert len(builds) == 5  # a, b, a, u, a: one plan per change of pattern
+
+    def test_codes_do_not_share_plans(self, code6):
+        other = construct(2, 103)[0]
+        rng = random.Random(4)
+        for erased in ({0, 3}, {0, 3}, {1, 2}, {1, 2}):
+            for code in (code6, other, code6):
+                _assert_agrees(code, _received(_codeword(code, rng), erased))
+        assert code6._plan is not other._plan
+
+    def test_mutated_copy_does_not_reuse_plan(self, code6):
+        # no group has exactly one erasure, so the reference never local-repairs
+        # through the columns a mutation breaks
+        rng = random.Random(6)
+        codeword = _codeword(code6, rng)
+        differing = 0
+        for erased in ({0, 1}, {3, 5}):
+            for i in range(code6.k):
+                for j in range(code6.n):
+                    original = _assert_agrees(code6, _received(codeword, erased))
+                    mutated = _with_entry(code6, i, j, (code6.G[i][j].value + 1) % 101)
+                    differing += original != _assert_agrees(mutated,
+                                                            _received(codeword, erased))
+                    _assert_agrees(mutated, _received(_codeword(mutated, rng), erased))
+        assert differing > 0
+
+    @pytest.mark.parametrize("bad", [101 + 27, -1, 2.5, True, make_field(103).element(7)])
+    def test_bad_symbol_on_plan_hit(self, code6, bad):
+        received = _received([s.value for s in encode(code6, [4, 5, 6])], {0, 3})
+        assert [s.value for s in decode(code6, received)] == [4, 5, 6]
+        received[1] = bad
+        with pytest.raises(BadSymbol):
+            decode(code6, received)
+
+    def test_foreign_field_element_rejected(self, code6):
+        foreign = make_field(103).element(7)
+        with pytest.raises(BadSymbol):
+            encode(code6, [foreign, 0, 0])
+        received = [s.value for s in encode(code6, [1, 2, 3])]
+        received[0], received[1] = None, foreign
+        with pytest.raises(BadSymbol):
+            local_repair(code6, received, 0)
+
+    def test_local_repair_every_column(self):
+        code = construct(2, 1601)[0]
+        rng = random.Random(2)
+        codeword = _codeword(code, rng)
+        for j in range(code.n):
+            assert local_repair(code, _received(codeword, {j}), j) == codeword[j]
+
+
+class TestTamperedRepairGroups:
+    """Groups that are not the deficient column triples of G."""
+
+    @pytest.fixture
+    def tampered(self, code6):
+        return type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+                           G=code6.G, repair_groups=((0, 1, 3), (2, 4, 5)))
+
+    def test_local_repair_raises_property_violation(self, tampered):
+        received = [s.value for s in encode(tampered, [1, 2, 3])]
+        received[0] = None
+        with pytest.raises(PropertyViolation):
+            local_repair(tampered, received, 0)
+
+    def test_decode_does_not_use_groups(self, tampered):
+        received = [s.value for s in encode(tampered, [1, 2, 3])]
+        received[0] = None
+        assert [s.value for s in decode(tampered, received)] == [1, 2, 3]
