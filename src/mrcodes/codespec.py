@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import Mismatch, PropertyViolation
+from .errors import BadParams, Mismatch, PropertyViolation
 from .family import FamilyParams, ZeroSumFamily, build_family
 from .field import Field, make_field
 from .mrcode import MrCode, build_code
@@ -95,6 +95,8 @@ def code_from_dict(doc: dict) -> MrCode:
         raise Mismatch(f"spec is a {type(doc).__name__}, not a JSON object")
     try:
         return _code_from_doc(doc)
+    except BadParams:
+        raise  # already typed, though also a ValueError
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise Mismatch(f"malformed spec: {type(exc).__name__}: {exc}") from None
 
@@ -138,9 +140,12 @@ def _code_from_doc(doc: dict) -> MrCode:
 
 
 def save_code(code: MrCode, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(code_to_dict(code), fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(code_to_dict(code), fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise Mismatch(f"spec {path} cannot be written: {exc.strerror or exc}") from None
 
 
 def load_code(path) -> MrCode:

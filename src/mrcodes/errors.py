@@ -36,8 +36,8 @@ class TooLarge(MrCodesError):
 
 
 # family
-class BadParams(MrCodesError):
-    pass
+class BadParams(MrCodesError, ValueError):
+    """A parameter outside its allowed range."""
 
 
 class BadSet(MrCodesError):

@@ -137,7 +137,7 @@ def sample_zero_sum_property(elements, transversals, N: int, r: int,
 def trim_family(family: ZeroSumFamily, target_groups: int) -> ZeroSumFamily:
     """Keep the target_groups smallest b in D and their transversals."""
     if not 1 <= target_groups <= len(family.D.elements):
-        raise ValueError(f"target_groups={target_groups} outside [1, {len(family.D.elements)}]")
+        raise BadParams(f"target_groups={target_groups} outside [1, {len(family.D.elements)}]")
     if target_groups == len(family.D.elements):
         return family
     trimmed = ProgressionFreeSet(

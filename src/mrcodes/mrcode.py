@@ -8,7 +8,9 @@ the contiguous index block [i*(r+1), (i+1)*(r+1)).
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group, and every r columns
 inside a group are independent.  Message recovery from erasures reduces to
-linear algebra over GF(q).
+linear algebra over GF(q), all done by one Gauss-Jordan (_row_reduce): a
+decode plan is one reduction of the present columns beside I_k, which gives
+the verdict, the pivot columns and their inverse together.
 """
 
 from __future__ import annotations
@@ -115,14 +117,19 @@ def build_code(field: Field, family: ZeroSumFamily) -> MrCode:
                   G=G, repair_groups=groups)
 
 
-def rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
-    """Row-echelon rank, exact field arithmetic, first-nonzero pivot."""
-    rows = [list(row) for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rk = 0
+def _row_reduce(rows: list[list[FieldElement]], ncols: int) -> list[int]:
+    """Gauss-Jordan on the first ncols columns of rows, in place: exact field
+    arithmetic, first-nonzero pivot, stopping once every row has a pivot.
+
+    Returns the pivot columns; any columns after ncols are carried along by
+    the same row operations.  The pivots are the lexicographically first
+    basis among the reduced columns.
+    """
+    pivots: list[int] = []
     for col in range(ncols):
+        rk = len(pivots)
+        if rk == len(rows):
+            break
         pivot = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
@@ -133,10 +140,14 @@ def rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
             if i != rk and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk
+        pivots.append(col)
+    return pivots
+
+
+def rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
+    """Row-echelon rank, exact field arithmetic, first-nonzero pivot."""
+    rows = [list(row) for row in matrix]
+    return len(_row_reduce(rows, len(rows[0]) if rows else 0))
 
 
 @dataclass
@@ -265,53 +276,20 @@ def encode(code: MrCode, message: Sequence) -> list[FieldElement]:
     return [FieldElement(sum(map(mul, msg, col)) % q, field) for col in code._int_columns]
 
 
-def _solve(matrix: list[list[FieldElement]], rhs: list[FieldElement],
-           zero: FieldElement) -> Optional[list[FieldElement]]:
-    """Solve matrix * x = rhs by Gauss-Jordan; None if inconsistent.
-
-    Requires the solution, when it exists, to be unique (full column rank).
-    """
-    rows = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0])
-    pivots = []
-    rk = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        inv = rows[rk][col].inv()
-        rows[rk] = [x * inv for x in rows[rk]]
-        for i in range(len(rows)):
-            if i != rk and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
-        pivots.append(col)
-        rk += 1
-    if rk < ncols:
-        return None  # underdetermined; callers guarantee full column rank
-    for i in range(rk, len(rows)):
-        if rows[i][-1]:
-            return None  # inconsistent
-    solution = [zero] * ncols
-    for i, col in enumerate(pivots):
-        solution[col] = rows[i][-1]
-    return solution
-
-
 def _repair_coefficients(code: MrCode, erased_index: int, others: list[int]) -> tuple[int, ...]:
     """The c with G_erased = sum c_i G_others[i], memoised per column."""
     coeffs = code._repair_coeffs.get(erased_index)
     if coeffs is None:
         # g_erased is in the span of the other r group columns (group rank
-        # is r, any r of them independent)
-        A = [[code.G[i][j] for j in others] for i in range(code.k)]
-        g = [code.G[i][erased_index] for i in range(code.k)]
-        solution = _solve(A, g, code.field.zero)
-        if solution is None:
+        # is r, any r of them independent): reducing [G_others | g_erased]
+        # leaves c beside the r pivots and a zero row below them
+        r = len(others)
+        rows = [[code.G[i][j] for j in others] + [code.G[i][erased_index]]
+                for i in range(code.k)]
+        if len(_row_reduce(rows, r)) < r or any(row[r] for row in rows[r:]):
             raise PropertyViolation(f"repair system for column {erased_index} unsolvable; "
                                     f"code structure violated")
-        coeffs = code._repair_coeffs[erased_index] = tuple(c.value for c in solution)
+        coeffs = code._repair_coeffs[erased_index] = tuple(row[r].value for row in rows[:r])
     return coeffs
 
 
@@ -350,31 +328,21 @@ def is_correctable(code: MrCode, pattern) -> bool:
 
 
 def _build_plan(code: MrCode, erased: frozenset[int]) -> _DecodePlan:
-    """Correctability verdict, k pivot columns chosen greedily left to right
-    among the present ones, and the inverse of their k x k block."""
-    if not is_correctable(code, ErasurePattern(erased)):
+    """One reduction of [G_S | I_k], S the present columns in order: fewer
+    than k pivots means not correctable; otherwise the pivots are the k
+    columns a greedy left-to-right choice would take, and the right block
+    is the inverse of their k x k block G_P."""
+    present = [j for j in range(code.n) if j not in erased]
+    width, field, k = len(present), code.field, code.k
+    rows = [[code.G[i][j] for j in present]
+            + [field.one if c == i else field.zero for c in range(k)] for i in range(k)]
+    pivots = _row_reduce(rows, width)
+    if len(pivots) < k:
         return _DecodePlan(erased, correctable=False)
-    pivots: list[int] = []
-    for j in range(code.n):
-        if j not in erased and rank(code.columns(pivots + [j])) > len(pivots):
-            pivots.append(j)
-            if len(pivots) == code.k:
-                break
-    if len(pivots) < code.k:
-        raise PropertyViolation("fewer than k independent present columns despite full rank")
-    # message * G = codeword restricted to the pivots  <=>  At * message =
-    # symbols with At[c][i] = G[i][pivots[c]]; column c of At^-1 solves At x = e_c
-    At = [[code.G[i][j] for i in range(code.k)] for j in pivots]
-    field = code.field
-    inverse_cols = []
-    for c in range(code.k):
-        unit = [field.one if i == c else field.zero for i in range(code.k)]
-        solution = _solve(At, unit, field.zero)
-        if solution is None:
-            raise PropertyViolation("pivot system unsolvable despite full rank")
-        inverse_cols.append([x.value for x in solution])
-    return _DecodePlan(erased, correctable=True, pivots=tuple(pivots),
-                       inverse=tuple(zip(*inverse_cols)))
+    # message * G_P = symbols at the pivots, so message = symbols . G_P^-1
+    inverse = tuple(zip(*([x.value for x in row[width:]] for row in rows)))
+    return _DecodePlan(erased, correctable=True,
+                       pivots=tuple(present[c] for c in pivots), inverse=inverse)
 
 
 def decode(code: MrCode, received: Sequence) -> list[FieldElement]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .errors import FieldTooSmall, NotCorrectable, PropertyViolation, TargetUnreachable
+from .errors import BadParams, FieldTooSmall, NotCorrectable, PropertyViolation, TargetUnreachable
 from .family import FamilyParams, build_family, trim_family
 from .field import make_field
 from .mrcode import MrCode, MrReport, build_code, decode, encode, is_correctable, verify_mr
@@ -37,7 +37,7 @@ def choose_params(r: int, q: int) -> FamilyParams:
     Both sit strictly inside the required ranges; d scales like N/r^4.
     """
     if r < 2:
-        raise ValueError("r must be >= 2")
+        raise BadParams("r must be >= 2")
     field = make_field(q)  # validates primality
     lam = Fraction(1, 2 * r**3)
     delta = lam / (r + 1)
@@ -53,8 +53,8 @@ def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, M
     params = choose_params(r, q)
     family = build_family(params, _choose_set(params.d, r))
     if target_n is not None:
-        if target_n % (r + 1) != 0:
-            raise ValueError(f"target_n={target_n} is not a multiple of r+1={r + 1}")
+        if target_n <= 0 or target_n % (r + 1) != 0:
+            raise BadParams(f"target_n={target_n} is not a positive multiple of r+1={r + 1}")
         if family.n < target_n:
             raise TargetUnreachable(f"construction reaches n={family.n} < target {target_n}")
         family = trim_family(family, target_n // (r + 1))
@@ -88,7 +88,9 @@ def simulate(code: MrCode, p: float, trials: int, seed: int) -> SimReport:
     Deterministic given the seed (Mersenne Twister).
     """
     if not 0 <= p <= 1:
-        raise ValueError("p must be in [0, 1]")
+        raise BadParams(f"p={p} outside [0, 1]")
+    if trials < 0:
+        raise BadParams(f"trials={trials} is negative")
     from .codespec import RNG_NAME
     rng = random.Random(seed)
     q, k, n, r = code.field.q, code.k, code.n, code.r
@@ -149,13 +151,7 @@ def scaling_table(r: int, q_list) -> list[dict]:
     """
     rows = []
     for q in q_list:
-        field = make_field(q)
-        params = choose_params(r, q)
-        family = build_family(params, _choose_set(params.d, r))
-        code = build_code(field, family)
-        report = verify_mr(code)
-        if not report.ok:
-            raise PropertyViolation(f"scaling instance q={q} failed verification")
+        code, report = construct(r, q)
         n = code.n
         ratio = math.log(q) / math.log(n) if n > 1 else float("inf")
         lower = math.log(q) - 3 * math.log(r) - 5 * math.sqrt(

@@ -205,3 +205,30 @@ def test_spec_not_json(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: spec ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--r", "1", "--q", "101", "--out", "{tmp}/x.json"],
+    ["scaling", "--r", "1", "--q-list", "101"],
+    ["construct", "--r", "2", "--q", "101", "--target-n", "5", "--out", "{tmp}/x.json"],
+    ["construct", "--r", "2", "--q", "101", "--target-n", "0", "--out", "{tmp}/x.json"],
+    ["construct", "--r", "2", "--q", "101", "--target-n", "-3", "--out", "{tmp}/x.json"],
+    ["simulate", "--spec", "{spec}", "--p", "1.5", "--trials", "10"],
+    ["simulate", "--spec", "{spec}", "--p", "0.1", "--trials", "-3"],
+    ["construct", "--r", "2", "--q", "101", "--out", "{tmp}/missing/dir/x.json"],
+], ids=["construct-r1", "scaling-r1", "target-n-5", "target-n-0", "target-n-neg",
+        "p-1.5", "trials-neg", "out-missing-dir"])
+def test_out_of_range_parameters_are_typed_errors(spec_path, tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path, spec=spec_path) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_spec_with_bad_params_keeps_its_message(code6, tmp_path, capsys):
+    # BadParams is also a ValueError; loading must not re-wrap it as a
+    # malformed-spec Mismatch
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(code_to_dict(code6) | {"r": 1}))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == "error: r must be >= 2\n"

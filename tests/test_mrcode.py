@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from typing import Optional
 
 import pytest
 
@@ -8,9 +9,9 @@ from mrcodes.errors import (BadSymbol, Inconsistent, LengthMismatch, Mismatch, M
                             MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                             PropertyViolation)
 from mrcodes.field import FieldElement, make_field
-from mrcodes.mrcode import (ErasurePattern, _closed_form_values, _rank_scan, _solve,
-                            build_code, decode, encode, is_correctable, local_repair, rank,
-                            verify_mr)
+from mrcodes.mrcode import (ErasurePattern, _build_plan, _closed_form_values, _DecodePlan,
+                            _rank_scan, build_code, decode, encode, is_correctable,
+                            local_repair, rank, verify_mr)
 from mrcodes.pipeline import construct
 
 
@@ -317,6 +318,40 @@ def test_bad_symbols_rejected(code6, bad):
         local_repair(code6, received, 0)
 
 
+def _solve(matrix: list[list[FieldElement]], rhs: list[FieldElement],
+           zero: FieldElement) -> Optional[list[FieldElement]]:
+    """Solve matrix * x = rhs by Gauss-Jordan; None if inconsistent.
+
+    Requires the solution, when it exists, to be unique (full column rank).
+    """
+    rows = [row[:] + [b] for row, b in zip(matrix, rhs)]
+    ncols = len(matrix[0])
+    pivots = []
+    rk = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        inv = rows[rk][col].inv()
+        rows[rk] = [x * inv for x in rows[rk]]
+        for i in range(len(rows)):
+            if i != rk and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
+        pivots.append(col)
+        rk += 1
+    if rk < ncols:
+        return None  # underdetermined; callers guarantee full column rank
+    for i in range(rk, len(rows)):
+        if rows[i][-1]:
+            return None  # inconsistent
+    solution = [zero] * ncols
+    for i, col in enumerate(pivots):
+        solution[col] = rows[i][-1]
+    return solution
+
+
 def _ref_element(code, x):
     """A FieldElement passes; anything else must be an int in [0, q)."""
     if isinstance(x, FieldElement):
@@ -474,9 +509,9 @@ class TestDecodeMatchesReference:
                 received = _corrupt(code, received, rng)
             cases.append((received, _outcome(_reference_decode, code, received)))
         builds = []
-        original = mrcodes.mrcode.is_correctable
-        monkeypatch.setattr(mrcodes.mrcode, "is_correctable",
-                            lambda c, p: builds.append(p) or original(c, p))
+        original = mrcodes.mrcode._build_plan
+        monkeypatch.setattr(mrcodes.mrcode, "_build_plan",
+                            lambda c, e: builds.append(e) or original(c, e))
         for received, expected in cases:
             assert _outcome(decode, code, received) == expected
         assert len(builds) == 5  # a, b, a, u, a: one plan per change of pattern
@@ -528,6 +563,44 @@ class TestDecodeMatchesReference:
         codeword = _codeword(code, rng)
         for j in range(code.n):
             assert local_repair(code, _received(codeword, {j}), j) == codeword[j]
+
+
+def _reference_plan(code, erased):
+    """A decode plan built the old way: is_correctable, k pivots chosen
+    greedily with rank, and the inverse from k calls to _solve."""
+    if not is_correctable(code, ErasurePattern(erased)):
+        return _DecodePlan(erased, correctable=False)
+    pivots = []
+    for j in range(code.n):
+        if j not in erased and rank(code.columns(pivots + [j])) > len(pivots):
+            pivots.append(j)
+            if len(pivots) == code.k:
+                break
+    At = [[code.G[i][j] for i in range(code.k)] for j in pivots]
+    f = code.field
+    inverse_cols = [[x.value for x in _solve(At, [f.one if i == c else f.zero
+                                                  for i in range(code.k)], f.zero)]
+                    for c in range(code.k)]
+    return _DecodePlan(erased, correctable=True, pivots=tuple(pivots),
+                       inverse=tuple(zip(*inverse_cols)))
+
+
+def test_plan_matches_reference_and_closed_form_rule():
+    # every erasure set of an n = 12 code: the one-reduction plan equals the
+    # old construction, and the verdict is the closed-form rule (at least
+    # r+1 survivors, and not exactly one repair group)
+    code = construct(2, 401)[0]
+    assert code.n == 12
+    groups = {frozenset(g) for g in code.repair_groups}
+    verdicts = set()
+    for mask in range(1 << code.n):
+        erased = frozenset(j for j in range(code.n) if mask >> j & 1)
+        plan = _build_plan(code, erased)
+        assert plan == _reference_plan(code, erased), sorted(erased)
+        survivors = frozenset(range(code.n)) - erased
+        assert plan.correctable == (len(survivors) >= code.k and survivors not in groups)
+        verdicts.add(plan.correctable)
+    assert verdicts == {True, False}
 
 
 class TestTamperedRepairGroups:
