@@ -196,7 +196,7 @@ def _run(args) -> int:
         print()
         return 0
 
-    raise AssertionError(f"unhandled command {args.command}")
+    raise ParseError(f"unhandled command {args.command!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

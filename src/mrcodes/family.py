@@ -7,8 +7,10 @@ From a valid set D in {1..d} build the n = |D|*(r+1) residues
 
 partitioned into transversals A_b = {a_{0,b}, ..., a_{r,b}}.  The defining
 property: an (r+1)-subset of the family sums to 0 mod N exactly when it is
-one of the transversals.  Construction is distrusted: the brute-force
-verifier runs on every build that fits the enumeration guard.
+one of the transversals.  Construction is distrusted: the exhaustive
+verifier runs on every build whose C(n, r+1) fits the enumeration guard.  It
+finds the zero-sum subsets in C(n, r) lookups (_identity_subsets, which
+verify_mr shares for its product-one column subsets).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from operator import add
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BadParams, BadSet, Collision, PropertyViolation, TooLarge
 from .progfree import ProgressionFreeSet, verify_progression_free
@@ -102,17 +105,59 @@ def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
 def verify_zero_sum_property(elements, transversals, N: int, r: int) -> Optional[frozenset]:
     """Exhaustive check: an (r+1)-subset sums to 0 mod N iff it is a transversal.
 
-    Returns None on pass, or the first counterexample subset.
+    Returns None on pass, or the counterexample subset that
+    combinations(elements, r + 1) meets first.
     """
+    if r < 2:
+        raise BadParams("r must be >= 2")
     elements = tuple(elements)
     if math.comb(len(elements), r + 1) > _SUBSET_GUARD:
         raise TooLarge(f"C({len(elements)}, {r + 1}) exceeds the enumeration guard")
     transversal_sets = {frozenset(tr) for tr in transversals}
-    for subset in combinations(elements, r + 1):
-        is_zero = sum(subset) % N == 0
-        if is_zero != (frozenset(subset) in transversal_sets):
-            return frozenset(subset)
-    return None
+
+    def value_set(subset):
+        return frozenset(elements[i] for i in subset)
+
+    # the witness by position: the first zero-sum non-transversal, or an
+    # earlier subset spelling a transversal whose sum is not 0
+    residues = [a % N for a in elements]
+    zero_sums = _identity_subsets(residues, [-a % N for a in residues], r, add, N)
+    first = next((s for s in zero_sums if value_set(s) not in transversal_sets), None)
+    positions: dict[int, list[int]] = {}
+    for i, a in enumerate(elements):
+        positions.setdefault(a, []).append(i)
+    for tr in transversal_sets:
+        if len(tr) <= r + 1 and all(a in positions for a in tr):
+            # combinations run in lexicographic order, so this is the earliest
+            # subset spelling tr without summing to 0
+            s = next((s for s in combinations(sorted(i for a in tr for i in positions[a]), r + 1)
+                      if value_set(s) == tr and sum(residues[i] for i in s) % N), None)
+            if s is not None and (first is None or s < first):
+                first = s
+    return None if first is None else value_set(first)
+
+
+def _identity_subsets(values: Sequence[int], completions: Sequence[int], r: int,
+                      op: Callable[[int, int], int], modulus: int) -> Iterator[tuple[int, ...]]:
+    """Yield the index (r+1)-subsets, in lexicographic order, whose values
+    combine under op (mod modulus) to the identity, given completions[j] =
+    the inverse of values[j].  Needs r >= 2.
+
+    Walks the r-subsets with a running combination and looks up the j with
+    completions[j] equal to it, kept past the subset's last index: C(n, r)
+    lookups rather than C(n, r+1) subsets.
+    """
+    where: dict[int, list[int]] = {}
+    for j, key in enumerate(completions):
+        where.setdefault(key, []).append(j)
+    for head in combinations(range(len(values)), r - 1):
+        acc = values[head[0]]
+        for i in head[1:]:
+            acc = op(acc, values[i]) % modulus
+        for i in range(head[-1] + 1, len(values)):
+            for j in where.get(op(acc, values[i]) % modulus, ()):
+                if j > i:
+                    yield head + (i, j)
 
 
 def sample_zero_sum_property(elements, transversals, N: int, r: int,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime
+from .errors import DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime, PropertyViolation
 
 # q*q must fit in an unsigned 64-bit intermediate; larger moduli are rejected
 # because the exhaustive verifiers dominate long before that anyway.
@@ -99,7 +99,7 @@ def make_field(q: int) -> Field:
     for g in range(2, q):
         if all(pow(g, N // f, q) != 1 for f in factors):
             return Field(q=q, N=N, gamma=g, factorization_of_N=factors)
-    raise AssertionError("no primitive element found; unreachable for prime q")
+    raise PropertyViolation(f"no primitive element found for q={q}; unreachable for prime q")
 
 
 @dataclass(frozen=True)

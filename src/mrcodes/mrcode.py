@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import (BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                      MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                      PropertyViolation, TooLarge)
-from .family import ZeroSumFamily
+from .family import ZeroSumFamily, _identity_subsets
 from .field import Field, FieldElement
 
 _MAX_N = 10**3
@@ -163,6 +163,14 @@ class MrReport:
         return not self.violations and self.local_distance_ok
 
 
+def _is_exhaustive(code: MrCode, mode: str) -> bool:
+    """Whether this mode checks every (r+1)-column subset; see _scan_subsets."""
+    within_guard = math.comb(code.n, code.k) <= _EXHAUSTIVE_SUBSET_GUARD
+    if mode == "exhaustive" and not within_guard:
+        raise TooLarge(f"C({code.n}, {code.k}) exceeds the exhaustive guard")
+    return within_guard if mode == "auto" else mode == "exhaustive"
+
+
 def _scan_subsets(code: MrCode, seed: int, mode: str, subset_rank) -> MrReport:
     """Report subset_rank(subset) against the expected rank (r for a repair
     group, r+1 otherwise) over the (r+1)-column subsets.
@@ -174,10 +182,7 @@ def _scan_subsets(code: MrCode, seed: int, mode: str, subset_rank) -> MrReport:
     """
     r, k = code.r, code.k
     group_sets = {frozenset(g) for g in code.repair_groups}
-    within_guard = math.comb(code.n, k) <= _EXHAUSTIVE_SUBSET_GUARD
-    if mode == "exhaustive" and not within_guard:
-        raise TooLarge(f"C({code.n}, {k}) exceeds the exhaustive guard")
-    exhaustive = within_guard if mode == "auto" else mode == "exhaustive"
+    exhaustive = _is_exhaustive(code, mode)
     if exhaustive:
         subsets = combinations(range(code.n), k)
     else:
@@ -233,14 +238,26 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     r+1.  Every r columns have rank r (their top r rows are a scaled
     Vandermonde matrix), so the in-group distance check always passes.  Any
     other G gets the rank scan (_rank_scan) and its report.  Subset choice
-    and report mode: see _scan_subsets.
+    and report mode: see _scan_subsets; exhaustive closed-form reports come
+    from _identity_subsets in C(n, r) lookups and equal the scan's.
     """
     xs = _closed_form_values(code)
     if xs is None:
         return _rank_scan(code, seed, mode)
     r, k, q = code.r, code.k, code.field.q
-    return _scan_subsets(code, seed, mode,
-                         lambda subset: r if math.prod(xs[j] for j in subset) % q == 1 else k)
+    if not _is_exhaustive(code, mode):
+        return _scan_subsets(code, seed, mode,
+                             lambda subset: r if math.prod(xs[j] for j in subset) % q == 1 else k)
+    deficient = list(_identity_subsets(xs, [pow(x, -1, q) for x in xs], r, mul, q))
+    # the scan's violations, in its order: the symmetric difference of the
+    # deficient subsets and the groups (only k-sets of columns can match)
+    deficient_sets = set(map(frozenset, deficient))
+    columns = frozenset(range(code.n))
+    odd = deficient_sets.symmetric_difference(map(frozenset, code.repair_groups))
+    violations = sorted((tuple(sorted(s)),) + ((r, k) if s in deficient_sets else (k, r))
+                        for s in odd if len(s) == k and s <= columns)
+    return MrReport(mode="exhaustive", mds_subsets_checked=math.comb(code.n, k),
+                    deficient_subsets=deficient, violations=violations)
 
 
 def _rank_scan(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:

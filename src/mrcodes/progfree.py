@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Optional
 
-from .errors import ParamsTooSmall, RangeTooLarge, TooLarge
+from .errors import ParamsTooSmall, PropertyViolation, RangeTooLarge, TooLarge
 
 # verify_progression_free enumeration budget: |D|^r tuples
 _VERIFY_GUARD = 10**8
@@ -105,7 +105,7 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
     elements = tuple(sorted(buckets[best_b]))
     witness = verify_progression_free(elements, r)
     if witness is not None:
-        raise AssertionError(f"digit construction produced a violation: {witness}")
+        raise PropertyViolation(f"digit construction produced a violation: {witness}")
     meta = AlonMeta(
         h=h, t=t, B=best_b,
         size_bound=m * math.exp(-5 * math.sqrt(math.log(m) * math.log(r))),
@@ -130,7 +130,7 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
         sizes.append(len(best))
     witness = verify_progression_free(best, r)
     if witness is not None:
-        raise AssertionError(f"exhaustive search produced a violation: {witness}")
+        raise PropertyViolation(f"exhaustive search produced a violation: {witness}")
     return ProgressionFreeSet(m=m, r=r, elements=tuple(best), method="exhaustive")
 
 

@@ -1,13 +1,19 @@
+import argparse
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+import mrcodes.cli
 from mrcodes.cli import decode_file, encode_file, main, repair_file
 from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
 from mrcodes.errors import (MultipleErasuresInGroup, NotCorrectable, ParseError,
                             PropertyViolation)
+from mrcodes.mrcode import _rank_scan
 from mrcodes.pipeline import construct
+
+BENCH_SPEC = Path(__file__).resolve().parents[1] / "bench" / "data" / "r2_q1601.json"
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +238,29 @@ def test_spec_with_bad_params_keeps_its_message(code6, tmp_path, capsys):
     path.write_text(json.dumps(code_to_dict(code6) | {"r": 1}))
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().err == "error: r must be >= 2\n"
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("spec", ["bench-r2-q1601", "r3-q653"])
+def test_verify_output_matches_rank_scan(tmp_path, capsys, spec, mode):
+    if spec == "r3-q653":
+        path = tmp_path / "spec.json"
+        save_code(construct(3, 653)[0], path)
+    else:
+        path = BENCH_SPEC
+    assert main(["verify", str(path), f"--{mode}"]) == 0
+    report = _rank_scan(load_code(path), mode=mode)
+    expected = json.dumps({"ok": report.ok, "mode": report.mode,
+                           "mds_subsets_checked": report.mds_subsets_checked,
+                           "deficient_subsets": report.deficient_subsets,
+                           "violations": report.violations,
+                           "local_distance_ok": report.local_distance_ok}, indent=2)
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_unhandled_command_is_parse_error(monkeypatch, capsys):
+    parser = argparse.ArgumentParser()
+    parser.set_defaults(command="bogus")
+    monkeypatch.setattr(mrcodes.cli, "_build_parser", lambda: parser)
+    assert main([]) == 2
+    assert capsys.readouterr().err == "error: unhandled command 'bogus'\n"

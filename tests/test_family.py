@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from mrcodes.errors import BadParams, BadSet
+import mrcodes.family
+from mrcodes.errors import BadParams, BadSet, TooLarge
 from mrcodes.family import (FamilyParams, build_family, sample_zero_sum_property,
                             trim_family, verify_zero_sum_property)
 from mrcodes.progfree import from_elements
@@ -133,3 +136,82 @@ def test_perturbation_negative_control(family_r2):
         distinct = len(set(elements)) == len(elements)
         if distinct:
             assert verify_zero_sum_property(elements, transversals, 100, 2) is not None
+
+
+def _reference_zero_sum(elements, transversals, N, r):
+    """The brute-force verify_zero_sum_property: every (r+1)-subset, in
+    combinations order."""
+    transversal_sets = {frozenset(tr) for tr in transversals}
+    for subset in combinations(elements, r + 1):
+        is_zero = sum(subset) % N == 0
+        if is_zero != (frozenset(subset) in transversal_sets):
+            return frozenset(subset)
+    return None
+
+
+def _random_zero_sum_case(rng, r, kind):
+    """Transversals that sum to 0 mod N, flattened, then altered by kind."""
+    N = rng.randint(r + 2, 100)
+    transversals = []
+    for _ in range(rng.randint(1, 3)):
+        head = [rng.randrange(N) for _ in range(r)]
+        transversals.append(head + [-sum(head) % N])
+    elements = [a for tr in transversals for a in tr]
+    if kind == "planted":
+        # an extra element closing a zero sum with r elements of the family
+        elements.append(-sum(rng.sample(elements, r)) % N)
+    elif kind == "broken":
+        tr = rng.choice(transversals)
+        i = rng.randrange(r + 1)
+        elements[elements.index(tr[i])] = tr[i] = tr[i] + rng.randint(1, N - 1)
+    elif kind == "foreign":
+        # a transversal naming one value that is not in elements
+        tr = rng.sample(elements, r) + [N + rng.randrange(N)]
+        transversals.append(tr)
+    elif kind == "duplicate":
+        elements.append(rng.choice(elements))
+        if rng.random() < 0.5:
+            a = rng.choice(elements)
+            transversals.append([a, a] + rng.sample(elements, r - 1))
+    rng.shuffle(elements)
+    return elements, transversals, N
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_verify_zero_sum_matches_reference(r):
+    rng = random.Random(1000 + r)
+    outcomes = set()
+    for kind in ("plain", "planted", "broken", "foreign", "duplicate"):
+        for _ in range(40):
+            elements, transversals, N = _random_zero_sum_case(rng, r, kind)
+            expected = _reference_zero_sum(elements, transversals, N, r)
+            assert verify_zero_sum_property(elements, transversals, N, r) == expected, \
+                (elements, transversals, N)
+            if expected is None:
+                outcomes.add("pass")
+            else:
+                outcomes.add("transversal" if expected in map(frozenset, transversals)
+                             else "zero-sum")
+    # every outcome seen: a pass, a zero-sum non-transversal, a transversal
+    # that does not sum to 0
+    assert outcomes == {"pass", "transversal", "zero-sum"}
+
+
+@pytest.mark.parametrize("elements,witness", [
+    ((10, 40, 51, 20, 35, 45, 70, 12, 18), {10, 40, 51}),
+    ((10, 20, 70, 40, 51, 35, 45, 12, 18), {10, 20, 70}),
+], ids=["broken-transversal-first", "zero-sum-first"])
+def test_verify_zero_sum_witness_is_first_in_combinations_order(elements, witness):
+    # a transversal summing to 101 and a cross-group zero sum: the order of
+    # elements decides which one combinations meets first
+    transversals = ((10, 40, 51), (20, 35, 45), (70, 12, 18))
+    assert verify_zero_sum_property(elements, transversals, 100, 2) == witness
+    assert _reference_zero_sum(elements, transversals, 100, 2) == witness
+
+
+def test_subset_guard(family_r2, monkeypatch):
+    # C(6, 3) = 20 subsets: the check refuses, and build_family skips it
+    monkeypatch.setattr(mrcodes.family, "_SUBSET_GUARD", 19)
+    with pytest.raises(TooLarge):
+        verify_zero_sum_property(family_r2.elements, family_r2.transversals, 100, 2)
+    assert build_family(family_r2.params, family_r2.D) == family_r2

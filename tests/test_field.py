@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mrcodes.errors import DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime
+import mrcodes.field
+from mrcodes.errors import (DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime,
+                            PropertyViolation)
 from mrcodes.field import make_field
 
 
@@ -29,6 +31,13 @@ def test_make_field_rejects_composite():
 def test_make_field_rejects_huge():
     with pytest.raises(FieldTooLarge):
         make_field((1 << 32) + 15)
+
+
+def test_no_primitive_element_is_property_violation(monkeypatch):
+    # with 1 among the factors of N no candidate passes the primitivity test
+    monkeypatch.setattr(mrcodes.field, "distinct_prime_factors", lambda n: (1,))
+    with pytest.raises(PropertyViolation):
+        make_field(101)
 
 
 def test_add_mul_examples():

@@ -7,7 +7,7 @@ import pytest
 import mrcodes.mrcode
 from mrcodes.errors import (BadSymbol, Inconsistent, LengthMismatch, Mismatch, MrCodesError,
                             MultipleErasuresInGroup, NotCorrectable, NotInGroup,
-                            PropertyViolation)
+                            PropertyViolation, TooLarge)
 from mrcodes.field import FieldElement, make_field
 from mrcodes.mrcode import (ErasurePattern, _build_plan, _closed_form_values, _DecodePlan,
                             _rank_scan, build_code, decode, encode, is_correctable,
@@ -295,6 +295,27 @@ class TestClosedFormVerify:
         report = verify_mr(code)
         assert report == _rank_scan(code)
         assert not report.ok
+
+    def test_guard_picks_the_mode(self, code6, monkeypatch):
+        # C(6, 3) = 20 subsets: auto samples past the guard, exhaustive refuses
+        monkeypatch.setattr(mrcodes.mrcode, "_EXHAUSTIVE_SUBSET_GUARD", 19)
+        report = verify_mr(code6)
+        assert report.mode == "sampled" and report == _rank_scan(code6)
+        with pytest.raises(TooLarge):
+            verify_mr(code6, mode="exhaustive")
+        monkeypatch.setattr(mrcodes.mrcode, "_EXHAUSTIVE_SUBSET_GUARD", 20)
+        assert verify_mr(code6).mode == "exhaustive"
+
+    @pytest.mark.parametrize("groups", [
+        ((2, 1, 0), (5, 3, 4)),
+        ((0, 1), (2, 3, 4, 5)),
+        ((0, 1, 2), (3, 4, -1)),
+        ((0, 1, 2), (0, 1, 2)),
+    ], ids=["permuted", "wrong-size", "out-of-range", "duplicated"])
+    def test_odd_repair_groups(self, code6, groups):
+        code = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+                           G=code6.G, repair_groups=groups)
+        assert verify_mr(code, mode="exhaustive") == _rank_scan(code, mode="exhaustive")
 
 
 def _with_entry(code, i, j, value):

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from mrcodes.errors import RangeTooLarge, TooLarge
+import mrcodes.progfree
+from mrcodes.errors import PropertyViolation, RangeTooLarge, TooLarge
 from mrcodes.progfree import (alon_construct, exhaustive_best, from_elements,
                               verify_progression_free)
 
@@ -153,3 +154,13 @@ def reference_exhaustive_best(m, r):
 def test_exhaustive_matches_reference_search(r):
     for m in range(1, 25):
         assert exhaustive_best(m, r).elements == reference_exhaustive_best(m, r), m
+
+
+@pytest.mark.parametrize("build", [lambda: alon_construct(16, 2),
+                                   lambda: exhaustive_best(8, 2)],
+                         ids=["alon", "exhaustive"])
+def test_rejected_construction_is_property_violation(monkeypatch, build):
+    monkeypatch.setattr(mrcodes.progfree, "verify_progression_free",
+                        lambda candidate, r: (1, 3, 2))
+    with pytest.raises(PropertyViolation):
+        build()
