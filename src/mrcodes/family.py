@@ -16,7 +16,6 @@ verify_mr shares for its product-one column subsets).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -158,25 +157,6 @@ def _identity_subsets(values: Sequence[int], completions: Sequence[int], r: int,
             for j in where.get(op(acc, values[i]) % modulus, ()):
                 if j > i:
                     yield head + (i, j)
-
-
-def sample_zero_sum_property(elements, transversals, N: int, r: int,
-                             samples: int = 10**5, seed: int = 0) -> Optional[frozenset]:
-    """Randomized fallback when exhaustive enumeration would trip the guard.
-
-    Checks all transversals plus `samples` uniformly drawn (r+1)-subsets.
-    """
-    transversal_sets = {frozenset(tr) for tr in transversals}
-    for tr in transversals:
-        if sum(tr) % N != 0:
-            return frozenset(tr)
-    rng = random.Random(seed)
-    elements = list(elements)
-    for _ in range(samples):
-        subset = rng.sample(elements, r + 1)
-        if (sum(subset) % N == 0) != (frozenset(subset) in transversal_sets):
-            return frozenset(subset)
-    return None
 
 
 def trim_family(family: ZeroSumFamily, target_groups: int) -> ZeroSumFamily:

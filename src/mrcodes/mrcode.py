@@ -164,7 +164,10 @@ class MrReport:
 
 
 def _is_exhaustive(code: MrCode, mode: str) -> bool:
-    """Whether this mode checks every (r+1)-column subset; see _scan_subsets."""
+    """Whether this mode checks every (r+1)-column subset; see _scan_subsets.
+    Every verifier path asks, so it also rejects columns outside [0, n)."""
+    if any(not 0 <= j < code.n for group in code.repair_groups for j in group):
+        raise Mismatch(f"repair group column outside [0, {code.n})")
     within_guard = math.comb(code.n, code.k) <= _EXHAUSTIVE_SUBSET_GUARD
     if mode == "exhaustive" and not within_guard:
         raise TooLarge(f"C({code.n}, {code.k}) exceeds the exhaustive guard")
@@ -189,7 +192,7 @@ def _scan_subsets(code: MrCode, seed: int, mode: str, subset_rank) -> MrReport:
         rng = random.Random(seed)
         sampled = {tuple(sorted(rng.sample(range(code.n), k)))
                    for _ in range(_SAMPLED_SUBSETS)}
-        sampled.update(tuple(g) for g in code.repair_groups)
+        sampled.update(tuple(sorted(g)) for g in code.repair_groups)
         subsets = iter(sampled)
     report = MrReport(mode="exhaustive" if exhaustive else "sampled")
     for subset in subsets:
@@ -250,12 +253,11 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
                              lambda subset: r if math.prod(xs[j] for j in subset) % q == 1 else k)
     deficient = list(_identity_subsets(xs, [pow(x, -1, q) for x in xs], r, mul, q))
     # the scan's violations, in its order: the symmetric difference of the
-    # deficient subsets and the groups (only k-sets of columns can match)
+    # deficient subsets and the groups (only k-sets can match)
     deficient_sets = set(map(frozenset, deficient))
-    columns = frozenset(range(code.n))
     odd = deficient_sets.symmetric_difference(map(frozenset, code.repair_groups))
     violations = sorted((tuple(sorted(s)),) + ((r, k) if s in deficient_sets else (k, r))
-                        for s in odd if len(s) == k and s <= columns)
+                        for s in odd if len(s) == k)
     return MrReport(mode="exhaustive", mds_subsets_checked=math.comb(code.n, k),
                     deficient_subsets=deficient, violations=violations)
 
@@ -337,13 +339,6 @@ def _erased_indices(code: MrCode, pattern) -> frozenset[int]:
     return ErasurePattern.from_indices(pattern, code.n).erased
 
 
-def is_correctable(code: MrCode, pattern) -> bool:
-    """True iff the surviving columns span the full message space."""
-    erased = _erased_indices(code, pattern)
-    survivors = [j for j in range(code.n) if j not in erased]
-    return rank(code.columns(survivors)) == code.k
-
-
 def _build_plan(code: MrCode, erased: frozenset[int]) -> _DecodePlan:
     """One reduction of [G_S | I_k], S the present columns in order: fewer
     than k pivots means not correctable; otherwise the pivots are the k
@@ -360,6 +355,12 @@ def _build_plan(code: MrCode, erased: frozenset[int]) -> _DecodePlan:
     inverse = tuple(zip(*([x.value for x in row[width:]] for row in rows)))
     return _DecodePlan(erased, correctable=True,
                        pivots=tuple(present[c] for c in pivots), inverse=inverse)
+
+
+def is_correctable(code: MrCode, pattern) -> bool:
+    """True iff the surviving columns span the full message space: the
+    verdict of the decode plan for this erasure set."""
+    return _build_plan(code, _erased_indices(code, pattern)).correctable
 
 
 def decode(code: MrCode, received: Sequence) -> list[FieldElement]:

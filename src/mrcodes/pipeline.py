@@ -8,26 +8,27 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
-from .errors import BadParams, FieldTooSmall, NotCorrectable, PropertyViolation, TargetUnreachable
+from .errors import (BadParams, FieldTooSmall, NotCorrectable, ParamsTooSmall,
+                     PropertyViolation, TargetUnreachable)
 from .family import FamilyParams, build_family, trim_family
 from .field import make_field
-from .mrcode import MrCode, MrReport, build_code, decode, encode, is_correctable, verify_mr
-from .progfree import ProgressionFreeSet, alon_construct, exhaustive_best
-
-_EXHAUSTIVE_D_MAX = 24
+from .mrcode import MrCode, MrReport, build_code, decode, encode, verify_mr
+from .progfree import _EXHAUSTIVE_MAX_M, ProgressionFreeSet, alon_construct, exhaustive_best
 
 
 def _choose_set(d: int, r: int) -> ProgressionFreeSet:
     """Pick D for the given bound: exhaustive search where feasible, digit
     construction beyond, never worse than the capped exhaustive set (any
     valid subset of {1..24} stays valid for larger d)."""
-    if d <= _EXHAUSTIVE_D_MAX:
+    if d <= _EXHAUSTIVE_MAX_M:
         return exhaustive_best(d, r)
-    alon = alon_construct(d, r)
-    capped = exhaustive_best(_EXHAUSTIVE_D_MAX, r)
+    capped = exhaustive_best(_EXHAUSTIVE_MAX_M, r)
+    try:
+        alon = alon_construct(d, r)
+    except ParamsTooSmall:  # digit range {0}: the construction degenerates
+        return capped
     return alon if len(alon) >= len(capped) else capped
 
 
@@ -83,8 +84,9 @@ class SimReport:
 def simulate(code: MrCode, p: float, trials: int, seed: int) -> SimReport:
     """Monte-Carlo erasure trials with i.i.d. per-symbol loss probability p.
 
-    Groups with exactly one erasure are repaired locally (reading r symbols
-    each); trials with heavier groups go through the global decoder.
+    Every trial with an erasure goes through decode; groups with exactly
+    one erasure are counted as local repairs (r symbols read each), not
+    performed.
     Deterministic given the seed (Mersenne Twister).
     """
     if not 0 <= p <= 1:
@@ -128,18 +130,22 @@ def simulate(code: MrCode, p: float, trials: int, seed: int) -> SimReport:
 
 def exact_failure_probability(code: MrCode, p: float) -> float:
     """Sum of p^|E| (1-p)^(n-|E|) over the incorrectable erasure patterns E,
-    by exhausting all 2^n patterns.  Desk-scale reference for simulate()."""
-    if code.n > 24:
-        raise ValueError("pattern exhaustion limited to n <= 24")
-    total = 0.0
-    for size in range(code.n + 1):
-        weight = p**size * (1 - p) ** (code.n - size)
-        if weight == 0.0:
-            continue
-        for pattern in combinations(range(code.n), size):
-            if not is_correctable(code, pattern):
-                total += weight
-    return total
+    in closed form.  Exact reference for simulate().
+
+    Needs a passing exhaustive verify_mr report whose D deficient k-subsets
+    are disjoint.  Then k+1 survivors hold k independent columns (swap one
+    of a deficient subset for the outside one), so E fails exactly when
+    under k symbols survive or the k survivors are deficient.
+    """
+    if not 0 <= p <= 1:
+        raise BadParams(f"p={p} outside [0, 1]")
+    report = verify_mr(code, mode="exhaustive")
+    columns = [j for subset in report.deficient_subsets for j in subset]
+    if not report.ok or len(set(columns)) != len(columns):
+        raise PropertyViolation("code not verified, or its deficient subsets overlap")
+    n, k = code.n, code.k
+    return float(sum(math.comb(n, s) * (1 - p)**s * p**(n - s) for s in range(k))
+                 + len(report.deficient_subsets) * (1 - p)**k * p**(n - k))
 
 
 def scaling_table(r: int, q_list) -> list[dict]:

@@ -6,8 +6,7 @@ import pytest
 
 import mrcodes.family
 from mrcodes.errors import BadParams, BadSet, TooLarge
-from mrcodes.family import (FamilyParams, build_family, sample_zero_sum_property,
-                            trim_family, verify_zero_sum_property)
+from mrcodes.family import FamilyParams, build_family, trim_family, verify_zero_sum_property
 from mrcodes.progfree import from_elements
 
 
@@ -107,14 +106,6 @@ def test_verify_zero_sum_single_transversal(family_r2):
     assert trimmed.n == 3
     assert verify_zero_sum_property(trimmed.elements, trimmed.transversals,
                                     100, 2) is None
-
-
-def test_sampled_verifier_matches(family_r2):
-    assert sample_zero_sum_property(family_r2.elements, family_r2.transversals,
-                                    100, 2, samples=500, seed=1) is None
-    elements = (10, 40, 50, 20, 35, 45, 70, 12, 18)
-    transversals = ((10, 40, 50), (20, 35, 45), (70, 12, 19))  # broken third sum
-    assert sample_zero_sum_property(elements, transversals, 100, 2) is not None
 
 
 def test_trim_noop_and_prefix(family_r2):

@@ -309,13 +309,35 @@ class TestClosedFormVerify:
     @pytest.mark.parametrize("groups", [
         ((2, 1, 0), (5, 3, 4)),
         ((0, 1), (2, 3, 4, 5)),
-        ((0, 1, 2), (3, 4, -1)),
         ((0, 1, 2), (0, 1, 2)),
-    ], ids=["permuted", "wrong-size", "out-of-range", "duplicated"])
+    ], ids=["permuted", "wrong-size", "duplicated"])
     def test_odd_repair_groups(self, code6, groups):
         code = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
                            G=code6.G, repair_groups=groups)
         assert verify_mr(code, mode="exhaustive") == _rank_scan(code, mode="exhaustive")
+
+    @pytest.mark.parametrize("groups", [
+        ((0, 1, 2), (3, 4, -1)),
+        ((0, 1, 2), (3, 4, 6)),
+        ((0, 1, 2), (3, 4, 5), (3, 4, 6)),
+    ], ids=["minus-one", "n", "extra-group"])
+    def test_out_of_range_repair_groups(self, code6, groups):
+        # a closed-form G, and a mutated one that only the rank scan reads
+        for G in (code6.G, _with_entry(code6, 0, 0, 0).G):
+            code = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+                               G=G, repair_groups=groups)
+            for mode in ("auto", "exhaustive", "sampled"):
+                with pytest.raises(Mismatch):
+                    verify_mr(code, mode=mode)
+                with pytest.raises(Mismatch):
+                    _rank_scan(code, mode=mode)
+
+    def test_sampled_counts_a_permuted_group_once(self, code6):
+        code = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+                           G=code6.G, repair_groups=((2, 1, 0), (5, 3, 4)))
+        report = verify_mr(code, mode="sampled")
+        assert report.mds_subsets_checked == 20
+        assert set(report.deficient_subsets) == {(0, 1, 2), (3, 4, 5)}
 
 
 def _with_entry(code, i, j, value):
@@ -388,6 +410,12 @@ def _reference_encode(code, message):
     return [sum((m * code.G[i][j] for i, m in enumerate(msg)), zero) for j in range(code.n)]
 
 
+def _reference_correctable(code, erased):
+    """True iff the surviving columns span the full message space."""
+    survivors = [j for j in range(code.n) if j not in erased]
+    return rank(code.columns(survivors)) == code.k
+
+
 def _reference_decode(code, received):
     """Decoding by FieldElement arithmetic with no memo: local repair of every
     single-erasure group, greedy pivots among the known columns, _solve, then
@@ -395,7 +423,7 @@ def _reference_decode(code, received):
     if len(received) != code.n:
         raise LengthMismatch(f"received length {len(received)} != n={code.n}")
     erased = frozenset(j for j, s in enumerate(received) if s is None)
-    if not is_correctable(code, ErasurePattern(erased)):
+    if not _reference_correctable(code, erased):
         raise NotCorrectable(f"erasure pattern {sorted(erased)} is not correctable")
     working = [None if s is None else _ref_element(code, s) for s in received]
     zero = code.field.zero
@@ -587,9 +615,9 @@ class TestDecodeMatchesReference:
 
 
 def _reference_plan(code, erased):
-    """A decode plan built the old way: is_correctable, k pivots chosen
-    greedily with rank, and the inverse from k calls to _solve."""
-    if not is_correctable(code, ErasurePattern(erased)):
+    """A decode plan built the old way: a survivors rank check, k pivots
+    chosen greedily with rank, and the inverse from k calls to _solve."""
+    if not _reference_correctable(code, erased):
         return _DecodePlan(erased, correctable=False)
     pivots = []
     for j in range(code.n):
@@ -641,4 +669,11 @@ class TestTamperedRepairGroups:
     def test_decode_does_not_use_groups(self, tampered):
         received = [s.value for s in encode(tampered, [1, 2, 3])]
         received[0] = None
+        assert [s.value for s in decode(tampered, received)] == [1, 2, 3]
+
+    def test_correctable_by_rank_not_by_groups(self, tampered):
+        # the survivors 0, 1, 3 are a listed group but have full rank
+        assert is_correctable(tampered, (2, 4, 5))
+        received = [s.value for s in encode(tampered, [1, 2, 3])]
+        received[2] = received[4] = received[5] = None
         assert [s.value for s in decode(tampered, received)] == [1, 2, 3]

@@ -1,12 +1,17 @@
+import dataclasses
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import mrcodes.mrcode
 from mrcodes import pipeline
-from mrcodes.errors import FieldTooSmall, PropertyViolation, TargetUnreachable
+from mrcodes.errors import BadParams, FieldTooSmall, PropertyViolation, TargetUnreachable, TooLarge
+from mrcodes.mrcode import rank, verify_mr
 from mrcodes.pipeline import (choose_params, construct, exact_failure_probability,
                               scaling_table, simulate)
+from mrcodes.progfree import exhaustive_best
 
 
 def test_choose_params_r2_q101():
@@ -88,6 +93,74 @@ def test_exact_failure_probability_matches_hand_count():
     assert exact_failure_probability(code, 1.0) == 1.0
     assert (exact_failure_probability(code, 0.05)
             < exact_failure_probability(code, 0.2))
+
+
+def _reference_failure_probabilities(code, ps):
+    """The 2^n pattern enumeration that the closed form replaced, each
+    pattern judged by the rank of its survivors; one value per p in ps."""
+    failing = [0] * (code.n + 1)
+    for size in range(code.n + 1):
+        for pattern in combinations(range(code.n), size):
+            survivors = [j for j in range(code.n) if j not in pattern]
+            if rank(code.columns(survivors)) < code.k:
+                failing[size] += 1
+    return [sum(count * p**size * (1 - p) ** (code.n - size)
+                for size, count in enumerate(failing)) for p in ps]
+
+
+_PS = (0.0, 0.05, 0.1, 0.3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("r,q", [(2, 101), (3, 653), (2, 401), (4, 1283)])
+def test_exact_failure_probability_matches_enumeration(r, q):
+    code = construct(r, q)[0]
+    expected = _reference_failure_probabilities(code, _PS)
+    got = [exact_failure_probability(code, p) for p in _PS]
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_exact_failure_probability_single_group():
+    # n = k: the one group's survivors are deficient, so every pattern fails
+    code = construct(2, 101, target_n=3)[0]
+    for p in _PS:
+        assert exact_failure_probability(code, p) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_exact_failure_probability_past_n24():
+    code = construct(2, 1601)[0]
+    assert code.n == 30
+    # at p = 1/2 each pattern weighs 2^-30: the patterns with at most 2
+    # survivors plus the 10 groups surviving alone
+    assert exact_failure_probability(code, 0.5) == pytest.approx(476 / 2**30, rel=1e-12)
+
+
+def test_exact_failure_probability_rejects(monkeypatch):
+    code = construct(2, 101)[0]
+    mutated = dataclasses.replace(code, G=((code.field.element(0),) + code.G[0][1:],) + code.G[1:])
+    # a closed-form G whose deficient triples (0, 1, 2) and (0, 3, 4) are
+    # its listed groups: the report passes, but the subsets overlap
+    xs = [51, 99, 100, 55, 79, 7]
+    f = code.field
+    overlapping = dataclasses.replace(
+        code, repair_groups=((0, 1, 2), (0, 3, 4)),
+        G=tuple(tuple(f.element(pow(x, ell, 101) - (ell == 3)) for x in xs) for ell in (1, 2, 3)))
+    assert verify_mr(overlapping, mode="exhaustive").ok
+    for bad in (mutated, overlapping,
+                dataclasses.replace(code, repair_groups=((0, 1, 3), (2, 4, 5)))):
+        with pytest.raises(PropertyViolation):
+            exact_failure_probability(bad, 0.1)
+    for p in (1.5, -0.1, float("nan")):
+        with pytest.raises(BadParams):
+            exact_failure_probability(code, p)
+    monkeypatch.setattr(mrcodes.mrcode, "_EXHAUSTIVE_SUBSET_GUARD", 19)
+    with pytest.raises(TooLarge):
+        exact_failure_probability(code, 0.1)
+
+
+def test_choose_set_falls_back_when_digits_degenerate():
+    # d = 25 is past the exhaustive cap, and at r = 25 the digit
+    # construction's digit range is {0} only
+    assert pipeline._choose_set(25, 25) == exhaustive_best(24, 25)
 
 
 def test_scaling_table_fixed_r():
