@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime, PropertyViolation
+from .errors import (BadParams, DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime,
+                     PropertyViolation)
 
 # q*q must fit in an unsigned 64-bit intermediate; larger moduli are rejected
 # because the exhaustive verifiers dominate long before that anyway.
@@ -23,7 +24,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -56,6 +57,11 @@ def distinct_prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         factors.append(n)
     return tuple(factors)
+
+
+def _is_primitive(g: int, q: int, factors) -> bool:
+    """Whether g generates GF(q)*, given the distinct prime factors of q-1."""
+    return all(pow(g, (q - 1) // f, q) != 1 for f in factors)
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ def make_field(q: int) -> Field:
     N = q - 1
     factors = distinct_prime_factors(N)
     for g in range(2, q):
-        if all(pow(g, N // f, q) != 1 for f in factors):
+        if _is_primitive(g, q, factors):
             return Field(q=q, N=N, gamma=g, factorization_of_N=factors)
     raise PropertyViolation(f"no primitive element found for q={q}; unreachable for prime q")
 
@@ -109,7 +115,7 @@ class FieldElement:
 
     def __post_init__(self):
         if not 0 <= self.value < self.field.q:
-            raise ValueError(f"residue {self.value} out of range for q={self.field.q}")
+            raise BadParams(f"residue {self.value} out of range for q={self.field.q}")
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):

@@ -2,8 +2,9 @@
 
 Column j is built from exponent a = elements[j] of the zero-sum family:
 rows 1..r hold gamma^(l*a), row r+1 holds gamma^((r+1)*a) + (-1)^(r+1).
-Columns are in the family's canonical order, so repair group i occupies
-the contiguous index block [i*(r+1), (i+1)*(r+1)).
+Columns are in the family's canonical order, so build_code puts repair
+group i at columns [i*(r+1), (i+1)*(r+1)).  MrCode takes any groups that
+split range(n) into k-sets, and checks that once, when it is made.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group, and every r columns
@@ -22,7 +23,7 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (BadSymbol, Inconsistent, LengthMismatch, Mismatch,
+from .errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                      MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                      PropertyViolation, TooLarge)
 from .family import ZeroSumFamily, _identity_subsets
@@ -53,9 +54,10 @@ class MrCode:
     k: int
     G: Matrix                                 # (r+1) rows x n columns
     repair_groups: tuple[tuple[int, ...], ...]
-    # Codec state derived from this object's own G, never shared between codes:
-    # the columns of G as ints, the local-repair coefficients per erased
-    # column, and the plan of the last erasure set decoded.
+    # State derived from this object's own fields, never shared between codes:
+    # each column's group index, the columns of G as ints, the local-repair
+    # coefficients per erased column, and the last erasure set's decode plan.
+    _group_index: dict = dc_field(init=False, repr=False, compare=False)
     _int_columns: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
     _repair_coeffs: dict = dc_field(init=False, repr=False, compare=False,
                                     default_factory=dict)
@@ -63,6 +65,11 @@ class MrCode:
                                             default=None)
 
     def __post_init__(self):
+        groups = self.repair_groups
+        if (any(len(g) != self.k for g in groups)
+                or sorted(j for g in groups for j in g) != list(range(self.n))):
+            raise Mismatch(f"repair groups do not split range({self.n}) into {self.k}-sets")
+        object.__setattr__(self, "_group_index", {j: i for i, g in enumerate(groups) for j in g})
         object.__setattr__(self, "_int_columns",
                            tuple(zip(*((e.value for e in row) for row in self.G))))
 
@@ -72,7 +79,7 @@ class MrCode:
         return self.n * self.r // (self.r + 1) - self.k
 
     def group_of(self, column: int) -> int:
-        return column // (self.r + 1)
+        return self._group_index[column]
 
     def columns(self, indices: Sequence[int]) -> Matrix:
         return tuple(tuple(row[j] for j in indices) for row in self.G)
@@ -86,9 +93,9 @@ class ErasurePattern:
     def from_indices(cls, indices, n: int) -> "ErasurePattern":
         indices = list(indices)
         if len(indices) != len(set(indices)):
-            raise ValueError("duplicate erasure indices")
+            raise BadParams("duplicate erasure indices")
         if any(not 0 <= i < n for i in indices):
-            raise ValueError(f"erasure index out of range [0, {n})")
+            raise BadParams(f"erasure index out of range [0, {n})")
         return cls(frozenset(indices))
 
     @classmethod
@@ -165,9 +172,9 @@ class MrReport:
 
 def _is_exhaustive(code: MrCode, mode: str) -> bool:
     """Whether this mode checks every (r+1)-column subset; see _scan_subsets.
-    Every verifier path asks, so it also rejects columns outside [0, n)."""
-    if any(not 0 <= j < code.n for group in code.repair_groups for j in group):
-        raise Mismatch(f"repair group column outside [0, {code.n})")
+    Every verifier path asks, so it also rejects an unknown mode."""
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise BadParams(f"unknown verifier mode {mode!r}")
     within_guard = math.comb(code.n, code.k) <= _EXHAUSTIVE_SUBSET_GUARD
     if mode == "exhaustive" and not within_guard:
         raise TooLarge(f"C({code.n}, {code.k}) exceeds the exhaustive guard")
@@ -253,11 +260,11 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
                              lambda subset: r if math.prod(xs[j] for j in subset) % q == 1 else k)
     deficient = list(_identity_subsets(xs, [pow(x, -1, q) for x in xs], r, mul, q))
     # the scan's violations, in its order: the symmetric difference of the
-    # deficient subsets and the groups (only k-sets can match)
+    # deficient subsets and the groups
     deficient_sets = set(map(frozenset, deficient))
     odd = deficient_sets.symmetric_difference(map(frozenset, code.repair_groups))
     violations = sorted((tuple(sorted(s)),) + ((r, k) if s in deficient_sets else (k, r))
-                        for s in odd if len(s) == k)
+                        for s in odd)
     return MrReport(mode="exhaustive", mds_subsets_checked=math.comb(code.n, k),
                     deficient_subsets=deficient, violations=violations)
 
@@ -320,14 +327,15 @@ def local_repair(code: MrCode, received: Sequence, erased_index: int) -> FieldEl
     """
     if not 0 <= erased_index < code.n:
         raise NotInGroup(f"column {erased_index} out of range [0, {code.n})")
-    group = code.repair_groups[code.group_of(erased_index)]
-    others = [j for j in group if j != erased_index]
+    if len(received) != code.n:
+        raise LengthMismatch(f"received length {len(received)} != n={code.n}")
+    index = code.group_of(erased_index)
+    others = [j for j in code.repair_groups[index] if j != erased_index]
     symbols = []
     for j in others:
         s = received[j]
         if s is None:
-            raise MultipleErasuresInGroup(f"group {code.group_of(erased_index)} "
-                                          f"has another erasure at column {j}")
+            raise MultipleErasuresInGroup(f"group {index} has another erasure at column {j}")
         symbols.append(_symbol(code, s))
     coeffs = _repair_coefficients(code, erased_index, others)
     return FieldElement(sum(map(mul, coeffs, symbols)) % code.field.q, code.field)

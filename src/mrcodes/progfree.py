@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Optional
 
-from .errors import ParamsTooSmall, PropertyViolation, RangeTooLarge, TooLarge
+from .errors import BadParams, ParamsTooSmall, PropertyViolation, RangeTooLarge, TooLarge
 
 # verify_progression_free enumeration budget: |D|^r tuples
 _VERIFY_GUARD = 10**8
@@ -53,7 +53,7 @@ def verify_progression_free(candidate, r: int) -> Optional[tuple]:
     """
     elems = sorted(set(candidate))
     if not elems or elems[0] < 1:
-        raise ValueError("candidate must be a nonempty set of integers >= 1")
+        raise BadParams("candidate must be a nonempty set of integers >= 1")
     if len(elems) ** r > _VERIFY_GUARD:
         raise TooLarge(f"|D|^r = {len(elems)}^{r} exceeds the enumeration guard")
     elem_set = set(elems)
@@ -81,7 +81,7 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
     The result is re-checked by the oracle before returning.
     """
     if r < 2 or m < 2:
-        raise ValueError("need r >= 2 and m >= 2")
+        raise BadParams("need r >= 2 and m >= 2")
     h = max(2, math.floor(math.exp(math.sqrt(math.log(m) * math.log(r)))))
     if _max_digit(h, r) < 1:
         # digit range is {0} only; the construction degenerates
@@ -117,7 +117,7 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
     """Maximum-cardinality valid subset of {1..m}; lexicographically smallest
     element list among the maximum-size subsets."""
     if r < 2 or m < 1:
-        raise ValueError("need r >= 2 and m >= 1")
+        raise BadParams("need r >= 2 and m >= 1")
     if m > _EXHAUSTIVE_MAX_M:
         raise RangeTooLarge(f"m={m} > {_EXHAUSTIVE_MAX_M}")
     # sizes[L] = maximum size for {1..L}.  The defining equation is
@@ -173,8 +173,8 @@ def from_elements(elements, m: int, r: int) -> ProgressionFreeSet:
     """Wrap a user-supplied set, after checking it with the oracle."""
     elems = tuple(sorted(set(elements)))
     if not elems or elems[0] < 1 or elems[-1] > m:
-        raise ValueError("elements must lie in [1, m]")
+        raise BadParams("elements must lie in [1, m]")
     witness = verify_progression_free(elems, r)
     if witness is not None:
-        raise ValueError(f"supplied set violates the defining equation: {witness}")
+        raise BadParams(f"supplied set violates the defining equation: {witness}")
     return ProgressionFreeSet(m=m, r=r, elements=elems, method="user_supplied")

@@ -128,6 +128,9 @@ class _ReadTracker:
         self.reads.append(i)
         return self.data[i]
 
+    def __len__(self):
+        return len(self.data)
+
 
 def test_criterion_6_local_repair_locality(code6):
     rng = random.Random(77)

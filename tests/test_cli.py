@@ -231,6 +231,43 @@ def test_out_of_range_parameters_are_typed_errors(spec_path, tmp_path, capsys, a
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("N", 101),
+    ("l", 7),
+    ("d", 3),
+    ("blocks", [[1, 2], [7, 8], [90, 92]]),
+    ("transversals", [[2, 8, 90], [1, 7, 92]]),
+    ("exponents", [7, 1, 92, 2, 8, 90]),
+    ("G", [[3, 27, 58, 4, 54, 65], [4, 22, 31, 16, 88, 84], [7, 88, 80, 63, 4, 5]]),
+    ("repair_groups", [[0, 1, 3], [2, 4, 5]]),
+    ("derived", {"n": 6, "k": 3, "h": 2}),
+    ("rng", "pcg64"),
+    ("comment", "an extra key"),
+    ("q", "101"),
+], ids=["N", "l", "d", "blocks", "transversals", "exponents", "G", "repair_groups",
+        "derived", "rng", "extra-key", "q-str"])
+def test_spec_key_disagreeing_with_rebuilt_code(code6, tmp_path, capsys, key, value):
+    doc = code_to_dict(code6)
+    assert doc.get(key) != value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc | {key: value}))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: spec keys {[key]!r} do not match the code "
+                                       f"rebuilt from its inputs\n")
+
+
+@pytest.mark.parametrize("source", ["bench", (2, 101), (3, 653), (2, 1601), (2, 500009),
+                                    (4, 1283)],
+                         ids=["bench-r2-q1601", "r2-q101", "r3-q653", "r2-q1601",
+                              "r2-q500009", "r4-q1283"])
+def test_spec_round_trip(source):
+    if source == "bench":
+        doc = json.loads(BENCH_SPEC.read_text())
+    else:
+        doc = json.loads(json.dumps(code_to_dict(construct(*source)[0])))
+    assert code_to_dict(code_from_dict(doc)) == doc
+
+
 def test_spec_with_bad_params_keeps_its_message(code6, tmp_path, capsys):
     # BadParams is also a ValueError; loading must not re-wrap it as a
     # malformed-spec Mismatch

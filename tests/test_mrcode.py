@@ -5,8 +5,8 @@ from typing import Optional
 import pytest
 
 import mrcodes.mrcode
-from mrcodes.errors import (BadSymbol, Inconsistent, LengthMismatch, Mismatch, MrCodesError,
-                            MultipleErasuresInGroup, NotCorrectable, NotInGroup,
+from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
+                            MrCodesError, MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                             PropertyViolation, TooLarge)
 from mrcodes.field import FieldElement, make_field
 from mrcodes.mrcode import (ErasurePattern, _build_plan, _closed_form_values, _DecodePlan,
@@ -306,12 +306,19 @@ class TestClosedFormVerify:
         monkeypatch.setattr(mrcodes.mrcode, "_EXHAUSTIVE_SUBSET_GUARD", 20)
         assert verify_mr(code6).mode == "exhaustive"
 
-    @pytest.mark.parametrize("groups", [
-        ((2, 1, 0), (5, 3, 4)),
-        ((0, 1), (2, 3, 4, 5)),
-        ((0, 1, 2), (0, 1, 2)),
+    @pytest.mark.parametrize("groups,valid", [
+        (((2, 1, 0), (5, 3, 4)), True),
+        (((0, 1), (2, 3, 4, 5)), False),
+        (((0, 1, 2), (0, 1, 2)), False),
     ], ids=["permuted", "wrong-size", "duplicated"])
-    def test_odd_repair_groups(self, code6, groups):
+    def test_odd_repair_groups(self, code6, groups, valid):
+        # groups in any order are a code; groups that do not split range(n)
+        # into k-sets are refused when the code is made
+        if not valid:
+            with pytest.raises(Mismatch):
+                type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+                            G=code6.G, repair_groups=groups)
+            return
         code = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
                            G=code6.G, repair_groups=groups)
         assert verify_mr(code, mode="exhaustive") == _rank_scan(code, mode="exhaustive")
@@ -322,15 +329,15 @@ class TestClosedFormVerify:
         ((0, 1, 2), (3, 4, 5), (3, 4, 6)),
     ], ids=["minus-one", "n", "extra-group"])
     def test_out_of_range_repair_groups(self, code6, groups):
-        # a closed-form G, and a mutated one that only the rank scan reads
-        for G in (code6.G, _with_entry(code6, 0, 0, 0).G):
-            code = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
-                               G=G, repair_groups=groups)
-            for mode in ("auto", "exhaustive", "sampled"):
-                with pytest.raises(Mismatch):
-                    verify_mr(code, mode=mode)
-                with pytest.raises(Mismatch):
-                    _rank_scan(code, mode=mode)
+        with pytest.raises(Mismatch):
+            type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+                        G=code6.G, repair_groups=groups)
+
+    def test_unknown_mode(self, code6):
+        with pytest.raises(BadParams):
+            verify_mr(code6, mode="exhaustve")
+        with pytest.raises(BadParams):
+            _rank_scan(code6, mode="exhaustve")
 
     def test_sampled_counts_a_permuted_group_once(self, code6):
         code = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
@@ -346,6 +353,13 @@ def _with_entry(code, i, j, value):
     return type(code)(field=code.field, family=code.family, r=code.r, n=code.n,
                       k=code.k, G=tuple(tuple(row) for row in G),
                       repair_groups=code.repair_groups)
+
+
+def test_bad_arguments_are_typed_errors(code6):
+    with pytest.raises(BadParams):
+        is_correctable(code6, [7])
+    with pytest.raises(LengthMismatch):
+        local_repair(code6, [1, 2], 0)
 
 
 @pytest.mark.parametrize("bad", [101 + 27, -1, 2.5, True])
@@ -665,6 +679,15 @@ class TestTamperedRepairGroups:
         received[0] = None
         with pytest.raises(PropertyViolation):
             local_repair(tampered, received, 0)
+
+    def test_local_repair_reads_only_its_group(self, tampered):
+        # column 2 is in group (2, 4, 5), whose other columns do not span it
+        received = [s.value for s in encode(tampered, [1, 2, 3])]
+        received[2] = None
+        tracker = ReadTracker(received)
+        with pytest.raises(PropertyViolation):
+            local_repair(tampered, tracker, 2)
+        assert tracker.reads == [4, 5]
 
     def test_decode_does_not_use_groups(self, tampered):
         received = [s.value for s in encode(tampered, [1, 2, 3])]

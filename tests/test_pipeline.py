@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,8 +8,9 @@ import pytest
 
 import mrcodes.mrcode
 from mrcodes import pipeline
-from mrcodes.errors import BadParams, FieldTooSmall, PropertyViolation, TargetUnreachable, TooLarge
-from mrcodes.mrcode import rank, verify_mr
+from mrcodes.errors import (BadParams, FieldTooSmall, Mismatch, PropertyViolation,
+                            TargetUnreachable, TooLarge)
+from mrcodes.mrcode import is_correctable, rank
 from mrcodes.pipeline import (choose_params, construct, exact_failure_probability,
                               scaling_table, simulate)
 from mrcodes.progfree import exhaustive_best
@@ -84,6 +86,26 @@ def test_simulate_counts_consistent():
         assert rep.avg_symbols_read_per_repair == 2.0
 
 
+def test_simulate_counts_repairs_in_failed_trials():
+    # replay simulate's draws: every group with exactly one erasure counts,
+    # whether or not its trial decodes
+    code, _ = construct(2, 101)
+    rng = random.Random(1)
+    single = in_failed = 0
+    for _ in range(300):
+        for _ in range(code.k):
+            rng.randrange(code.field.q)
+        erased = [j for j in range(code.n) if rng.random() < 0.6]
+        count = [sum(j in erased for j in g) for g in code.repair_groups].count(1)
+        single += count
+        if erased and not is_correctable(code, erased):
+            in_failed += count
+    rep = simulate(code, 0.6, 300, seed=1)
+    assert rep.counts["locally_repaired_groups"] == single
+    assert in_failed > 0
+    assert rep.avg_symbols_read_per_repair == 2.0
+
+
 def test_exact_failure_probability_matches_hand_count():
     code, _ = construct(2, 101)
     # independent count: incorrectable patterns by survivor-rank definition,
@@ -138,15 +160,15 @@ def test_exact_failure_probability_rejects(monkeypatch):
     code = construct(2, 101)[0]
     mutated = dataclasses.replace(code, G=((code.field.element(0),) + code.G[0][1:],) + code.G[1:])
     # a closed-form G whose deficient triples (0, 1, 2) and (0, 3, 4) are
-    # its listed groups: the report passes, but the subsets overlap
+    # its listed groups: overlapping groups are refused when the code is made
     xs = [51, 99, 100, 55, 79, 7]
     f = code.field
-    overlapping = dataclasses.replace(
-        code, repair_groups=((0, 1, 2), (0, 3, 4)),
-        G=tuple(tuple(f.element(pow(x, ell, 101) - (ell == 3)) for x in xs) for ell in (1, 2, 3)))
-    assert verify_mr(overlapping, mode="exhaustive").ok
-    for bad in (mutated, overlapping,
-                dataclasses.replace(code, repair_groups=((0, 1, 3), (2, 4, 5)))):
+    with pytest.raises(Mismatch):
+        dataclasses.replace(
+            code, repair_groups=((0, 1, 2), (0, 3, 4)),
+            G=tuple(tuple(f.element(pow(x, ell, 101) - (ell == 3)) for x in xs)
+                    for ell in (1, 2, 3)))
+    for bad in (mutated, dataclasses.replace(code, repair_groups=((0, 1, 3), (2, 4, 5)))):
         with pytest.raises(PropertyViolation):
             exact_failure_probability(bad, 0.1)
     for p in (1.5, -0.1, float("nan")):

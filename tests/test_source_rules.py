@@ -1,0 +1,25 @@
+"""Rules every module of the library keeps, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mrcodes"
+
+# the library raises its own typed errors (mrcodes.errors), never these
+BARE = {"ValueError", "TypeError", "IndexError", "KeyError", "AssertionError",
+        "RuntimeError", "Exception"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_and_no_bare_builtin_raise(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BARE:
+                found.append((node.lineno, f"raise {exc.id}"))
+    assert found == []
