@@ -156,12 +156,7 @@ def _run(args) -> int:
         code = load_code(args.spec)  # re-derives G and re-runs the family oracles
         mode = "exhaustive" if args.exhaustive else "sampled" if args.sampled else "auto"
         report = verify_mr(code, mode=mode)
-        json.dump({"ok": report.ok, "mode": report.mode,
-                   "mds_subsets_checked": report.mds_subsets_checked,
-                   "deficient_subsets": report.deficient_subsets,
-                   "violations": report.violations,
-                   "local_distance_ok": report.local_distance_ok},
-                  sys.stdout, indent=2)
+        json.dump({"ok": report.ok} | asdict(report), sys.stdout, indent=2)
         print()
         return 0 if report.ok else 1
 

@@ -33,10 +33,6 @@ def _enc(v: int):
     return str(v) if abs(v) > _SAFE_INT else v
 
 
-def _dec(v) -> int:
-    return int(v)
-
-
 def _enc_list(xs):
     return [_enc(x) for x in xs]
 
@@ -100,17 +96,17 @@ def _code_from_doc(doc: dict) -> MrCode:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise Mismatch(f"unsupported schema_version {doc.get('schema_version')}")
     r = doc["r"]
-    field = _rebuild_field(_dec(doc["q"]), _dec(doc["gamma"]))
+    field = _rebuild_field(int(doc["q"]), int(doc["gamma"]))
     params = FamilyParams(
         N=field.N, r=r,
-        lam=Fraction(_dec(doc["lambda"]["num"]), _dec(doc["lambda"]["den"])),
-        delta=Fraction(_dec(doc["delta"]["num"]), _dec(doc["delta"]["den"])),
+        lam=Fraction(int(doc["lambda"]["num"]), int(doc["lambda"]["den"])),
+        delta=Fraction(int(doc["delta"]["num"]), int(doc["delta"]["den"])),
     )
     meta = None
     if "D_alon_meta" in doc:
         m = doc["D_alon_meta"]
         meta = AlonMeta(h=m["h"], t=m["t"], B=m["B"], size_bound=m["size_bound"])
-    D = ProgressionFreeSet(m=params.d, r=r, elements=tuple(map(_dec, doc["D"])),
+    D = ProgressionFreeSet(m=params.d, r=r, elements=tuple(map(int, doc["D"])),
                            method=doc["D_method"], alon_meta=meta)
     code = build_code(field, build_family(params, D))
     rebuilt = code_to_dict(code)

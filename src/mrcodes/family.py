@@ -73,8 +73,8 @@ class ZeroSumFamily:
 
 
 def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
-    if D.m > params.d:
-        raise BadParams(f"D.m={D.m} exceeds d={params.d}")
+    if not D.elements or min(D.elements) < 1 or max(D.elements) > params.d:
+        raise BadParams(f"D={D.elements} is not a nonempty subset of [1, d={params.d}]")
     if verify_progression_free(D.elements, params.r) is not None:
         raise BadSet(f"D={D.elements} fails the defining equation for r={params.r}")
     N, r, l = params.N, params.r, params.l

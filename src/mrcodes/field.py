@@ -82,14 +82,6 @@ class Field:
     def one(self) -> "FieldElement":
         return FieldElement(1, self)
 
-    def gamma_pow(self, exponent: int) -> "FieldElement":
-        """gamma**exponent, exponent reduced mod N."""
-        return FieldElement(pow(self.gamma, exponent % self.N, self.q), self)
-
-    def minus_one_pow(self, exponent: int) -> "FieldElement":
-        """(-1)**exponent as a field element."""
-        return FieldElement(1 if exponent % 2 == 0 else self.q - 1, self)
-
     def __repr__(self) -> str:
         return f"Field(q={self.q}, gamma={self.gamma})"
 

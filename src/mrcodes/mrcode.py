@@ -1,10 +1,10 @@
 """The (r+1) x n generator matrix, its verifier, and erasure decoding.
 
-Column j is built from exponent a = elements[j] of the zero-sum family:
-rows 1..r hold gamma^(l*a), row r+1 holds gamma^((r+1)*a) + (-1)^(r+1).
-Columns are in the family's canonical order, so build_code puts repair
-group i at columns [i*(r+1), (i+1)*(r+1)).  MrCode takes any groups that
-split range(n) into k-sets, and checks that once, when it is made.
+Column j is _closed_form_column(x) = (x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1))
+with x = gamma^a, a = elements[j] of the zero-sum family in its canonical
+order, so build_code puts repair group i at columns [i*(r+1), (i+1)*(r+1)).
+MrCode takes any groups that split range(n) into k-sets and checks that
+once, when it is made; everything after that reads code.repair_groups.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group, and every r columns
@@ -99,9 +99,24 @@ class ErasurePattern:
         return cls(frozenset(indices))
 
     @classmethod
-    def from_group_positions(cls, pairs, r: int, n: int) -> "ErasurePattern":
-        """pairs of (group_index, position_in_group), zero-based."""
-        return cls.from_indices((g * (r + 1) + p for g, p in pairs), n)
+    def from_group_positions(cls, pairs, code: MrCode) -> "ErasurePattern":
+        """pairs of (group_index, position_in_group), zero-based, naming
+        column code.repair_groups[group_index][position_in_group]."""
+        groups = code.repair_groups
+        indices = []
+        for g, p in pairs:
+            if not (0 <= g < len(groups) and 0 <= p < code.k):
+                raise BadParams(f"group position ({g}, {p}) out of range: "
+                                f"{len(groups)} groups of {code.k}")
+            indices.append(groups[g][p])
+        return cls.from_indices(indices, code.n)
+
+
+def _closed_form_column(x: int, r: int, q: int) -> tuple[int, ...]:
+    """(x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) mod q: the column of G whose
+    first-row value is x."""
+    *head, top = (pow(x, ell, q) for ell in range(1, r + 2))
+    return (*head, (top + (-1) ** (r + 1)) % q)
 
 
 def build_code(field: Field, family: ZeroSumFamily) -> MrCode:
@@ -111,13 +126,9 @@ def build_code(field: Field, family: ZeroSumFamily) -> MrCode:
     n = family.n
     if n > _MAX_N:
         raise Mismatch(f"n={n} exceeds the desk-scale bound {_MAX_N}")
-    sign = field.minus_one_pow(r + 1)
-    G = tuple(
-        tuple(field.gamma_pow(ell * a) for a in family.elements)
-        for ell in range(1, r + 1)
-    ) + (
-        tuple(field.gamma_pow((r + 1) * a) + sign for a in family.elements),
-    )
+    q = field.q
+    columns = [_closed_form_column(pow(field.gamma, a, q), r, q) for a in family.elements]
+    G = tuple(tuple(FieldElement(col[i], field) for col in columns) for i in range(r + 1))
     groups = tuple(tuple(range(i * (r + 1), (i + 1) * (r + 1)))
                    for i in range(n // (r + 1)))
     return MrCode(field=field, family=family, r=r, n=n, k=r + 1,
@@ -216,25 +227,18 @@ def _scan_subsets(code: MrCode, seed: int, mode: str, subset_rank) -> MrReport:
 def _closed_form_values(code: MrCode) -> Optional[list[int]]:
     """The first-row values x_j when G is the closed-form matrix, else None.
 
-    Closed form: column j is (x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) with
-    x = x_j nonzero and the x_j pairwise distinct.  Reads only G and q.
+    Closed form: column j is _closed_form_column(x_j) with x_j nonzero and
+    the x_j pairwise distinct.  Reads only G (as code._int_columns) and q.
     """
     q, r, n = code.field.q, code.r, code.n
     G = code.G
     if code.k != r + 1 or len(G) != code.k or any(len(row) != n for row in G):
         return None
-    xs = [e.value for e in G[0]]
+    xs = [col[0] for col in code._int_columns]
     if 0 in xs or len(set(xs)) != n:
         return None
-    sign = 1 if (r + 1) % 2 == 0 else q - 1
-    for j, x in enumerate(xs):
-        power = x
-        for ell in range(1, r):
-            power = power * x % q
-            if G[ell][j].value != power:
-                return None
-        if G[r][j].value != (power * x + sign) % q:
-            return None
+    if any(col != _closed_form_column(col[0], r, q) for col in code._int_columns):
+        return None
     return xs
 
 

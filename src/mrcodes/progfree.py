@@ -2,8 +2,10 @@
 
 For r = 2 this is the classical 3-term-AP-free condition.  Two constructors
 are provided: the digit construction (large m, asymptotically dense) and an
-exhaustive maximum-cardinality search for tiny m.  Both are distrusted by
-default: every returned set is re-checked by the brute-force oracle.
+exhaustive maximum-cardinality search for tiny m.  Neither falls back on
+the other; pipeline._choose_set is the one place that picks between them.
+Both are distrusted by default: every returned set is re-checked by the
+brute-force oracle.
 """
 
 from __future__ import annotations
@@ -78,16 +80,14 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
     h = floor(e^{sqrt(ln m * ln r)}) (natural logs), t+1 digit positions with
     t = floor(log_h m) - 1.  Elements sharing the most popular square-sum B
     form the set; convexity of z -> z^2 rules out nontrivial solutions.
-    The result is re-checked by the oracle before returning.
+    The result is re-checked by the oracle before returning.  ParamsTooSmall
+    when h <= r, where the only digit is 0 and the construction degenerates.
     """
     if r < 2 or m < 2:
         raise BadParams("need r >= 2 and m >= 2")
     h = max(2, math.floor(math.exp(math.sqrt(math.log(m) * math.log(r)))))
     if _max_digit(h, r) < 1:
-        # digit range is {0} only; the construction degenerates
-        if m <= _EXHAUSTIVE_MAX_M:
-            return exhaustive_best(m, r)
-        raise ParamsTooSmall(f"h={h} <= r={r} and m={m} too large for exhaustive fallback")
+        raise ParamsTooSmall(f"h={h} <= r={r}: the digit range is {{0}} for m={m}")
     # t = floor(log_h m) - 1, computed in exact integers
     k = 0
     hp = h

@@ -277,6 +277,18 @@ def test_spec_with_bad_params_keeps_its_message(code6, tmp_path, capsys):
     assert capsys.readouterr().err == "error: r must be >= 2\n"
 
 
+@pytest.mark.parametrize("D,line", [
+    ([], "error: D=() is not a nonempty subset of [1, d=2]\n"),
+    ([0, 1], "error: D=(0, 1) is not a nonempty subset of [1, d=2]\n"),
+    ([1, 5], "error: D=(1, 5) is not a nonempty subset of [1, d=2]\n"),
+], ids=["empty", "zero", "past-d"])
+def test_spec_D_outside_1_to_d_is_named(code6, tmp_path, capsys, D, line):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(code_to_dict(code6) | {"D": D}))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == line
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 @pytest.mark.parametrize("spec", ["bench-r2-q1601", "r3-q653"])
 def test_verify_output_matches_rank_scan(tmp_path, capsys, spec, mode):

@@ -194,8 +194,17 @@ class TestCorrectable:
             ErasurePattern.from_indices([0, 0], 6)
         with pytest.raises(ValueError):
             ErasurePattern.from_indices([6], 6)
-        p = ErasurePattern.from_group_positions([(1, 2)], r=2, n=6)
+        p = ErasurePattern.from_group_positions([(1, 2)], code6)
         assert p.erased == frozenset({5})
+
+    def test_group_positions_read_the_code_groups(self, code6):
+        permuted = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+                               G=code6.G, repair_groups=((2, 1, 0), (5, 3, 4)))
+        p = ErasurePattern.from_group_positions([(0, 0), (1, 2)], permuted)
+        assert p.erased == frozenset({2, 4})
+        for pairs in ([(0, 3)], [(2, 0)], [(-1, 0)], [(0, -1)]):
+            with pytest.raises(BadParams):
+                ErasurePattern.from_group_positions(pairs, code6)
 
 
 class TestDecode:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import mrcodes.progfree
-from mrcodes.errors import PropertyViolation, RangeTooLarge, TooLarge
+from mrcodes.errors import ParamsTooSmall, PropertyViolation, RangeTooLarge, TooLarge
 from mrcodes.progfree import (alon_construct, exhaustive_best, from_elements,
                               verify_progression_free)
 
@@ -57,9 +57,10 @@ class TestAlon:
         assert len(d) >= bound
 
     def test_tiny_m_falls_back(self):
-        d = alon_construct(2, 2)
-        assert d.elements == (1, 2)  # 1+2=3 is odd, never 2*d
-        assert d.method == "exhaustive"
+        # h = 2 <= r: the digit range is {0}; the fallback to the exhaustive
+        # set is pipeline._choose_set's, not the constructor's
+        with pytest.raises(ParamsTooSmall):
+            alon_construct(2, 2)
 
     @pytest.mark.parametrize("m", [16, 256, 4096])
     @pytest.mark.parametrize("r", [2, 3])
