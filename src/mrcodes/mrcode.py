@@ -92,6 +92,8 @@ class ErasurePattern:
     @classmethod
     def from_indices(cls, indices, n: int) -> "ErasurePattern":
         indices = list(indices)
+        if any(type(i) is not int for i in indices):
+            raise BadParams(f"erasure indices must be ints: {indices!r}")
         if len(indices) != len(set(indices)):
             raise BadParams("duplicate erasure indices")
         if any(not 0 <= i < n for i in indices):
@@ -105,6 +107,8 @@ class ErasurePattern:
         groups = code.repair_groups
         indices = []
         for g, p in pairs:
+            if type(g) is not int or type(p) is not int:
+                raise BadParams(f"group position ({g!r}, {p!r}) is not a pair of ints")
             if not (0 <= g < len(groups) and 0 <= p < code.k):
                 raise BadParams(f"group position ({g}, {p}) out of range: "
                                 f"{len(groups)} groups of {code.k}")
@@ -329,6 +333,8 @@ def local_repair(code: MrCode, received: Sequence, erased_index: int) -> FieldEl
     Reads exactly the r in-group positions; nothing outside the group is
     touched.
     """
+    if type(erased_index) is not int:
+        raise BadParams(f"column {erased_index!r} is not an int")
     if not 0 <= erased_index < code.n:
         raise NotInGroup(f"column {erased_index} out of range [0, {code.n})")
     if len(received) != code.n:

@@ -2,10 +2,12 @@
 
 For r = 2 this is the classical 3-term-AP-free condition.  Two constructors
 are provided: the digit construction (large m, asymptotically dense) and an
-exhaustive maximum-cardinality search for tiny m.  Neither falls back on
-the other; pipeline._choose_set is the one place that picks between them.
-Both are distrusted by default: every returned set is re-checked by the
-brute-force oracle.
+exhaustive maximum-cardinality search for tiny m (a bitmask DFS that forces
+both ends of each growing set and skips values the chosen elements forbid;
+see exhaustive_best).  Neither falls back on the other;
+pipeline._choose_set is the one place that picks between them.  Both are
+distrusted by default: every returned set is re-checked by the brute-force
+oracle.
 """
 
 from __future__ import annotations
@@ -115,58 +117,69 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
 
 def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
     """Maximum-cardinality valid subset of {1..m}; lexicographically smallest
-    element list among the maximum-size subsets."""
+    element list among the maximum-size subsets.
+
+    sizes[L] = maximum size for {1..L}; the defining equation is translation
+    invariant, so it bounds any L consecutive integers, and sizes[L] <=
+    sizes[L-1] + 1.  So a set of size sizes[L-1] + 1 in {1..L} holds 1 and
+    L: each step is a yes/no search with both ends forced, and the last
+    step's set, if it grew, is the answer.  Otherwise one unforced search
+    for size sizes[m] runs.  The search drops from its candidates every
+    value an element forbids (see _first_of_size).
+    """
     if r < 2 or m < 1:
         raise BadParams("need r >= 2 and m >= 1")
     if m > _EXHAUSTIVE_MAX_M:
         raise RangeTooLarge(f"m={m} > {_EXHAUSTIVE_MAX_M}")
-    # sizes[L] = maximum size for {1..L}.  The defining equation is
-    # translation invariant, so sizes[L] also bounds any L consecutive
-    # integers, and sizes[L] <= sizes[L-1] + 1; each search uses the
-    # smaller searches' results as its pruning bound.
     sizes = [0]
     for L in range(1, m + 1):
-        best = _search_best(L, r, sizes + [sizes[-1] + 1])
-        sizes.append(len(best))
+        best = _first_of_size(L, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True)
+        sizes.append(sizes[-1] + (best is not None))
+    if best is None:
+        best = _first_of_size(m, r, sizes[m], sizes, False)
     witness = verify_progression_free(best, r)
     if witness is not None:
         raise PropertyViolation(f"exhaustive search produced a violation: {witness}")
     return ProgressionFreeSet(m=m, r=r, elements=tuple(best), method="exhaustive")
 
 
-def _search_best(m: int, r: int, bound: list[int]) -> list[int]:
-    """Include-first DFS over {1..m}; bound[L] caps the size of a valid
-    subset of any L consecutive integers.
+def _first_of_size(m: int, r: int, target: int, bound: list[int],
+                   ends: bool) -> Optional[list[int]]:
+    """First valid subset of {1..m} of size target in include-first order,
+    the lexicographically smallest, or None; bound[L] caps any L consecutive
+    integers.  ends: the set must hold m (a branch stops once m is ruled out).
 
-    Sets are bitmasks: sums[j] has bit s set when some j-multiset of the
-    current set sums to s, and means has bit r*d set for each member d.
-    Appending x, the largest element so far, creates a solution exactly
-    when x + (r-1 members, repeats allowed) = r*d for a member d < x; a
-    tuple with x as d_r forces all terms equal to x.
+    Bitmasks: sums[j] has bit s when a j-multiset of the set sums to s,
+    rev[j] bit K - s, means bit r*d per member d.  Appending x (the largest
+    so far) makes a solution iff x + (r-1 members) = r*d for a member d, so
+    later y = r*x - s (s in sums[r-1]) are forbidden: all the invalid y for
+    r = 2, some of them for r >= 3, where the exact test still decides.
     """
-    best: list[int] = []
+    K, need = r * m, 1 << m if ends else -1
     cur: list[int] = []
 
-    def extend(start: int, sums: list[int], means: int):
-        nonlocal best
-        if len(cur) + bound[m - start + 1] <= len(best):
-            return
-        if start > m:
-            best = cur.copy()
-            return
-        # include-first DFS in increasing element order: the first subset
-        # reaching a given size is the lexicographically smallest one
-        grown = [sums[0]]
-        for j in range(1, r):
-            grown.append(sums[j] | grown[j - 1] << start)
-        if not (means >> start) & grown[r - 1]:
-            cur.append(start)
-            extend(start + 1, grown, means | 1 << (r * start))
-            cur.pop()
-        extend(start + 1, sums, means)
+    def extend(sums: list[int], rev: list[int], means: int, allowed: int) -> bool:
+        if len(cur) == target:
+            return True
+        while allowed & need:
+            x = (allowed & -allowed).bit_length() - 1
+            if len(cur) + min(bound[m - x + 1], allowed.bit_count()) < target:
+                return False
+            allowed ^= 1 << x
+            grown, rgrown = [sums[0]], [rev[0]]
+            for j in range(1, r):
+                grown.append(sums[j] | grown[j - 1] << x)
+                rgrown.append(rev[j] | rgrown[j - 1] >> x)
+            if not (means >> x) & grown[r - 1]:
+                cur.append(x)
+                if extend(grown, rgrown, means | 1 << (r * x),
+                          allowed & ~(rgrown[r - 1] >> (K - r * x))):
+                    return True
+                cur.pop()
+        return False
 
-    extend(1, [1] + [0] * (r - 1), 0)
-    return best
+    found = extend([1] + [0] * (r - 1), [1 << K] + [0] * (r - 1), 0, (2 << m) - 2)
+    return cur if found else None
 
 
 def from_elements(elements, m: int, r: int) -> ProgressionFreeSet:

@@ -1,15 +1,20 @@
-"""Property, below the CLI: whatever lists, symbols and int indices `decode`,
+"""Property, below the CLI: whatever lists, symbols and indices `decode`,
 `local_repair`, `is_correctable` and `ErasurePattern.from_group_positions`
-get, only MrCodesError subclasses escape; on a real codeword, a correctable
-erasure set decodes to the message and `local_repair` returns the erased
-symbol."""
+get, only MrCodesError subclasses escape, and an index that is not an int
+(bools and floats included) is refused with BadParams; on a real codeword,
+a correctable erasure set decodes to the message and `local_repair` returns
+the erased symbol.  Whatever JSON values replace keys of a valid spec,
+`code_from_dict` raises only MrCodesError subclasses (the unmodified spec's
+round trip is `tests/test_cli.py::test_spec_round_trip[r2-q101]`)."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrcodes.errors import MrCodesError, MultipleErasuresInGroup, NotCorrectable
+from mrcodes.codespec import code_from_dict, code_to_dict
+from mrcodes.errors import BadParams, MrCodesError, MultipleErasuresInGroup, NotCorrectable
 from mrcodes.field import make_field
 from mrcodes.mrcode import ErasurePattern, decode, encode, is_correctable, local_repair
 from mrcodes.pipeline import construct
@@ -30,7 +35,9 @@ _symbols = st.one_of(st.none(), st.integers(-3, 104), st.integers(),
                      st.sampled_from([True, 1.5, math.nan, "7", b"7", [7], {},
                                       make_field(101).element(7), make_field(13).element(7)]))
 _received = st.one_of(st.lists(_symbols, min_size=6, max_size=6), st.lists(_symbols, max_size=8))
-_index = st.one_of(st.integers(-8, 8), st.integers())
+_not_int = st.one_of(st.booleans(), st.floats(), st.text(max_size=2),
+                    st.sampled_from([1.0, 0.0, "1", None, (1,)]))
+_index = st.one_of(st.integers(-8, 8), st.integers(), _not_int)
 
 
 @_FUZZ
@@ -46,6 +53,19 @@ def test_only_typed_errors_escape(codes, which, received, index, indices, pairs)
             call()
         except MrCodesError:
             pass
+
+
+@_FUZZ
+@given(which=st.integers(0, 1), bad=_not_int)
+def test_non_int_indices_are_bad_params(codes, which, bad):
+    code = codes[which]
+    codeword = [s.value for s in encode(code, [1, 2, 3])]
+    for call in (lambda: local_repair(code, codeword, bad),
+                 lambda: is_correctable(code, [bad]),
+                 lambda: ErasurePattern.from_group_positions([(bad, 0)], code),
+                 lambda: ErasurePattern.from_group_positions([(0, bad)], code)):
+        with pytest.raises(BadParams):
+            call()
 
 
 @_FUZZ
@@ -68,3 +88,30 @@ def test_real_codewords_decode_and_repair(codes, which, message, pairs):
     else:
         with pytest.raises(NotCorrectable):
             decode(code, received)
+
+
+_json = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                     max_leaves=6)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_spec_values_only_typed_errors(codes, data):
+    """Replace one to four keys of the (2, 101) spec, nested ones first,
+    with arbitrary JSON."""
+    spec = code_to_dict(codes[0])
+    paths = [(key,) for key in sorted(spec)] + [("lambda", "num"), ("delta", "den"),
+                                               ("D", 0), ("G", 1), ("D_alon_meta",)]
+    doc = json.loads(json.dumps(spec))
+    chosen = data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=4, unique=True))
+    for path in sorted(chosen, key=len, reverse=True):
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = data.draw(_json)
+    try:
+        code_from_dict(doc)
+    except MrCodesError:
+        pass

@@ -151,10 +151,18 @@ def reference_exhaustive_best(m, r):
     return tuple(best)
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_exhaustive_matches_reference_search(r):
+    # r >= 3 uses the forbidden-value mask only as a bound beside the exact test
     for m in range(1, 25):
         assert exhaustive_best(m, r).elements == reference_exhaustive_best(m, r), m
+
+
+def test_r2_sizes_are_3ap_free_maxima():
+    # OEIS A003002: the size of a largest subset of {1..m} with no 3-term
+    # arithmetic progression
+    sizes = [len(exhaustive_best(m, 2)) for m in range(1, 25)]
+    assert sizes == [1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9, 10]
 
 
 @pytest.mark.parametrize("build", [lambda: alon_construct(16, 2),
