@@ -1,9 +1,9 @@
 """JSON persistence for a fully constructed code instance.
 
-A spec's inputs are schema_version, q, gamma, r, lambda, delta, D,
-D_method and D_alon_meta (digit-built D only); every other key is derived
-data, stored so that files are human-diffable fixtures.  A spec is valid
-exactly when save_code would write it for the code rebuilt from its inputs.
+A spec's inputs are schema_version, q, r, lambda, delta, D, D_method and
+D_alon_meta (digit-built D only); every other key, gamma among them (make_field
+picks it), is derived data, stored so that files are human-diffable fixtures.
+A spec is valid exactly when save_code would write it for the rebuilt code.
 
 Integers larger than 2^53 are written as decimal strings to keep the
 format safe for JSON readers with double-precision number parsing.
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import BadParams, Mismatch, PropertyViolation
 from .family import FamilyParams, build_family
-from .field import Field, _is_primitive, make_field
+from .field import make_field
 from .mrcode import MrCode, build_code
 from .progfree import AlonMeta, ProgressionFreeSet
 
@@ -67,17 +67,6 @@ def code_to_dict(code: MrCode) -> dict:
     return doc
 
 
-def _rebuild_field(q: int, gamma: int) -> Field:
-    field = make_field(q)
-    if field.gamma == gamma:
-        return field
-    # stored gamma differs from the canonical smallest one; accept it as
-    # long as it really is primitive
-    if not _is_primitive(gamma, q, field.factorization_of_N):
-        raise Mismatch(f"stored gamma={gamma} is not primitive mod {q}")
-    return Field(q=q, N=field.N, gamma=gamma, factorization_of_N=field.factorization_of_N)
-
-
 def code_from_dict(doc: dict) -> MrCode:
     """Rebuild a code from its spec's inputs: Mismatch if one is missing or
     of the wrong type, PropertyViolation naming the keys where the spec is
@@ -96,7 +85,7 @@ def _code_from_doc(doc: dict) -> MrCode:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise Mismatch(f"unsupported schema_version {doc.get('schema_version')}")
     r = doc["r"]
-    field = _rebuild_field(int(doc["q"]), int(doc["gamma"]))
+    field = make_field(int(doc["q"]))
     params = FamilyParams(
         N=field.N, r=r,
         lam=Fraction(int(doc["lambda"]["num"]), int(doc["lambda"]["den"])),
@@ -106,7 +95,7 @@ def _code_from_doc(doc: dict) -> MrCode:
     if "D_alon_meta" in doc:
         m = doc["D_alon_meta"]
         meta = AlonMeta(h=m["h"], t=m["t"], B=m["B"], size_bound=m["size_bound"])
-    D = ProgressionFreeSet(m=params.d, r=r, elements=tuple(map(int, doc["D"])),
+    D = ProgressionFreeSet(r=r, elements=tuple(map(int, doc["D"])),
                            method=doc["D_method"], alon_meta=meta)
     code = build_code(field, build_family(params, D))
     rebuilt = code_to_dict(code)

@@ -16,7 +16,7 @@ verify_mr shares for its product-one column subsets).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from operator import add
@@ -165,9 +165,5 @@ def trim_family(family: ZeroSumFamily, target_groups: int) -> ZeroSumFamily:
         raise BadParams(f"target_groups={target_groups} outside [1, {len(family.D.elements)}]")
     if target_groups == len(family.D.elements):
         return family
-    trimmed = ProgressionFreeSet(
-        m=family.D.m, r=family.D.r,
-        elements=family.D.elements[:target_groups],
-        method=family.D.method, alon_meta=family.D.alon_meta,
-    )
-    return build_family(family.params, trimmed)
+    return build_family(family.params,
+                        replace(family.D, elements=family.D.elements[:target_groups]))

@@ -3,8 +3,9 @@
 Column j is _closed_form_column(x) = (x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1))
 with x = gamma^a, a = elements[j] of the zero-sum family in its canonical
 order, so build_code puts repair group i at columns [i*(r+1), (i+1)*(r+1)).
-MrCode takes any groups that split range(n) into k-sets and checks that
-once, when it is made; everything after that reads code.repair_groups.
+MrCode reads r and n from the family (k = r+1) and checks once, when it is
+made, that the family's N is the field's, that G is a k x n matrix over
+GF(q) and that the groups split range(n) into k-sets in any order.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group, and every r columns
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from operator import mul
@@ -49,9 +51,9 @@ class _DecodePlan(NamedTuple):
 class MrCode:
     field: Field
     family: ZeroSumFamily
-    r: int
-    n: int
-    k: int
+    r: int = dc_field(init=False)
+    n: int = dc_field(init=False)
+    k: int = dc_field(init=False)
     G: Matrix                                 # (r+1) rows x n columns
     repair_groups: tuple[tuple[int, ...], ...]
     # State derived from this object's own fields, never shared between codes:
@@ -65,13 +67,21 @@ class MrCode:
                                             default=None)
 
     def __post_init__(self):
-        groups = self.repair_groups
-        if (any(len(g) != self.k for g in groups)
-                or sorted(j for g in groups for j in g) != list(range(self.n))):
-            raise Mismatch(f"repair groups do not split range({self.n}) into {self.k}-sets")
+        field, family, G, groups = self.field, self.family, self.G, self.repair_groups
+        r, n, k, q = family.r, family.n, family.r + 1, field.q
+        for name, value in (("r", r), ("n", n), ("k", k)):
+            object.__setattr__(self, name, value)
+        if family.params.N != field.N:
+            raise Mismatch(f"family N={family.params.N} != field N={field.N}")
+        if (len(G) != k or any(len(row) != n for row in G)
+                or any(type(e) is not FieldElement or e.field.q != q for row in G for e in row)):
+            raise Mismatch(f"G is not a {k} x {n} matrix over GF({q})")
+        if (any(len(g) != k for g in groups)
+                or sorted(j for g in groups for j in g) != list(range(n))):
+            raise Mismatch(f"repair groups do not split range({n}) into {k}-sets")
         object.__setattr__(self, "_group_index", {j: i for i, g in enumerate(groups) for j in g})
         object.__setattr__(self, "_int_columns",
-                           tuple(zip(*((e.value for e in row) for row in self.G))))
+                           tuple(zip(*((e.value for e in row) for row in G))))
 
     @property
     def h(self) -> int:
@@ -91,6 +101,8 @@ class ErasurePattern:
 
     @classmethod
     def from_indices(cls, indices, n: int) -> "ErasurePattern":
+        if not isinstance(indices, Iterable):
+            raise BadParams(f"erasure indices {indices!r} are not a collection")
         indices = list(indices)
         if any(type(i) is not int for i in indices):
             raise BadParams(f"erasure indices must be ints: {indices!r}")
@@ -104,6 +116,10 @@ class ErasurePattern:
     def from_group_positions(cls, pairs, code: MrCode) -> "ErasurePattern":
         """pairs of (group_index, position_in_group), zero-based, naming
         column code.repair_groups[group_index][position_in_group]."""
+        try:
+            pairs = [(g, p) for g, p in pairs]
+        except (TypeError, ValueError):
+            raise BadParams(f"group positions {pairs!r} are not a collection of pairs") from None
         groups = code.repair_groups
         indices = []
         for g, p in pairs:
@@ -124,19 +140,14 @@ def _closed_form_column(x: int, r: int, q: int) -> tuple[int, ...]:
 
 
 def build_code(field: Field, family: ZeroSumFamily) -> MrCode:
-    if family.params.N != field.N:
-        raise Mismatch(f"family N={family.params.N} != field N={field.N}")
-    r = family.r
-    n = family.n
+    r, n = family.r, family.n
     if n > _MAX_N:
         raise Mismatch(f"n={n} exceeds the desk-scale bound {_MAX_N}")
     q = field.q
     columns = [_closed_form_column(pow(field.gamma, a, q), r, q) for a in family.elements]
     G = tuple(tuple(FieldElement(col[i], field) for col in columns) for i in range(r + 1))
-    groups = tuple(tuple(range(i * (r + 1), (i + 1) * (r + 1)))
-                   for i in range(n // (r + 1)))
-    return MrCode(field=field, family=family, r=r, n=n, k=r + 1,
-                  G=G, repair_groups=groups)
+    groups = tuple(tuple(range(i, i + r + 1)) for i in range(0, n, r + 1))
+    return MrCode(field=field, family=family, G=G, repair_groups=groups)
 
 
 def _row_reduce(rows: list[list[FieldElement]], ncols: int) -> list[int]:
@@ -235,13 +246,9 @@ def _closed_form_values(code: MrCode) -> Optional[list[int]]:
     the x_j pairwise distinct.  Reads only G (as code._int_columns) and q.
     """
     q, r, n = code.field.q, code.r, code.n
-    G = code.G
-    if code.k != r + 1 or len(G) != code.k or any(len(row) != n for row in G):
-        return None
     xs = [col[0] for col in code._int_columns]
-    if 0 in xs or len(set(xs)) != n:
-        return None
-    if any(col != _closed_form_column(col[0], r, q) for col in code._int_columns):
+    if (0 in xs or len(set(xs)) != n
+            or any(col != _closed_form_column(col[0], r, q) for col in code._int_columns)):
         return None
     return xs
 
@@ -290,6 +297,14 @@ def _rank_scan(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     return report
 
 
+def _length(symbols, what: str) -> int:
+    """len(symbols); BadParams unless they are held by position, as in a list."""
+    if isinstance(symbols, Mapping) or not (hasattr(symbols, "__len__")
+                                            and hasattr(symbols, "__getitem__")):
+        raise BadParams(f"{what} is a {type(symbols).__name__}, not a sequence of symbols")
+    return len(symbols)
+
+
 def _symbol(code: MrCode, x) -> int:
     """x as an int in [0, q); BadSymbol unless x is such an int (bool
     excluded) or a FieldElement of the code's field."""
@@ -303,7 +318,7 @@ def _symbol(code: MrCode, x) -> int:
 
 
 def encode(code: MrCode, message: Sequence) -> list[FieldElement]:
-    if len(message) != code.k:
+    if _length(message, "message") != code.k:
         raise LengthMismatch(f"message length {len(message)} != k={code.k}")
     msg = [_symbol(code, x) for x in message]
     field, q = code.field, code.field.q
@@ -337,7 +352,7 @@ def local_repair(code: MrCode, received: Sequence, erased_index: int) -> FieldEl
         raise BadParams(f"column {erased_index!r} is not an int")
     if not 0 <= erased_index < code.n:
         raise NotInGroup(f"column {erased_index} out of range [0, {code.n})")
-    if len(received) != code.n:
+    if _length(received, "received") != code.n:
         raise LengthMismatch(f"received length {len(received)} != n={code.n}")
     index = code.group_of(erased_index)
     others = [j for j in code.repair_groups[index] if j != erased_index]
@@ -390,7 +405,7 @@ def decode(code: MrCode, received: Sequence) -> list[FieldElement]:
     column choice and its inverse are kept for the last erasure set decoded,
     so a run of blocks sharing one pattern pays for them once.
     """
-    if len(received) != code.n:
+    if _length(received, "received") != code.n:
         raise LengthMismatch(f"received length {len(received)} != n={code.n}")
     erased = frozenset(j for j, s in enumerate(received) if s is None)
     plan = code._plan  # read once: another caller may replace it meanwhile

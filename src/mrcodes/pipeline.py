@@ -10,6 +10,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
+from .codespec import RNG_NAME
 from .errors import (BadParams, FieldTooSmall, NotCorrectable, ParamsTooSmall,
                      PropertyViolation, TargetUnreachable)
 from .family import FamilyParams, build_family, trim_family
@@ -72,7 +73,7 @@ class SimReport:
     trials: int
     p: float
     seed: int
-    rng: str
+    rng: str = dc_field(init=False, default=RNG_NAME)
     counts: dict = dc_field(default_factory=dict)
     avg_symbols_read_per_repair: float = 0.0
 
@@ -94,7 +95,6 @@ def simulate(code: MrCode, p: float, trials: int, seed: int) -> SimReport:
         raise BadParams(f"p={p} outside [0, 1]")
     if trials < 0:
         raise BadParams(f"trials={trials} is negative")
-    from .codespec import RNG_NAME
     rng = random.Random(seed)
     q, k, n, r = code.field.q, code.k, code.n, code.r
     counts = {"intact": 0, "local_only": 0, "global_decodes": 0,
@@ -119,7 +119,7 @@ def simulate(code: MrCode, p: float, trials: int, seed: int) -> SimReport:
             raise PropertyViolation(f"decode returned {values} for message {message}")
         counts["global_decodes" if max(per_group) > 1 else "local_only"] += 1
     repaired = counts["locally_repaired_groups"]
-    return SimReport(trials=trials, p=p, seed=seed, rng=RNG_NAME, counts=counts,
+    return SimReport(trials=trials, p=p, seed=seed, counts=counts,
                      avg_symbols_read_per_repair=float(r) if repaired else 0.0)
 
 

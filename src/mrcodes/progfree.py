@@ -36,7 +36,6 @@ class AlonMeta:
 
 @dataclass(frozen=True)
 class ProgressionFreeSet:
-    m: int
     r: int
     elements: tuple[int, ...]
     method: str  # "alon" | "exhaustive" | "user_supplied"
@@ -112,7 +111,7 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
         h=h, t=t, B=best_b,
         size_bound=m * math.exp(-5 * math.sqrt(math.log(m) * math.log(r))),
     )
-    return ProgressionFreeSet(m=m, r=r, elements=elements, method="alon", alon_meta=meta)
+    return ProgressionFreeSet(r=r, elements=elements, method="alon", alon_meta=meta)
 
 
 def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
@@ -140,7 +139,7 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
     witness = verify_progression_free(best, r)
     if witness is not None:
         raise PropertyViolation(f"exhaustive search produced a violation: {witness}")
-    return ProgressionFreeSet(m=m, r=r, elements=tuple(best), method="exhaustive")
+    return ProgressionFreeSet(r=r, elements=tuple(best), method="exhaustive")
 
 
 def _first_of_size(m: int, r: int, target: int, bound: list[int],
@@ -190,4 +189,4 @@ def from_elements(elements, m: int, r: int) -> ProgressionFreeSet:
     witness = verify_progression_free(elems, r)
     if witness is not None:
         raise BadParams(f"supplied set violates the defining equation: {witness}")
-    return ProgressionFreeSet(m=m, r=r, elements=elems, method="user_supplied")
+    return ProgressionFreeSet(r=r, elements=elems, method="user_supplied")

@@ -172,7 +172,6 @@ def test_criterion_8_mutation_detection(code6, code8):
                 G = [list(row) for row in code.G]
                 G[i][j] = code.field.element((G[i][j].value + 1) % q)
                 mutated = type(code)(field=code.field, family=code.family,
-                                     r=code.r, n=code.n, k=code.k,
                                      G=tuple(tuple(row) for row in G),
                                      repair_groups=code.repair_groups)
                 if verify_mr(mutated, mode="exhaustive").ok:

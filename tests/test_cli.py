@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -10,7 +11,7 @@ from mrcodes.cli import decode_file, encode_file, main, repair_file
 from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
 from mrcodes.errors import (MultipleErasuresInGroup, NotCorrectable, ParseError,
                             PropertyViolation)
-from mrcodes.mrcode import _rank_scan
+from mrcodes.mrcode import _rank_scan, build_code
 from mrcodes.pipeline import construct
 
 BENCH_SPEC = Path(__file__).resolve().parents[1] / "bench" / "data" / "r2_q1601.json"
@@ -244,8 +245,9 @@ def test_out_of_range_parameters_are_typed_errors(spec_path, tmp_path, capsys, a
     ("rng", "pcg64"),
     ("comment", "an extra key"),
     ("q", "101"),
+    ("gamma", 3),
 ], ids=["N", "l", "d", "blocks", "transversals", "exponents", "G", "repair_groups",
-        "derived", "rng", "extra-key", "q-str"])
+        "derived", "rng", "extra-key", "q-str", "gamma"])
 def test_spec_key_disagreeing_with_rebuilt_code(code6, tmp_path, capsys, key, value):
     doc = code_to_dict(code6)
     assert doc.get(key) != value
@@ -257,15 +259,31 @@ def test_spec_key_disagreeing_with_rebuilt_code(code6, tmp_path, capsys, key, va
 
 
 @pytest.mark.parametrize("source", ["bench", (2, 101), (3, 653), (2, 1601), (2, 500009),
-                                    (4, 1283)],
+                                    (4, 1283), (3, 5003)],
                          ids=["bench-r2-q1601", "r2-q101", "r3-q653", "r2-q1601",
-                              "r2-q500009", "r4-q1283"])
+                              "r2-q500009", "r4-q1283", "r3-q5003"])
 def test_spec_round_trip(source):
     if source == "bench":
         doc = json.loads(BENCH_SPEC.read_text())
+        code = code_from_dict(doc)
     else:
-        doc = json.loads(json.dumps(code_to_dict(construct(*source)[0])))
+        code = construct(*source)[0]
+        doc = json.loads(json.dumps(code_to_dict(code)))
     assert code_to_dict(code_from_dict(doc)) == doc
+    assert code_from_dict(code_to_dict(code)) == code
+
+
+def test_spec_with_another_primitive_gamma_is_refused(code6, tmp_path, capsys):
+    # 3 is primitive mod 101 but make_field picks 2: a spec written for
+    # gamma = 3, G included, is not the code its inputs rebuild
+    field = dataclasses.replace(code6.field, gamma=3)
+    doc = code_to_dict(build_code(field, code6.family))
+    assert doc["gamma"] == 3 and doc["G"] != code_to_dict(code6)["G"]
+    path = tmp_path / "gamma3.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'gamma'" in err
 
 
 def test_spec_with_bad_params_keeps_its_message(code6, tmp_path, capsys):

@@ -77,14 +77,14 @@ def test_rejects_bad_set():
     bad = from_elements([1, 3], m=3, r=3)  # valid for r=3? 1+1+3=5, 1+3+3=7, ok
     # force a genuinely bad D through the dataclass to bypass from_elements
     from mrcodes.progfree import ProgressionFreeSet
-    bad = ProgressionFreeSet(m=3, r=3, elements=(1, 2, 3), method="user_supplied")
+    bad = ProgressionFreeSet(r=3, elements=(1, 2, 3), method="user_supplied")
     with pytest.raises(BadSet):
         build_family(params, bad)  # 1+2+3 = 3*2
 
 
 def test_rejects_oversized_D(params_r2):
     from mrcodes.progfree import ProgressionFreeSet
-    big = ProgressionFreeSet(m=5, r=2, elements=(1, 4), method="user_supplied")
+    big = ProgressionFreeSet(r=2, elements=(1, 4), method="user_supplied")
     with pytest.raises(BadParams):
         build_family(params_r2, big)  # m=5 > d=2
 

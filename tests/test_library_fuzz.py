@@ -1,7 +1,9 @@
-"""Property, below the CLI: whatever lists, symbols and indices `decode`,
+"""Property, below the CLI: whatever containers, symbols and indices `decode`,
 `local_repair`, `is_correctable` and `ErasurePattern.from_group_positions`
-get, only MrCodesError subclasses escape, and an index that is not an int
-(bools and floats included) is refused with BadParams; on a real codeword,
+get, only MrCodesError subclasses escape, an index that is not an int
+(bools and floats included) is refused with BadParams, and so is a number,
+None, a mapping or an iterator where the codec wants a sequence of symbols,
+or a number or None where a collection of indices belongs; on a real codeword,
 a correctable erasure set decodes to the message and `local_repair` returns
 the erased symbol.  Whatever JSON values replace keys of a valid spec,
 `code_from_dict` raises only MrCodesError subclasses (the unmodified spec's
@@ -26,7 +28,7 @@ _FUZZ = settings(deadline=None, max_examples=150, derandomize=True)
 def codes():
     """The (2, 101) code, and the same G with its groups listed out of order."""
     code = construct(2, 101)[0]
-    permuted = type(code)(field=code.field, family=code.family, r=2, n=6, k=3,
+    permuted = type(code)(field=code.field, family=code.family,
                           G=code.G, repair_groups=((2, 1, 0), (5, 3, 4)))
     return code, permuted
 
@@ -34,7 +36,12 @@ def codes():
 _symbols = st.one_of(st.none(), st.integers(-3, 104), st.integers(),
                      st.sampled_from([True, 1.5, math.nan, "7", b"7", [7], {},
                                       make_field(101).element(7), make_field(13).element(7)]))
-_received = st.one_of(st.lists(_symbols, min_size=6, max_size=6), st.lists(_symbols, max_size=8))
+# containers that hold no symbols by position: numbers, None, mappings, iterators
+_not_a_sequence = st.one_of(st.integers(), st.none(),
+                            st.dictionaries(st.integers(-1, 8), _symbols, max_size=8),
+                            st.lists(_symbols, max_size=8).map(lambda xs: (x for x in xs)))
+_received = st.one_of(st.lists(_symbols, min_size=6, max_size=6), st.lists(_symbols, max_size=8),
+                      _not_a_sequence)
 _not_int = st.one_of(st.booleans(), st.floats(), st.text(max_size=2),
                     st.sampled_from([1.0, 0.0, "1", None, (1,)]))
 _index = st.one_of(st.integers(-8, 8), st.integers(), _not_int)
@@ -42,7 +49,11 @@ _index = st.one_of(st.integers(-8, 8), st.integers(), _not_int)
 
 @_FUZZ
 @given(which=st.integers(0, 1), received=_received, index=_index,
-       indices=st.lists(_index, max_size=8), pairs=st.lists(st.tuples(_index, _index), max_size=4))
+       indices=st.one_of(st.lists(_index, max_size=8), _not_a_sequence),
+       pairs=st.one_of(st.lists(st.tuples(_index, _index), max_size=4),
+                       st.lists(st.one_of(_index, st.tuples(_index), st.tuples(_index, _index, _index),
+                                          _not_a_sequence), max_size=4),
+                       _not_a_sequence))
 def test_only_typed_errors_escape(codes, which, received, index, indices, pairs):
     code = codes[which]
     for call in (lambda: decode(code, received),
@@ -64,6 +75,23 @@ def test_non_int_indices_are_bad_params(codes, which, bad):
                  lambda: is_correctable(code, [bad]),
                  lambda: ErasurePattern.from_group_positions([(bad, 0)], code),
                  lambda: ErasurePattern.from_group_positions([(0, bad)], code)):
+        with pytest.raises(BadParams):
+            call()
+
+
+@_FUZZ
+@given(which=st.integers(0, 1), bad=_not_a_sequence,
+       pair=st.one_of(st.integers(), st.none(), st.tuples(st.integers(0, 1)),
+                      st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2))))
+def test_wrong_containers_are_bad_params(codes, which, bad, pair):
+    code = codes[which]
+    calls = [lambda: encode(code, bad), lambda: decode(code, bad),
+             lambda: local_repair(code, bad, 0),
+             lambda: ErasurePattern.from_group_positions([pair], code)]
+    if bad is None or type(bad) is int:  # any other container may iterate indices
+        calls += [lambda: is_correctable(code, bad),
+                  lambda: ErasurePattern.from_group_positions(bad, code)]
+    for call in calls:
         with pytest.raises(BadParams):
             call()
 

@@ -198,7 +198,7 @@ class TestCorrectable:
         assert p.erased == frozenset({5})
 
     def test_group_positions_read_the_code_groups(self, code6):
-        permuted = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+        permuted = type(code6)(field=code6.field, family=code6.family,
                                G=code6.G, repair_groups=((2, 1, 0), (5, 3, 4)))
         p = ErasurePattern.from_group_positions([(0, 0), (1, 2)], permuted)
         assert p.erased == frozenset({2, 4})
@@ -247,7 +247,6 @@ def test_mutation_breaks_verifier(code6):
             G = [list(row) for row in code6.G]
             G[i][j] = G[i][j] + 1
             mutated = type(code6)(field=code6.field, family=code6.family,
-                                  r=code6.r, n=code6.n, k=code6.k,
                                   G=tuple(tuple(r) for r in G),
                                   repair_groups=code6.repair_groups)
             assert not verify_mr(mutated).ok, f"mutation at ({i},{j}) undetected"
@@ -290,7 +289,7 @@ class TestClosedFormVerify:
         xs = [2, 3, 5, 17, 7, 11]
         rows = [[f.element(pow(x, ell, 101)) for x in xs] for ell in (1, 2)]
         rows.append([f.element(pow(x, 3, 101) - 1) for x in xs])
-        code = type(code6)(field=f, family=code6.family, r=2, n=6, k=3,
+        code = type(code6)(field=f, family=code6.family,
                            G=tuple(tuple(row) for row in rows),
                            repair_groups=code6.repair_groups)
         assert _closed_form_values(code) == xs
@@ -299,7 +298,7 @@ class TestClosedFormVerify:
         assert (0, 1, 3) in report.deficient_subsets and not report.ok
 
     def test_tampered_repair_groups(self, code6):
-        code = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+        code = type(code6)(field=code6.field, family=code6.family,
                            G=code6.G, repair_groups=((0, 1, 3), (2, 4, 5)))
         report = verify_mr(code)
         assert report == _rank_scan(code)
@@ -325,10 +324,10 @@ class TestClosedFormVerify:
         # into k-sets are refused when the code is made
         if not valid:
             with pytest.raises(Mismatch):
-                type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+                type(code6)(field=code6.field, family=code6.family,
                             G=code6.G, repair_groups=groups)
             return
-        code = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+        code = type(code6)(field=code6.field, family=code6.family,
                            G=code6.G, repair_groups=groups)
         assert verify_mr(code, mode="exhaustive") == _rank_scan(code, mode="exhaustive")
 
@@ -339,7 +338,7 @@ class TestClosedFormVerify:
     ], ids=["minus-one", "n", "extra-group"])
     def test_out_of_range_repair_groups(self, code6, groups):
         with pytest.raises(Mismatch):
-            type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+            type(code6)(field=code6.field, family=code6.family,
                         G=code6.G, repair_groups=groups)
 
     def test_unknown_mode(self, code6):
@@ -349,7 +348,7 @@ class TestClosedFormVerify:
             _rank_scan(code6, mode="exhaustve")
 
     def test_sampled_counts_a_permuted_group_once(self, code6):
-        code = type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+        code = type(code6)(field=code6.field, family=code6.family,
                            G=code6.G, repair_groups=((2, 1, 0), (5, 3, 4)))
         report = verify_mr(code, mode="sampled")
         assert report.mds_subsets_checked == 20
@@ -359,9 +358,31 @@ class TestClosedFormVerify:
 def _with_entry(code, i, j, value):
     G = [list(row) for row in code.G]
     G[i][j] = code.field.element(value)
-    return type(code)(field=code.field, family=code.family, r=code.r, n=code.n,
-                      k=code.k, G=tuple(tuple(row) for row in G),
+    return type(code)(field=code.field, family=code.family,
+                      G=tuple(tuple(row) for row in G),
                       repair_groups=code.repair_groups)
+
+
+@pytest.mark.parametrize("defect", ["missing-row", "ragged-row", "extra-column", "gf103-entry",
+                                    "int-entry", "family-N"])
+def test_code_checks_its_shape_once_when_made(code6, defect):
+    # r, n and k come from the family; a G or field that disagrees with
+    # them is refused when the code is made, not answered from later
+    field = make_field(103) if defect == "family-N" else code6.field
+    G = [[field.element(e.value) for e in row] for row in code6.G]
+    if defect == "missing-row":
+        del G[-1]
+    elif defect == "ragged-row":
+        del G[1][-1]
+    elif defect == "extra-column":
+        G = [row + row[:1] for row in G]
+    elif defect == "gf103-entry":
+        G[0][0] = make_field(103).element(G[0][0].value)
+    elif defect == "int-entry":
+        G[2][5] = G[2][5].value
+    with pytest.raises(Mismatch):
+        type(code6)(field=field, family=code6.family, G=tuple(map(tuple, G)),
+                    repair_groups=code6.repair_groups)
 
 
 def test_bad_arguments_are_typed_errors(code6):
@@ -680,7 +701,7 @@ class TestTamperedRepairGroups:
 
     @pytest.fixture
     def tampered(self, code6):
-        return type(code6)(field=code6.field, family=code6.family, r=2, n=6, k=3,
+        return type(code6)(field=code6.field, family=code6.family,
                            G=code6.G, repair_groups=((0, 1, 3), (2, 4, 5)))
 
     def test_local_repair_raises_property_violation(self, tampered):
