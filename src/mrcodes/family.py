@@ -9,8 +9,9 @@ partitioned into transversals A_b = {a_{0,b}, ..., a_{r,b}}.  The defining
 property: an (r+1)-subset of the family sums to 0 mod N exactly when it is
 one of the transversals.  Construction is distrusted: the exhaustive
 verifier runs on every build whose C(n, r+1) fits the enumeration guard.  It
-finds the zero-sum subsets in C(n, r) lookups (_identity_subsets, which
-verify_mr shares for its product-one column subsets).
+finds the zero-sum subsets in C(n, floor(r/2)+1) lookups into an index of
+the C(n, ceil(r/2)) tails (_identity_subsets, which verify_mr shares for its
+product-one column subsets).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations
 from operator import add
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import BadParams, BadSet, Collision, PropertyViolation, TooLarge
+from .errors import BadParams, BadSet, Collision, Mismatch, PropertyViolation, TooLarge
 from .progfree import ProgressionFreeSet, verify_progression_free
 
 _SUBSET_GUARD = 10**8
@@ -73,6 +74,8 @@ class ZeroSumFamily:
 
 
 def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
+    if D.r != params.r:
+        raise Mismatch(f"D was checked for r={D.r}, the family has r={params.r}")
     if not D.elements or min(D.elements) < 1 or max(D.elements) > params.d:
         raise BadParams(f"D={D.elements} is not a nonempty subset of [1, d={params.d}]")
     if verify_progression_free(D.elements, params.r) is not None:
@@ -140,23 +143,36 @@ def _identity_subsets(values: Sequence[int], completions: Sequence[int], r: int,
                       op: Callable[[int, int], int], modulus: int) -> Iterator[tuple[int, ...]]:
     """Yield the index (r+1)-subsets, in lexicographic order, whose values
     combine under op (mod modulus) to the identity, given completions[j] =
-    the inverse of values[j].  Needs r >= 2.
+    the inverse of values[j].  op must be commutative.  Needs r >= 2.
 
-    Walks the r-subsets with a running combination and looks up the j with
-    completions[j] equal to it, kept past the subset's last index: C(n, r)
-    lookups rather than C(n, r+1) subsets.
+    Meet in the middle: with t = ceil(r/2), index the t-subsets (tails) by
+    their combined completions, then walk the (r-t)-subset heads with a
+    running combination plus one running index i, and look up the tails
+    that start past i.  That is C(n, floor(r/2)+1) lookups and C(n, t) index
+    entries rather than C(n, r+1) subsets; at r = 2 a tail is one index.
+    Tails are indexed in combinations order, so the hits come out in
+    lexicographic order.
     """
-    where: dict[int, list[int]] = {}
-    for j, key in enumerate(completions):
-        where.setdefault(key, []).append(j)
-    for head in combinations(range(len(values)), r - 1):
-        acc = values[head[0]]
-        for i in head[1:]:
-            acc = op(acc, values[i]) % modulus
-        for i in range(head[-1] + 1, len(values)):
-            for j in where.get(op(acc, values[i]) % modulus, ()):
-                if j > i:
-                    yield head + (i, j)
+    n, t = len(values), (r + 1) // 2
+    tails: dict[int, list[tuple[int, ...]]] = {}
+    for tail, key in _running(completions, t, op, modulus):
+        tails.setdefault(key, []).append(tail)
+    for head, acc in _running(values, r - t, op, modulus):
+        for i in range(head[-1] + 1, n - t):
+            for tail in tails.get(op(acc, values[i]) % modulus, ()):
+                if tail[0] > i:
+                    yield head + (i,) + tail
+
+
+def _running(values: Sequence[int], size: int, op: Callable[[int, int], int],
+             modulus: int) -> list[tuple[tuple[int, ...], int]]:
+    """(subset, its values combined under op mod modulus) for each index
+    subset of the given size >= 1, in combinations order."""
+    level = [((j,), v % modulus) for j, v in enumerate(values)]
+    for _ in range(size - 1):
+        level = [(subset + (j,), op(acc, values[j]) % modulus)
+                 for subset, acc in level for j in range(subset[-1] + 1, len(values))]
+    return level
 
 
 def trim_family(family: ZeroSumFamily, target_groups: int) -> ZeroSumFamily:

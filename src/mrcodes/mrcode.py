@@ -264,7 +264,7 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     Vandermonde matrix), so the in-group distance check always passes.  Any
     other G gets the rank scan (_rank_scan) and its report.  Subset choice
     and report mode: see _scan_subsets; exhaustive closed-form reports come
-    from _identity_subsets in C(n, r) lookups and equal the scan's.
+    from _identity_subsets in C(n, floor(r/2)+1) lookups and equal the scan's.
     """
     xs = _closed_form_values(code)
     if xs is None:

@@ -14,7 +14,7 @@ from .codespec import RNG_NAME
 from .errors import (BadParams, FieldTooSmall, NotCorrectable, ParamsTooSmall,
                      PropertyViolation, TargetUnreachable)
 from .family import FamilyParams, build_family, trim_family
-from .field import make_field
+from .field import Field, make_field
 from .mrcode import MrCode, MrReport, build_code, decode, encode, verify_mr
 from .progfree import _EXHAUSTIVE_MAX_M, ProgressionFreeSet, alon_construct, exhaustive_best
 
@@ -22,14 +22,19 @@ from .progfree import _EXHAUSTIVE_MAX_M, ProgressionFreeSet, alon_construct, exh
 def _choose_set(d: int, r: int) -> ProgressionFreeSet:
     """Pick D for the given bound: exhaustive search where feasible, digit
     construction beyond, never worse than the capped exhaustive set (any
-    valid subset of {1..24} stays valid for larger d)."""
+    valid subset of {1..24} stays valid for larger d; ties go to the digit
+    set).  The capped search is skipped when the digit set already reaches
+    twice the best of {1..12}: the defining equation is translation
+    invariant, so that bounds each half of {1..24}."""
     if d <= _EXHAUSTIVE_MAX_M:
         return exhaustive_best(d, r)
-    capped = exhaustive_best(_EXHAUSTIVE_MAX_M, r)
     try:
         alon = alon_construct(d, r)
     except ParamsTooSmall:  # digit range {0}: the construction degenerates
-        return capped
+        return exhaustive_best(_EXHAUSTIVE_MAX_M, r)
+    if len(alon) >= 2 * len(exhaustive_best((_EXHAUSTIVE_MAX_M + 1) // 2, r)):
+        return alon
+    capped = exhaustive_best(_EXHAUSTIVE_MAX_M, r)
     return alon if len(alon) >= len(capped) else capped
 
 
@@ -38,21 +43,27 @@ def choose_params(r: int, q: int) -> FamilyParams:
 
     Both sit strictly inside the required ranges; d scales like N/r^4.
     """
+    if r < 2:  # before q is checked; construct checks q first
+        raise BadParams("r must be >= 2")
+    return _params_over(make_field(q), r)
+
+
+def _params_over(field: Field, r: int) -> FamilyParams:
+    """choose_params for a field already built (and so q already checked)."""
     if r < 2:
         raise BadParams("r must be >= 2")
-    field = make_field(q)  # validates primality
     lam = Fraction(1, 2 * r**3)
     delta = lam / (r + 1)
     N = field.N
     if math.floor(delta * N) < 1:
-        raise FieldTooSmall(f"q={q} gives d=0 for r={r}; need N >= {delta.denominator}")
+        raise FieldTooSmall(f"q={field.q} gives d=0 for r={r}; need N >= {delta.denominator}")
     return FamilyParams(N=N, r=r, lam=lam, delta=delta)
 
 
 def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, MrReport]:
     """Full construction pipeline; fails loudly if any verifier fails."""
     field = make_field(q)
-    params = choose_params(r, q)
+    params = _params_over(field, r)
     family = build_family(params, _choose_set(params.d, r))
     if target_n is not None:
         if target_n <= 0 or target_n % (r + 1) != 0:

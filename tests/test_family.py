@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import add, mul
 
 import pytest
 
 import mrcodes.family
-from mrcodes.errors import BadParams, BadSet, TooLarge
-from mrcodes.family import FamilyParams, build_family, trim_family, verify_zero_sum_property
-from mrcodes.progfree import from_elements
+from mrcodes.errors import BadParams, BadSet, Mismatch, TooLarge
+from mrcodes.family import (FamilyParams, _identity_subsets, build_family, trim_family,
+                            verify_zero_sum_property)
+from mrcodes.progfree import ProgressionFreeSet, from_elements
 
 
 @pytest.fixture
@@ -80,6 +83,12 @@ def test_rejects_bad_set():
     bad = ProgressionFreeSet(r=3, elements=(1, 2, 3), method="user_supplied")
     with pytest.raises(BadSet):
         build_family(params, bad)  # 1+2+3 = 3*2
+
+
+def test_rejects_D_checked_for_another_r(params_r2):
+    other = ProgressionFreeSet(r=7, elements=(1, 2), method="user_supplied")
+    with pytest.raises(Mismatch):
+        build_family(params_r2, other)
 
 
 def test_rejects_oversized_D(params_r2):
@@ -206,3 +215,29 @@ def test_subset_guard(family_r2, monkeypatch):
     with pytest.raises(TooLarge):
         verify_zero_sum_property(family_r2.elements, family_r2.transversals, 100, 2)
     assert build_family(family_r2.params, family_r2.D) == family_r2
+
+
+def test_identity_subsets_matches_brute_force():
+    # values from a small range repeat, so a completion bucket holds several
+    # tails, some of them starting before the running index
+    rng = random.Random(12)
+    shared_buckets = 0
+    for _ in range(400):
+        r = rng.randint(2, 6)
+        n = rng.randint(r + 1, 14)
+        if rng.random() < 0.5:
+            op, modulus, identity = add, rng.choice([5, 12, 30, 100]), 0
+            values = [rng.randrange(modulus) for _ in range(n)]
+            completions = [-v % modulus for v in values]
+            combine = sum
+        else:
+            op, modulus, identity = mul, rng.choice([7, 13, 101]), 1
+            values = [rng.randrange(1, modulus) for _ in range(n)]
+            completions = [pow(v, -1, modulus) for v in values]
+            combine = math.prod
+        expected = [s for s in combinations(range(n), r + 1)
+                    if combine(values[i] for i in s) % modulus == identity]
+        assert list(_identity_subsets(values, completions, r, op, modulus)) == expected, \
+            (r, values, op.__name__, modulus)
+        shared_buckets += len({s[:r - (r + 1) // 2 + 1] for s in expected}) < len(expected)
+    assert shared_buckets > 50

@@ -28,6 +28,14 @@ def test_choose_params_r3_q653():
     assert p.l == 12 and p.d == 3
 
 
+def test_construct_builds_one_field(monkeypatch):
+    calls = []
+    real = pipeline.make_field
+    monkeypatch.setattr(pipeline, "make_field", lambda q: calls.append(q) or real(q))
+    construct(2, 101)
+    assert calls == [101]
+
+
 def test_choose_params_field_too_small():
     with pytest.raises(FieldTooSmall):
         choose_params(3, 101)  # d = floor(100/216) = 0
@@ -183,6 +191,26 @@ def test_choose_set_falls_back_when_digits_degenerate():
     # d = 25 is past the exhaustive cap, and at r = 25 the digit
     # construction's digit range is {0} only
     assert pipeline._choose_set(25, 25) == exhaustive_best(24, 25)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_choose_set_matches_full_rule(r):
+    # the full rule: the larger of the capped exhaustive set and the digit
+    # set, ties to the digit set; at r = 2 and d = 5000 the digit set's 12
+    # elements equal the bound 2 * 6 that skips the capped search
+    capped = exhaustive_best(24, r)
+    for d in (25, 2000, 5000, 10416, 20000):
+        alon = pipeline.alon_construct(d, r)
+        assert pipeline._choose_set(d, r) == (alon if len(alon) >= len(capped) else capped)
+
+
+def test_choose_set_skips_capped_search_when_digits_win(monkeypatch):
+    calls = []
+    real = pipeline.exhaustive_best
+    monkeypatch.setattr(pipeline, "exhaustive_best",
+                        lambda m, r: calls.append((m, r)) or real(m, r))
+    assert pipeline._choose_set(10416, 2).method == "alon"
+    assert (24, 2) not in calls
 
 
 def test_scaling_table_fixed_r():
