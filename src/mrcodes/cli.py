@@ -22,39 +22,62 @@ from .errors import (Inconsistent, MrCodesError, MultipleErasuresInGroup,
 from .mrcode import MrCode, decode, encode, local_repair, verify_mr
 from .pipeline import construct, scaling_table, simulate
 
-_TOKEN = re.compile(r"\S+")
+_TOKEN = re.compile(r"\S+")  # finds a bad token's column
 
 
-def _tokens(stream: TextIO) -> Iterator[tuple[str, int, int]]:
-    for line_no, line in enumerate(stream, start=1):
-        for match in _TOKEN.finditer(line):
-            yield match.group(), line_no, match.start() + 1
-
-
-def _blocks(stream: TextIO, size: int, q: int, allow_erasures: bool):
-    """Group the token stream into symbol blocks of the given size."""
-    block: list[Optional[int]] = []
-    last_pos = (1, 1)
-    for tok, line, col in _tokens(stream):
-        last_pos = (line, col)
+def _checked(tokens: list[str], q: int, allow_erasures: bool) -> tuple[list, Optional[str]]:
+    """The symbols before the first bad token, and what is wrong with it."""
+    values: list[Optional[int]] = []
+    for tok in tokens:
         if tok == "?":
             if not allow_erasures:
-                raise ParseError("erasure mark '?' not allowed here", line, col)
-            block.append(None)
+                return values, "erasure mark '?' not allowed here"
+            value = None
         else:
             try:
                 value = int(tok)
             except ValueError:
-                raise ParseError(f"not an integer: {tok!r}", line, col) from None
+                return values, f"not an integer: {tok!r}"
             if not 0 <= value < q:
-                raise ParseError(f"symbol {value} outside [0, {q})", line, col)
-            block.append(value)
-        if len(block) == size:
-            yield block
-            block = []
+                return values, f"symbol {value} outside [0, {q})"
+        values.append(value)
+    return values, None
+
+
+def _blocks(stream: TextIO, size: int, q: int, allow_erasures: bool) -> Iterator[list]:
+    """Group the symbols of stream (ints, None for '?') into blocks of size.
+
+    Each line is split once (str.split breaks where the regex \\s matches)
+    and its symbols checked once: all together when the line holds only
+    integers in range, else token by token (_checked).  A bad token raises
+    ParseError at its line and column once the blocks before it are
+    yielded; a partial final block raises at the last token.
+    """
+    block: list[Optional[int]] = []
+    for line_no, line in enumerate(stream, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        last = line_no, line
+        valid = False
+        if "?" not in line:
+            try:
+                values = list(map(int, tokens))
+                valid = 0 <= min(values) <= max(values) < q
+            except ValueError:
+                pass
+        message = None
+        if not valid:
+            values, message = _checked(tokens, q, allow_erasures)
+        block += values
+        while len(block) >= size:
+            yield block[:size]
+            del block[:size]
+        if message:
+            raise ParseError(message, line_no, [*_TOKEN.finditer(line)][len(values)].start() + 1)
     if block:
         raise ParseError(f"incomplete final block: got {len(block)} of {size} symbols",
-                         *last_pos)
+                         last[0], [*_TOKEN.finditer(last[1])][-1].start() + 1)
 
 
 def _apply_erasures(block: list, erasures: Sequence[int], n: int) -> list:
@@ -67,8 +90,7 @@ def _apply_erasures(block: list, erasures: Sequence[int], n: int) -> list:
 
 def encode_file(code: MrCode, instream: TextIO, outstream: TextIO) -> None:
     for block in _blocks(instream, code.k, code.field.q, allow_erasures=False):
-        codeword = encode(code, block)
-        outstream.write(" ".join(str(s.value) for s in codeword) + "\n")
+        outstream.write(" ".join([str(s.value) for s in encode(code, block)]) + "\n")
 
 
 def decode_file(code: MrCode, instream: TextIO, outstream: TextIO,
@@ -80,7 +102,7 @@ def decode_file(code: MrCode, instream: TextIO, outstream: TextIO,
             message = decode(code, block)
         except (NotCorrectable, Inconsistent) as exc:
             raise type(exc)(f"block {index}: {exc}") from None
-        outstream.write(" ".join(str(s.value) for s in message) + "\n")
+        outstream.write(" ".join([str(s.value) for s in message]) + "\n")
 
 
 def repair_file(code: MrCode, instream: TextIO, outstream: TextIO,
@@ -90,12 +112,11 @@ def repair_file(code: MrCode, instream: TextIO, outstream: TextIO,
                                           allow_erasures=True)):
         _apply_erasures(block, erasures, code.n)
         try:
-            for pos, symbol in enumerate(block):
-                if symbol is None:
-                    block[pos] = local_repair(code, block, pos).value
+            for pos in [j for j, s in enumerate(block) if s is None]:
+                block[pos] = local_repair(code, block, pos).value
         except MultipleErasuresInGroup as exc:
             raise MultipleErasuresInGroup(f"block {index}: {exc}") from None
-        outstream.write(" ".join(str(s) for s in block) + "\n")
+        outstream.write(" ".join(map(str, block)) + "\n")
 
 
 def _parse_erasures(text: Optional[str]) -> list[int]:

@@ -27,6 +27,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # no prime factor up to 37, the largest witness
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -70,6 +72,21 @@ class Field:
     N: int
     gamma: int
     factorization_of_N: tuple[int, ...]
+
+    def __post_init__(self):
+        # the factors are the distinct primes of N = q - 1 and gamma has
+        # order N, which also proves q prime (Lucas's test)
+        q, N, gamma, rest = self.q, self.N, self.gamma, self.N
+        for p in self.factorization_of_N:
+            if not is_prime(p) or rest % p:
+                rest = 0
+                break
+            while rest % p == 0:
+                rest //= p
+        if not (N == q - 1 and rest == 1 and 0 < gamma < q and pow(gamma, N, q) == 1
+                and _is_primitive(gamma, q, self.factorization_of_N)):
+            raise BadParams(f"q={q}, N={N}, gamma={gamma}, factors "
+                            f"{self.factorization_of_N} do not describe GF(q)")
 
     def element(self, value: int) -> "FieldElement":
         return FieldElement(value % self.q, self)

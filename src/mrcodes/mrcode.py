@@ -21,8 +21,9 @@ import math
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
-from operator import mul
+from itertools import combinations, repeat
+from operator import add, lshift, mul
+from struct import pack, unpack
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
@@ -57,10 +58,11 @@ class MrCode:
     G: Matrix                                 # (r+1) rows x n columns
     repair_groups: tuple[tuple[int, ...], ...]
     # State derived from this object's own fields, never shared between codes:
-    # each column's group index, the columns of G as ints, the local-repair
-    # coefficients per erased column, and the last erasure set's decode plan.
-    _group_index: dict = dc_field(init=False, repr=False, compare=False)
-    _int_columns: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
+    # each column's group index and the other columns of its group, G packed
+    # for _codeword, the local-repair coefficients per erased column, and the
+    # last erasure set's decode plan.
+    _groups: dict = dc_field(init=False, repr=False, compare=False)
+    _packed: tuple[int, tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
     _repair_coeffs: dict = dc_field(init=False, repr=False, compare=False,
                                     default_factory=dict)
     _plan: Optional[_DecodePlan] = dc_field(init=False, repr=False, compare=False,
@@ -79,9 +81,15 @@ class MrCode:
         if (any(len(g) != k for g in groups)
                 or sorted(j for g in groups for j in g) != list(range(n))):
             raise Mismatch(f"repair groups do not split range({n}) into {k}-sets")
-        object.__setattr__(self, "_group_index", {j: i for i, g in enumerate(groups) for j in g})
-        object.__setattr__(self, "_int_columns",
-                           tuple(zip(*((e.value for e in row) for row in G))))
+        object.__setattr__(self, "_groups", {j: (i, g[:p] + g[p + 1:])
+                                             for i, g in enumerate(map(tuple, groups))
+                                             for p, j in enumerate(g)})
+        # each row of G as one integer with a slot of `words` 64-bit words per
+        # column, enough for a sum of k products of values below q
+        words = -(-(k * (q - 1) ** 2).bit_length() // 64)
+        slots = "<" + f"Q{8 * words - 8}x" * n
+        object.__setattr__(self, "_packed", (words, tuple(
+            int.from_bytes(pack(slots, *[e.value for e in row]), "little") for row in G)))
 
     @property
     def h(self) -> int:
@@ -89,7 +97,7 @@ class MrCode:
         return self.n * self.r // (self.r + 1) - self.k
 
     def group_of(self, column: int) -> int:
-        return self._group_index[column]
+        return self._groups[column][0]
 
     def columns(self, indices: Sequence[int]) -> Matrix:
         return tuple(tuple(row[j] for j in indices) for row in self.G)
@@ -243,12 +251,13 @@ def _closed_form_values(code: MrCode) -> Optional[list[int]]:
     """The first-row values x_j when G is the closed-form matrix, else None.
 
     Closed form: column j is _closed_form_column(x_j) with x_j nonzero and
-    the x_j pairwise distinct.  Reads only G (as code._int_columns) and q.
+    the x_j pairwise distinct.  Reads only G and q.
     """
     q, r, n = code.field.q, code.r, code.n
-    xs = [col[0] for col in code._int_columns]
+    columns = list(zip(*[[e.value for e in row] for row in code.G]))
+    xs = [col[0] for col in columns]
     if (0 in xs or len(set(xs)) != n
-            or any(col != _closed_form_column(col[0], r, q) for col in code._int_columns)):
+            or any(col != _closed_form_column(col[0], r, q) for col in columns)):
         return None
     return xs
 
@@ -299,6 +308,8 @@ def _rank_scan(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
 
 def _length(symbols, what: str) -> int:
     """len(symbols); BadParams unless they are held by position, as in a list."""
+    if type(symbols) is list or type(symbols) is tuple:
+        return len(symbols)
     if isinstance(symbols, Mapping) or not (hasattr(symbols, "__len__")
                                             and hasattr(symbols, "__getitem__")):
         raise BadParams(f"{what} is a {type(symbols).__name__}, not a sequence of symbols")
@@ -308,24 +319,37 @@ def _length(symbols, what: str) -> int:
 def _symbol(code: MrCode, x) -> int:
     """x as an int in [0, q); BadSymbol unless x is such an int (bool
     excluded) or a FieldElement of the code's field."""
+    q = code.field.q
+    if type(x) is int and 0 <= x < q:
+        return x
     if isinstance(x, FieldElement):
-        if x.field.q != code.field.q:
-            raise BadSymbol(f"symbol {x!r} is not an element of GF({code.field.q})")
+        if x.field.q != q:
+            raise BadSymbol(f"symbol {x!r} is not an element of GF({q})")
         return x.value
-    if type(x) is not int or not 0 <= x < code.field.q:
-        raise BadSymbol(f"symbol {x!r} is not an integer in [0, {code.field.q})")
-    return x
+    raise BadSymbol(f"symbol {x!r} is not an integer in [0, {q})")
+
+
+def _codeword(code: MrCode, message: list[int]) -> list[int]:
+    """message . G mod q, as ints: one sum of k products of packed rows of G
+    holds every column's value, read out 64 bits at a time."""
+    words, rows = code._packed
+    size = code.n * words
+    values = unpack(f"<{size}Q", sum(map(mul, message, rows)).to_bytes(8 * size, "little"))
+    slots = values[::words]
+    for w in range(1, words):
+        slots = map(add, slots, map(lshift, values[w::words], repeat(64 * w)))
+    return list(map(code.field.q.__rmod__, slots))
 
 
 def encode(code: MrCode, message: Sequence) -> list[FieldElement]:
     if _length(message, "message") != code.k:
         raise LengthMismatch(f"message length {len(message)} != k={code.k}")
-    msg = [_symbol(code, x) for x in message]
-    field, q = code.field, code.field.q
-    return [FieldElement(sum(map(mul, msg, col)) % q, field) for col in code._int_columns]
+    field = code.field
+    return [FieldElement(v, field)
+            for v in _codeword(code, [_symbol(code, x) for x in message])]
 
 
-def _repair_coefficients(code: MrCode, erased_index: int, others: list[int]) -> tuple[int, ...]:
+def _repair_coefficients(code: MrCode, erased_index: int, others: Sequence[int]) -> tuple[int, ...]:
     """The c with G_erased = sum c_i G_others[i], memoised per column."""
     coeffs = code._repair_coeffs.get(erased_index)
     if coeffs is None:
@@ -354,8 +378,7 @@ def local_repair(code: MrCode, received: Sequence, erased_index: int) -> FieldEl
         raise NotInGroup(f"column {erased_index} out of range [0, {code.n})")
     if _length(received, "received") != code.n:
         raise LengthMismatch(f"received length {len(received)} != n={code.n}")
-    index = code.group_of(erased_index)
-    others = [j for j in code.repair_groups[index] if j != erased_index]
+    index, others = code._groups[erased_index]
     symbols = []
     for j in others:
         s = received[j]
@@ -407,7 +430,7 @@ def decode(code: MrCode, received: Sequence) -> list[FieldElement]:
     """
     if _length(received, "received") != code.n:
         raise LengthMismatch(f"received length {len(received)} != n={code.n}")
-    erased = frozenset(j for j, s in enumerate(received) if s is None)
+    erased = frozenset([j for j, s in enumerate(received) if s is None])
     plan = code._plan  # read once: another caller may replace it meanwhile
     if plan is None or plan.erased != erased:
         plan = _build_plan(code, erased)
@@ -418,7 +441,10 @@ def decode(code: MrCode, received: Sequence) -> list[FieldElement]:
     q = code.field.q
     pivot_symbols = [symbols[j] for j in plan.pivots]
     message = [sum(map(mul, row, pivot_symbols)) % q for row in plan.inverse]
-    for j, (s, col) in enumerate(zip(symbols, code._int_columns)):
-        if s is not None and sum(map(mul, message, col)) % q != s:
-            raise Inconsistent(f"symbol at column {j} contradicts the decoded message")
+    codeword = _codeword(code, message)
+    for j in erased:
+        codeword[j] = None
+    if codeword != symbols:
+        j = next(j for j, (c, s) in enumerate(zip(codeword, symbols)) if c != s)
+        raise Inconsistent(f"symbol at column {j} contradicts the decoded message")
     return [FieldElement(m, code.field) for m in message]

@@ -1,10 +1,13 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 import mrcodes.field
-from mrcodes.errors import (DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime,
+from mrcodes.errors import (BadParams, DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime,
                             PropertyViolation)
-from mrcodes.field import make_field
+from mrcodes.field import Field, is_prime, make_field
 
 
 def test_make_field_13():
@@ -19,6 +22,13 @@ def test_make_field_101():
     assert f.N == 100 and f.gamma == 2
     assert pow(2, 50, 101) == 100 and pow(2, 20, 101) == 95
     assert f.factorization_of_N == (2, 5)
+
+
+def test_is_prime_matches_trial_division():
+    # below 41^2 = 1681 the trial division by the witnesses decides alone
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(-2, 5000) if is_prime(n) != trial(n)] == []
 
 
 def test_make_field_rejects_composite():
@@ -38,6 +48,28 @@ def test_no_primitive_element_is_property_violation(monkeypatch):
     monkeypatch.setattr(mrcodes.field, "distinct_prime_factors", lambda n: (1,))
     with pytest.raises(PropertyViolation):
         make_field(101)
+
+
+@pytest.mark.parametrize("q,N,gamma,factors", [
+    (101, 100, 4, ()),        # no factors listed, so 4 (order 50) passed for primitive
+    (101, 100, 4, (2, 5)),    # 4 is not primitive
+    (101, 99, 2, (3, 11)),    # N is not q - 1
+    (101, 200, 2, (2, 5)),    # nor is N = 2(q - 1), though 2^N = 1
+    (101, 100, 2, (2, 25)),   # 25 is not prime
+    (101, 100, 2, (2, 5, 7)), # 7 does not divide N
+    (101, 100, 2, (2, 2, 5)), # a repeated prime
+    (91, 90, 2, (2, 3, 5)),   # q = 7 * 13
+])
+def test_field_rejects_inconsistent_arguments(q, N, gamma, factors):
+    with pytest.raises(BadParams):
+        Field(q=q, N=N, gamma=gamma, factorization_of_N=factors)
+
+
+def test_field_accepts_any_primitive_element():
+    f = make_field(101)
+    assert dataclasses.replace(f, gamma=3).gamma == 3
+    with pytest.raises(BadParams):
+        dataclasses.replace(f, gamma=4)
 
 
 def test_add_mul_examples():

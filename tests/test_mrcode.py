@@ -225,6 +225,19 @@ class TestDecode:
         with pytest.raises(Inconsistent):
             decode(code6, cw)
 
+    @pytest.mark.parametrize("corrupted,erased,named", [
+        (4, (), 4), (5, (), 5), (0, (), 2), (0, (2,), 4), (3, (2, 4), 5)])
+    def test_inconsistent_names_first_contradicting_column(self, code6, corrupted, erased,
+                                                           named):
+        # the pivots are columns 0, 1 and 3: a corrupted pivot shows up at
+        # the first present column after them that it changes
+        received = [s.value for s in encode(code6, [5, 6, 7])]
+        received[corrupted] = (received[corrupted] + 1) % 101
+        for j in erased:
+            received[j] = None
+        with pytest.raises(Inconsistent, match=f"^symbol at column {named} "):
+            decode(code6, received)
+
     def test_random_round_trips(self, code6, code8):
         rng = random.Random(5)
         for code in (code6, code8):
@@ -560,6 +573,23 @@ class TestDecodeMatchesReference:
             for _ in range(20):
                 msg = [rng.randrange(code.field.q) for _ in range(code.k)]
                 assert encode(code, msg) == _reference_encode(code, msg)
+
+    def test_two_word_slots(self):
+        # at q = 4294967291 a packed column slot of G needs two 64-bit words
+        code = construct(3, 4294967291, target_n=8)[0]
+        q, rng = code.field.q, random.Random(5)
+        for msg in [[q - 1] * code.k] + [[rng.randrange(q) for _ in range(code.k)]
+                                         for _ in range(20)]:
+            assert encode(code, msg) == _reference_encode(code, msg)
+        outcomes = []
+        for cls in ("local", "global", "uncorrectable", "corrupted") * 4:
+            received = _received(_codeword(code, rng),
+                                 _pattern(code, rng, "global" if cls == "corrupted" else cls))
+            if cls == "corrupted":
+                received = _corrupt(code, received, rng)
+            outcomes.append(_assert_agrees(code, received))
+        assert {Inconsistent, NotCorrectable} <= {o for o in outcomes if isinstance(o, type)}
+        assert any(isinstance(o, list) for o in outcomes)
 
     def test_all_patterns_r2_q101(self, code6):
         rng = random.Random(1)
