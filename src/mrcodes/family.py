@@ -8,10 +8,11 @@ From a valid set D in {1..d} build the n = |D|*(r+1) residues
 partitioned into transversals A_b = {a_{0,b}, ..., a_{r,b}}.  The defining
 property: an (r+1)-subset of the family sums to 0 mod N exactly when it is
 one of the transversals.  Construction is distrusted: the exhaustive
-verifier runs on every build whose C(n, r+1) fits the enumeration guard.  It
-finds the zero-sum subsets in C(n, floor(r/2)+1) lookups into an index of
-the C(n, ceil(r/2)) tails (_identity_subsets, which verify_mr shares for its
-product-one column subsets).
+verifier runs on every build the lookup kernel can afford.  The kernel
+(_identity_subsets, which verify_mr shares for its product-one column
+subsets) finds the zero-sum subsets by meet in the middle; _kernel_cost
+picks its split and counts its work, and that count against _KERNEL_GUARD
+is the one test of whether it runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .errors import BadParams, BadSet, Collision, Mismatch, PropertyViolation, TooLarge
 from .progfree import ProgressionFreeSet, verify_progression_free
 
-_SUBSET_GUARD = 10**8
+_KERNEL_GUARD = 3 * 10**6  # lookups plus index entries
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
             raise PropertyViolation(f"transversal {tr} does not sum to 0 mod {N}")
     family = ZeroSumFamily(params=params, D=D, blocks=blocks,
                            transversals=transversals, elements=elements)
-    if math.comb(family.n, r + 1) <= _SUBSET_GUARD:
+    if _kernel_cost(family.n, r)[0] <= _KERNEL_GUARD:
         witness = verify_zero_sum_property(elements, transversals, N, r)
         if witness is not None:
             raise PropertyViolation(f"zero-sum characterization fails at {set(witness)}")
@@ -113,8 +114,10 @@ def verify_zero_sum_property(elements, transversals, N: int, r: int) -> Optional
     if r < 2:
         raise BadParams("r must be >= 2")
     elements = tuple(elements)
-    if math.comb(len(elements), r + 1) > _SUBSET_GUARD:
-        raise TooLarge(f"C({len(elements)}, {r + 1}) exceeds the enumeration guard")
+    cost = _kernel_cost(len(elements), r)[0]
+    if cost > _KERNEL_GUARD:
+        raise TooLarge(f"the lookup kernel's cost for n={len(elements)}, r={r} = {cost} "
+                       f"exceeds its guard {_KERNEL_GUARD}")
     transversal_sets = {frozenset(tr) for tr in transversals}
 
     def value_set(subset):
@@ -139,40 +142,49 @@ def verify_zero_sum_property(elements, transversals, N: int, r: int) -> Optional
     return None if first is None else value_set(first)
 
 
+def _kernel_cost(n: int, r: int) -> tuple[int, int]:
+    """(cost, t) for _identity_subsets on n values: the split t in [1, r-1]
+    with the fewest C(n, r-t+1) lookups plus C(n, t) index entries (the
+    smaller t on a tie), and that sum, which bounds the prefixes, lookups and
+    entries the kernel builds.  Needs r >= 2."""
+    return min((math.comb(n, r - t + 1) + math.comb(n, t), t) for t in range(1, r))
+
+
 def _identity_subsets(values: Sequence[int], completions: Sequence[int], r: int,
                       op: Callable[[int, int], int], modulus: int) -> Iterator[tuple[int, ...]]:
     """Yield the index (r+1)-subsets, in lexicographic order, whose values
     combine under op (mod modulus) to the identity, given completions[j] =
     the inverse of values[j].  op must be commutative.  Needs r >= 2.
 
-    Meet in the middle: with t = ceil(r/2), index the t-subsets (tails) by
-    their combined completions, then walk the (r-t)-subset heads with a
-    running combination plus one running index i, and look up the tails
-    that start past i.  That is C(n, floor(r/2)+1) lookups and C(n, t) index
-    entries rather than C(n, r+1) subsets; at r = 2 a tail is one index.
-    Tails are indexed in combinations order, so the hits come out in
-    lexicographic order.
+    Meet in the middle: with t from _kernel_cost, index the t-subsets
+    (tails) by their combined completions, then walk the (r-t)-subset heads
+    with a running combination plus one running index i, and look up the
+    tails that start past i.  Tails are indexed in combinations order, so
+    the hits come out in lexicographic order.
     """
-    n, t = len(values), (r + 1) // 2
+    n, t = len(values), _kernel_cost(len(values), r)[1]
     tails: dict[int, list[tuple[int, ...]]] = {}
-    for tail, key in _running(completions, t, op, modulus):
+    # a tail starts past at least r-t+1 indices; a head leaves i and a tail after it
+    for tail, key in _running(completions, range(r - t + 1, n), t, op, modulus):
         tails.setdefault(key, []).append(tail)
-    for head, acc in _running(values, r - t, op, modulus):
+    for head, acc in _running(values, range(n - t - 1), r - t, op, modulus):
         for i in range(head[-1] + 1, n - t):
             for tail in tails.get(op(acc, values[i]) % modulus, ()):
                 if tail[0] > i:
                     yield head + (i,) + tail
 
 
-def _running(values: Sequence[int], size: int, op: Callable[[int, int], int],
-             modulus: int) -> list[tuple[tuple[int, ...], int]]:
-    """(subset, its values combined under op mod modulus) for each index
-    subset of the given size >= 1, in combinations order."""
-    level = [((j,), v % modulus) for j, v in enumerate(values)]
-    for _ in range(size - 1):
-        level = [(subset + (j,), op(acc, values[j]) % modulus)
-                 for subset, acc in level for j in range(subset[-1] + 1, len(values))]
-    return level
+def _running(values: Sequence[int], indices: range, size: int,
+             op: Callable[[int, int], int], modulus: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (subset, its values combined under op mod modulus) for each
+    subset of indices of the given size >= 1, in combinations order.  Only
+    prefixes that can still grow to that size inside indices are built, and
+    the subsets are made lazily, so no level is held in memory."""
+    if size == 1:
+        return (((j,), values[j] % modulus) for j in indices)
+    prefixes = _running(values, range(indices.start, indices.stop - 1), size - 1, op, modulus)
+    return ((prefix + (j,), op(acc, values[j]) % modulus)
+            for prefix, acc in prefixes for j in range(prefix[-1] + 1, indices.stop))
 
 
 def trim_family(family: ZeroSumFamily, target_groups: int) -> ZeroSumFamily:

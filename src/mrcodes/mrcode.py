@@ -13,6 +13,10 @@ inside a group are independent.  Message recovery from erasures reduces to
 linear algebra over GF(q), all done by one Gauss-Jordan (_row_reduce): a
 decode plan is one reduction of the present columns beside I_k, which gives
 the verdict, the pivot columns and their inverse together.
+
+verify_mr is exhaustive while its work fits a guard, and samples past it:
+the family's lookup-kernel cost against _KERNEL_GUARD for a closed-form G,
+C(n, r+1) ranks against _EXHAUSTIVE_SUBSET_GUARD for any other G.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                      MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                      PropertyViolation, TooLarge)
-from .family import ZeroSumFamily, _identity_subsets
+from . import family as _family
+from .family import ZeroSumFamily, _identity_subsets, _kernel_cost
 from .field import Field, FieldElement
 
 _MAX_N = 10**3
@@ -150,7 +155,7 @@ def _closed_form_column(x: int, r: int, q: int) -> tuple[int, ...]:
 def build_code(field: Field, family: ZeroSumFamily) -> MrCode:
     r, n = family.r, family.n
     if n > _MAX_N:
-        raise Mismatch(f"n={n} exceeds the desk-scale bound {_MAX_N}")
+        raise TooLarge(f"n={n} exceeds the desk-scale bound {_MAX_N}")
     q = field.q
     columns = [_closed_form_column(pow(field.gamma, a, q), r, q) for a in family.elements]
     G = tuple(tuple(FieldElement(col[i], field) for col in columns) for i in range(r + 1))
@@ -204,29 +209,26 @@ class MrReport:
         return not self.violations and self.local_distance_ok
 
 
-def _is_exhaustive(code: MrCode, mode: str) -> bool:
-    """Whether this mode checks every (r+1)-column subset; see _scan_subsets.
-    Every verifier path asks, so it also rejects an unknown mode."""
+def _is_exhaustive(mode: str, cost: int, guard: int, what: str) -> bool:
+    """Whether this mode checks every (r+1)-column subset, given the cost of
+    doing so (what names it) and its guard.  "auto" is exhaustive within the
+    guard and samples past it; "exhaustive" raises TooLarge past it;
+    "sampled" always samples.  Every verifier path asks, so it also rejects
+    an unknown mode."""
     if mode not in ("auto", "exhaustive", "sampled"):
         raise BadParams(f"unknown verifier mode {mode!r}")
-    within_guard = math.comb(code.n, code.k) <= _EXHAUSTIVE_SUBSET_GUARD
-    if mode == "exhaustive" and not within_guard:
-        raise TooLarge(f"C({code.n}, {code.k}) exceeds the exhaustive guard")
-    return within_guard if mode == "auto" else mode == "exhaustive"
+    if mode == "exhaustive" and cost > guard:
+        raise TooLarge(f"{what} = {cost} exceeds the exhaustive guard {guard}")
+    return cost <= guard if mode == "auto" else mode == "exhaustive"
 
 
-def _scan_subsets(code: MrCode, seed: int, mode: str, subset_rank) -> MrReport:
+def _scan_subsets(code: MrCode, seed: int, exhaustive: bool, subset_rank) -> MrReport:
     """Report subset_rank(subset) against the expected rank (r for a repair
-    group, r+1 otherwise) over the (r+1)-column subsets.
-
-    Exhaustive when C(n, r+1) is within the guard; otherwise all repair
-    groups plus uniformly sampled subsets (flagged in report.mode).
-    mode forces one behavior: "exhaustive" raises TooLarge past the guard,
-    "sampled" always samples.
-    """
+    group, r+1 otherwise) over the (r+1)-column subsets: all of them when
+    exhaustive, else all repair groups plus uniformly sampled subsets
+    (flagged in report.mode)."""
     r, k = code.r, code.k
     group_sets = {frozenset(g) for g in code.repair_groups}
-    exhaustive = _is_exhaustive(code, mode)
     if exhaustive:
         subsets = combinations(range(code.n), k)
     else:
@@ -272,15 +274,16 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     r+1.  Every r columns have rank r (their top r rows are a scaled
     Vandermonde matrix), so the in-group distance check always passes.  Any
     other G gets the rank scan (_rank_scan) and its report.  Subset choice
-    and report mode: see _scan_subsets; exhaustive closed-form reports come
-    from _identity_subsets in C(n, floor(r/2)+1) lookups and equal the scan's.
+    and report mode: see _scan_subsets and _is_exhaustive; exhaustive
+    closed-form reports come from _identity_subsets and equal the scan's.
     """
     xs = _closed_form_values(code)
     if xs is None:
         return _rank_scan(code, seed, mode)
     r, k, q = code.r, code.k, code.field.q
-    if not _is_exhaustive(code, mode):
-        return _scan_subsets(code, seed, mode,
+    if not _is_exhaustive(mode, _kernel_cost(code.n, r)[0], _family._KERNEL_GUARD,
+                          f"the lookup kernel's cost for n={code.n}, r={r}"):
+        return _scan_subsets(code, seed, False,
                              lambda subset: r if math.prod(xs[j] for j in subset) % q == 1 else k)
     deficient = list(_identity_subsets(xs, [pow(x, -1, q) for x in xs], r, mul, q))
     # the scan's violations, in its order: the symmetric difference of the
@@ -295,8 +298,11 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
 
 def _rank_scan(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     """verify_mr by brute force: a rank per subset plus the in-group
-    distance check.  Trusts no structure of G."""
-    report = _scan_subsets(code, seed, mode, lambda subset: rank(code.columns(subset)))
+    distance check.  Trusts no structure of G; exhaustive while its
+    C(n, r+1) rank computations fit _EXHAUSTIVE_SUBSET_GUARD."""
+    exhaustive = _is_exhaustive(mode, math.comb(code.n, code.k), _EXHAUSTIVE_SUBSET_GUARD,
+                                f"C({code.n}, {code.k})")
+    report = _scan_subsets(code, seed, exhaustive, lambda subset: rank(code.columns(subset)))
     r = code.r
     for group in code.repair_groups:
         for subset in combinations(group, r):

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Optional
 
 from .codespec import RNG_NAME
 from .errors import (BadParams, FieldTooSmall, NotCorrectable, ParamsTooSmall,
                      PropertyViolation, TargetUnreachable)
-from .family import FamilyParams, build_family, trim_family
+from .family import FamilyParams, build_family
 from .field import Field, make_field
 from .mrcode import MrCode, MrReport, build_code, decode, encode, verify_mr
 from .progfree import _EXHAUSTIVE_MAX_M, ProgressionFreeSet, alon_construct, exhaustive_best
@@ -64,14 +64,16 @@ def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, M
     """Full construction pipeline; fails loudly if any verifier fails."""
     field = make_field(q)
     params = _params_over(field, r)
-    family = build_family(params, _choose_set(params.d, r))
+    D = _choose_set(params.d, r)
     if target_n is not None:
         if target_n <= 0 or target_n % (r + 1) != 0:
             raise BadParams(f"target_n={target_n} is not a positive multiple of r+1={r + 1}")
-        if family.n < target_n:
-            raise TargetUnreachable(f"construction reaches n={family.n} < target {target_n}")
-        family = trim_family(family, target_n // (r + 1))
-    code = build_code(field, family)
+        n = len(D) * (r + 1)
+        if n < target_n:
+            raise TargetUnreachable(f"construction reaches n={n} < target {target_n}")
+        # the target_n // (r+1) smallest b, as trim_family keeps
+        D = replace(D, elements=D.elements[:target_n // (r + 1)])
+    code = build_code(field, build_family(params, D))
     report = verify_mr(code)
     if not report.ok:
         raise PropertyViolation(f"constructed code failed verification: "

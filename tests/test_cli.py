@@ -10,7 +10,7 @@ import mrcodes.cli
 from mrcodes.cli import decode_file, encode_file, main, repair_file
 from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
 from mrcodes.errors import (MultipleErasuresInGroup, NotCorrectable, ParseError,
-                            PropertyViolation)
+                            PropertyViolation, TooLarge)
 from mrcodes.mrcode import _rank_scan, build_code
 from mrcodes.pipeline import construct
 
@@ -198,6 +198,16 @@ def test_malformed_spec_is_typed_error(code6, tmp_path, capsys, mangle):
     assert main(["verify", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_code_past_the_length_bound_is_too_large(tmp_path, capsys):
+    # q = 1000000007 gives n = 1008: a size limit, not a disagreement
+    message = "n=1008 exceeds the desk-scale bound 1000"
+    with pytest.raises(TooLarge, match=message):
+        construct(2, 1000000007)
+    assert main(["construct", "--r", "2", "--q", "1000000007",
+                 "--out", str(tmp_path / "spec.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])

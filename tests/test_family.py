@@ -8,8 +8,8 @@ import pytest
 
 import mrcodes.family
 from mrcodes.errors import BadParams, BadSet, Mismatch, TooLarge
-from mrcodes.family import (FamilyParams, _identity_subsets, build_family, trim_family,
-                            verify_zero_sum_property)
+from mrcodes.family import (FamilyParams, _identity_subsets, _kernel_cost, build_family,
+                            trim_family, verify_zero_sum_property)
 from mrcodes.progfree import ProgressionFreeSet, from_elements
 
 
@@ -210,21 +210,48 @@ def test_verify_zero_sum_witness_is_first_in_combinations_order(elements, witnes
 
 
 def test_subset_guard(family_r2, monkeypatch):
-    # C(6, 3) = 20 subsets: the check refuses, and build_family skips it
-    monkeypatch.setattr(mrcodes.family, "_SUBSET_GUARD", 19)
+    # the kernel's cost at n = 6, r = 2 is C(6, 2) + C(6, 1) = 21: the check
+    # refuses, and build_family skips it
+    monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
     with pytest.raises(TooLarge):
         verify_zero_sum_property(family_r2.elements, family_r2.transversals, 100, 2)
     assert build_family(family_r2.params, family_r2.D) == family_r2
 
 
+def test_build_family_checks_up_to_the_guard(family_r2, monkeypatch):
+    calls = []
+    real = verify_zero_sum_property
+    monkeypatch.setattr(mrcodes.family, "verify_zero_sum_property",
+                        lambda *args: calls.append(args) or real(*args))
+    for guard in (20, 21):  # the kernel's cost at n = 6, r = 2 is 21
+        monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", guard)
+        assert build_family(family_r2.params, family_r2.D) == family_r2
+    assert len(calls) == 1
+
+
+def test_kernel_cost_takes_the_cheapest_split():
+    # code6; the benchmark's (3, 5003) family; one repair group at r = 20;
+    # the costliest family the old C(n, r+1) guards checked
+    assert _kernel_cost(6, 2) == (21, 1)
+    assert _kernel_cost(32, 3) == (992, 2)
+    assert _kernel_cost(21, 20) == (42, 1)
+    assert _kernel_cost(28, 13) == (2368080, 7)
+    for r in range(2, 9):
+        for n in range(1, 41):
+            costs = [math.comb(n, r - t + 1) + math.comb(n, t) for t in range(1, r)]
+            assert _kernel_cost(n, r) == (min(costs), costs.index(min(costs)) + 1)
+
+
 def test_identity_subsets_matches_brute_force():
     # values from a small range repeat, so a completion bucket holds several
-    # tails, some of them starting before the running index
+    # tails, some of them starting before the running index; n goes down to
+    # 1, below r+1, and the draws reach every split the cost rule picks
     rng = random.Random(12)
     shared_buckets = 0
-    for _ in range(400):
-        r = rng.randint(2, 6)
-        n = rng.randint(r + 1, 14)
+    splits = set()
+    for _ in range(600):
+        r = rng.randint(2, 8)
+        n = rng.randint(1, 16)
         if rng.random() < 0.5:
             op, modulus, identity = add, rng.choice([5, 12, 30, 100]), 0
             values = [rng.randrange(modulus) for _ in range(n)]
@@ -239,5 +266,9 @@ def test_identity_subsets_matches_brute_force():
                     if combine(values[i] for i in s) % modulus == identity]
         assert list(_identity_subsets(values, completions, r, op, modulus)) == expected, \
             (r, values, op.__name__, modulus)
-        shared_buckets += len({s[:r - (r + 1) // 2 + 1] for s in expected}) < len(expected)
+        t = _kernel_cost(n, r)[1]
+        splits.add((r, t))
+        # hits sharing a head and running index came from one bucket
+        shared_buckets += len({s[:r - t + 1] for s in expected}) < len(expected)
+    assert splits == {(r, _kernel_cost(n, r)[1]) for r in range(2, 9) for n in range(1, 17)}
     assert shared_buckets > 50

@@ -4,6 +4,7 @@ from typing import Optional
 
 import pytest
 
+import mrcodes.family
 import mrcodes.mrcode
 from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                             MrCodesError, MultipleErasuresInGroup, NotCorrectable, NotInGroup,
@@ -318,13 +319,18 @@ class TestClosedFormVerify:
         assert not report.ok
 
     def test_guard_picks_the_mode(self, code6, monkeypatch):
-        # C(6, 3) = 20 subsets: auto samples past the guard, exhaustive refuses
+        # the lookup kernel's cost is C(6, 2) + C(6, 1) = 21 and the rank
+        # scan's C(6, 3) = 20 subsets: auto samples past the guards,
+        # exhaustive refuses
+        monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
         monkeypatch.setattr(mrcodes.mrcode, "_EXHAUSTIVE_SUBSET_GUARD", 19)
         report = verify_mr(code6)
         assert report.mode == "sampled" and report == _rank_scan(code6)
         with pytest.raises(TooLarge):
             verify_mr(code6, mode="exhaustive")
-        monkeypatch.setattr(mrcodes.mrcode, "_EXHAUSTIVE_SUBSET_GUARD", 20)
+        with pytest.raises(TooLarge):
+            _rank_scan(code6, mode="exhaustive")
+        monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 21)
         assert verify_mr(code6).mode == "exhaustive"
 
     @pytest.mark.parametrize("groups,valid", [

@@ -1,16 +1,21 @@
 import dataclasses
+import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import mrcodes.family
 import mrcodes.mrcode
 from mrcodes import pipeline
+from mrcodes.codespec import code_from_dict, code_to_dict
 from mrcodes.errors import (BadParams, FieldTooSmall, Mismatch, PropertyViolation,
                             TargetUnreachable, TooLarge)
-from mrcodes.mrcode import is_correctable, rank
+from mrcodes.family import trim_family
+from mrcodes.mrcode import build_code, is_correctable, rank
 from mrcodes.pipeline import (choose_params, construct, exact_failure_probability,
                               scaling_table, simulate)
 from mrcodes.progfree import exhaustive_best
@@ -53,6 +58,51 @@ def test_construct_trimmed():
     assert code.n == 3
     assert len(code.repair_groups) == 1
     assert report.ok
+
+
+def test_construct_builds_the_trimmed_family_once(monkeypatch):
+    calls = []
+    real = mrcodes.family.build_family
+
+    def spy(params, D):
+        calls.append(D)
+        return real(params, D)
+
+    for module in (mrcodes.family, pipeline):
+        monkeypatch.setattr(module, "build_family", spy)
+    code, report = construct(2, 1601, target_n=15)
+    assert len(calls) == 1 and report.ok
+    params = choose_params(2, 1601)
+    full = real(params, pipeline._choose_set(params.d, 2))
+    assert code == build_code(code.field, trim_family(full, 5))
+    # a target of the full length keeps every group
+    assert construct(2, 1601, target_n=full.n)[0] == build_code(code.field, full)
+
+
+def test_construct_checks_a_mid_size_code_exhaustively():
+    # C(132, 4) subsets, found by the lookup kernel at a cost of
+    # C(132, 2) + C(132, 2)
+    code, report = construct(3, 100000007)
+    assert code.n == 132 and report.mode == "exhaustive"
+    assert report.deficient_subsets == [tuple(g) for g in code.repair_groups]
+    assert not report.violations and report.ok
+    assert report.mds_subsets_checked == math.comb(132, 4)
+
+
+def test_one_group_code_at_high_r_stays_small():
+    # n = 21, one repair group and one subset: the kernel's split and its
+    # pruning keep both checks from indexing C(21, 10) tails, in construct
+    # and in the spec round trip
+    tracemalloc.start()
+    try:
+        code, report = construct(20, 336029)
+        rebuilt = code_from_dict(json.loads(json.dumps(code_to_dict(code))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.n == 21 and report.mode == "exhaustive" and report.ok
+    assert rebuilt == code
+    assert peak < 20 * 2**20
 
 
 def test_construct_target_unreachable():
@@ -182,7 +232,8 @@ def test_exact_failure_probability_rejects(monkeypatch):
     for p in (1.5, -0.1, float("nan")):
         with pytest.raises(BadParams):
             exact_failure_probability(code, p)
-    monkeypatch.setattr(mrcodes.mrcode, "_EXHAUSTIVE_SUBSET_GUARD", 19)
+    # the lookup kernel's cost at n = 6, r = 2 is C(6, 2) + C(6, 1) = 21
+    monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
     with pytest.raises(TooLarge):
         exact_failure_probability(code, 0.1)
 
