@@ -12,6 +12,7 @@ format safe for JSON readers with double-precision number parsing.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 from .errors import BadParams, Mismatch, PropertyViolation
@@ -61,9 +62,7 @@ def code_to_dict(code: MrCode) -> dict:
         "derived": {"n": code.n, "k": code.k, "h": code.h},
     }
     if fam.D.alon_meta is not None:
-        meta = fam.D.alon_meta
-        doc["D_alon_meta"] = {"h": meta.h, "t": meta.t, "B": meta.B,
-                              "size_bound": meta.size_bound}
+        doc["D_alon_meta"] = asdict(fam.D.alon_meta)
     return doc
 
 

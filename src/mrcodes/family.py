@@ -1,6 +1,7 @@
 """Zero-sum transversal families in Z_N.
 
-From a valid set D in {1..d} build the n = |D|*(r+1) residues
+A family is its parameters and a valid set D in {1..d}, which fix the
+n = |D|*(r+1) residues
 
     a_{i,b} = i*l + b            (0 <= i <= r-1, b in D)
     a_{r,b} = N - C(r,2)*l - r*b (reduced mod N)
@@ -18,7 +19,7 @@ is the one test of whether it runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from itertools import combinations
 from operator import add
@@ -61,9 +62,19 @@ class FamilyParams:
 class ZeroSumFamily:
     params: FamilyParams
     D: ProgressionFreeSet
-    blocks: tuple[tuple[int, ...], ...]       # D_0 .. D_r, each aligned to D order
-    transversals: tuple[tuple[int, ...], ...]  # A_b for b in D ascending
-    elements: tuple[int, ...]                  # canonical flat order: by b, then i
+    blocks: tuple[tuple[int, ...], ...] = dc_field(init=False)        # D_0 .. D_r, in D order
+    transversals: tuple[tuple[int, ...], ...] = dc_field(init=False)  # A_b, b in D ascending
+    elements: tuple[int, ...] = dc_field(init=False)  # canonical flat order: by b, then i
+
+    def __post_init__(self):
+        N, r, l = self.params.N, self.params.r, self.params.l
+        offset = N - math.comb(r, 2) * l
+        transversals = tuple(tuple(i * l + b for i in range(r)) + ((offset - r * b) % N,)
+                             for b in self.D.elements)
+        blocks = tuple(tuple(tr[i] for tr in transversals) for i in range(r + 1))
+        for name, value in (("blocks", blocks), ("transversals", transversals),
+                            ("elements", tuple(a for tr in transversals for a in tr))):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -81,23 +92,13 @@ def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
         raise BadParams(f"D={D.elements} is not a nonempty subset of [1, d={params.d}]")
     if verify_progression_free(D.elements, params.r) is not None:
         raise BadSet(f"D={D.elements} fails the defining equation for r={params.r}")
-    N, r, l = params.N, params.r, params.l
-    offset = N - math.comb(r, 2) * l
-    transversals = tuple(
-        tuple(i * l + b for i in range(r)) + ((offset - r * b) % N,)
-        for b in D.elements
-    )
-    blocks = tuple(
-        tuple(tr[i] for tr in transversals) for i in range(r + 1)
-    )
-    elements = tuple(a for tr in transversals for a in tr)
+    family = ZeroSumFamily(params, D)
+    N, r, elements, transversals = params.N, params.r, family.elements, family.transversals
     if len(set(elements)) != len(elements):
-        raise Collision(f"residues not distinct for N={N}, r={r}, l={l}, D={D.elements}")
+        raise Collision(f"residues not distinct for N={N}, r={r}, l={params.l}, D={D.elements}")
     for tr in transversals:
         if sum(tr) % N != 0:
             raise PropertyViolation(f"transversal {tr} does not sum to 0 mod {N}")
-    family = ZeroSumFamily(params=params, D=D, blocks=blocks,
-                           transversals=transversals, elements=elements)
     if _kernel_cost(family.n, r)[0] <= _KERNEL_GUARD:
         witness = verify_zero_sum_property(elements, transversals, N, r)
         if witness is not None:

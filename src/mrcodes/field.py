@@ -1,14 +1,14 @@
-"""Exact arithmetic in prime fields GF(q) with a verified primitive element.
+"""Exact arithmetic in prime fields GF(q); elements are residues mod q.
 
-Elements are residues mod q.  The multiplicative group is cyclic of order
-N = q - 1 and is generated by the stored primitive element gamma, which is
-always the least residue >= 2 passing the primitivity test (so fixtures are
-reproducible).
+A Field is its q: N = q - 1, the distinct prime factors of N and the
+primitive element gamma are derived from q when the Field is made.  gamma is
+the least residue >= 2 that generates the cyclic multiplicative group of
+order N, so fixtures are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .errors import (BadParams, DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime,
                      PropertyViolation)
@@ -61,32 +61,34 @@ def distinct_prime_factors(n: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def _is_primitive(g: int, q: int, factors) -> bool:
-    """Whether g generates GF(q)*, given the distinct prime factors of q-1."""
-    return all(pow(g, (q - 1) // f, q) != 1 for f in factors)
+def _check_int(name: str, value) -> None:
+    """BadParams unless value is an int (bool excluded)."""
+    if type(value) is not int:
+        raise BadParams(f"{name}={value!r} is not an int")
 
 
 @dataclass(frozen=True)
 class Field:
     q: int
-    N: int
-    gamma: int
-    factorization_of_N: tuple[int, ...]
+    N: int = dc_field(init=False, repr=False)
+    gamma: int = dc_field(init=False)
+    factorization_of_N: tuple[int, ...] = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        # the factors are the distinct primes of N = q - 1 and gamma has
-        # order N, which also proves q prime (Lucas's test)
-        q, N, gamma, rest = self.q, self.N, self.gamma, self.N
-        for p in self.factorization_of_N:
-            if not is_prime(p) or rest % p:
-                rest = 0
-                break
-            while rest % p == 0:
-                rest //= p
-        if not (N == q - 1 and rest == 1 and 0 < gamma < q and pow(gamma, N, q) == 1
-                and _is_primitive(gamma, q, self.factorization_of_N)):
-            raise BadParams(f"q={q}, N={N}, gamma={gamma}, factors "
-                            f"{self.factorization_of_N} do not describe GF(q)")
+        q = self.q
+        _check_int("q", q)
+        if q > MAX_Q:
+            raise FieldTooLarge(f"q={q} exceeds the 64-bit intermediate bound (q <= 2^32)")
+        if q < 3 or not is_prime(q):
+            raise NotPrime(f"q={q} is not an odd prime >= 3")
+        factors = distinct_prime_factors(q - 1)
+        # g generates GF(q)* when no g^(N/p), p a prime factor of N, is 1
+        gamma = next((g for g in range(2, q)
+                      if all(pow(g, (q - 1) // p, q) != 1 for p in factors)), None)
+        if gamma is None:
+            raise PropertyViolation(f"no primitive element found for q={q}; unreachable for prime q")
+        for name, value in (("N", q - 1), ("gamma", gamma), ("factorization_of_N", factors)):
+            object.__setattr__(self, name, value)
 
     def element(self, value: int) -> "FieldElement":
         return FieldElement(value % self.q, self)
@@ -99,22 +101,10 @@ class Field:
     def one(self) -> "FieldElement":
         return FieldElement(1, self)
 
-    def __repr__(self) -> str:
-        return f"Field(q={self.q}, gamma={self.gamma})"
-
 
 def make_field(q: int) -> Field:
     """Build GF(q) for prime q >= 3, with the smallest primitive element."""
-    if q > MAX_Q:
-        raise FieldTooLarge(f"q={q} exceeds the 64-bit intermediate bound (q <= 2^32)")
-    if q < 3 or not is_prime(q):
-        raise NotPrime(f"q={q} is not an odd prime >= 3")
-    N = q - 1
-    factors = distinct_prime_factors(N)
-    for g in range(2, q):
-        if _is_primitive(g, q, factors):
-            return Field(q=q, N=N, gamma=g, factorization_of_N=factors)
-    raise PropertyViolation(f"no primitive element found for q={q}; unreachable for prime q")
+    return Field(q)
 
 
 @dataclass(frozen=True)

@@ -152,10 +152,14 @@ def _closed_form_column(x: int, r: int, q: int) -> tuple[int, ...]:
     return (*head, (top + (-1) ** (r + 1)) % q)
 
 
-def build_code(field: Field, family: ZeroSumFamily) -> MrCode:
-    r, n = family.r, family.n
+def _check_length(n: int) -> None:
     if n > _MAX_N:
         raise TooLarge(f"n={n} exceeds the desk-scale bound {_MAX_N}")
+
+
+def build_code(field: Field, family: ZeroSumFamily) -> MrCode:
+    r, n = family.r, family.n
+    _check_length(n)
     q = field.q
     columns = [_closed_form_column(pow(field.gamma, a, q), r, q) for a in family.elements]
     G = tuple(tuple(FieldElement(col[i], field) for col in columns) for i in range(r + 1))

@@ -8,14 +8,15 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
+from numbers import Real
 from typing import Optional
 
 from .codespec import RNG_NAME
 from .errors import (BadParams, FieldTooSmall, NotCorrectable, ParamsTooSmall,
                      PropertyViolation, TargetUnreachable)
 from .family import FamilyParams, build_family
-from .field import Field, make_field
-from .mrcode import MrCode, MrReport, build_code, decode, encode, verify_mr
+from .field import Field, _check_int, make_field
+from .mrcode import MrCode, MrReport, _check_length, build_code, decode, encode, verify_mr
 from .progfree import _EXHAUSTIVE_MAX_M, ProgressionFreeSet, alon_construct, exhaustive_best
 
 
@@ -43,21 +44,19 @@ def choose_params(r: int, q: int) -> FamilyParams:
 
     Both sit strictly inside the required ranges; d scales like N/r^4.
     """
-    if r < 2:  # before q is checked; construct checks q first
-        raise BadParams("r must be >= 2")
     return _params_over(make_field(q), r)
 
 
 def _params_over(field: Field, r: int) -> FamilyParams:
     """choose_params for a field already built (and so q already checked)."""
+    _check_int("r", r)
     if r < 2:
         raise BadParams("r must be >= 2")
     lam = Fraction(1, 2 * r**3)
     delta = lam / (r + 1)
-    N = field.N
-    if math.floor(delta * N) < 1:
+    if math.floor(delta * field.N) < 1:
         raise FieldTooSmall(f"q={field.q} gives d=0 for r={r}; need N >= {delta.denominator}")
-    return FamilyParams(N=N, r=r, lam=lam, delta=delta)
+    return FamilyParams(N=field.N, r=r, lam=lam, delta=delta)
 
 
 def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, MrReport]:
@@ -66,6 +65,7 @@ def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, M
     params = _params_over(field, r)
     D = _choose_set(params.d, r)
     if target_n is not None:
+        _check_int("target_n", target_n)
         if target_n <= 0 or target_n % (r + 1) != 0:
             raise BadParams(f"target_n={target_n} is not a positive multiple of r+1={r + 1}")
         n = len(D) * (r + 1)
@@ -73,6 +73,7 @@ def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, M
             raise TargetUnreachable(f"construction reaches n={n} < target {target_n}")
         # the target_n // (r+1) smallest b, as trim_family keeps
         D = replace(D, elements=D.elements[:target_n // (r + 1)])
+    _check_length(len(D) * (r + 1))  # before the family is built and checked
     code = build_code(field, build_family(params, D))
     report = verify_mr(code)
     if not report.ok:
@@ -95,6 +96,11 @@ class SimReport:
         return self.counts["failures"] / self.trials if self.trials else 0.0
 
 
+def _check_p(p) -> None:
+    if type(p) is bool or not isinstance(p, Real) or not 0 <= p <= 1:
+        raise BadParams(f"p={p!r} outside [0, 1]")
+
+
 def simulate(code: MrCode, p: float, trials: int, seed: int) -> SimReport:
     """Monte-Carlo erasure trials with i.i.d. per-symbol loss probability p.
 
@@ -104,8 +110,8 @@ def simulate(code: MrCode, p: float, trials: int, seed: int) -> SimReport:
     repairable from its r group peers whether or not the message decodes.
     Deterministic given the seed (Mersenne Twister).
     """
-    if not 0 <= p <= 1:
-        raise BadParams(f"p={p} outside [0, 1]")
+    _check_p(p)
+    _check_int("trials", trials)
     if trials < 0:
         raise BadParams(f"trials={trials} is negative")
     rng = random.Random(seed)
@@ -145,8 +151,7 @@ def exact_failure_probability(code: MrCode, p: float) -> float:
     columns (swap one of a deficient subset for the outside one), and E fails
     exactly when under k symbols survive or the k survivors are deficient.
     """
-    if not 0 <= p <= 1:
-        raise BadParams(f"p={p} outside [0, 1]")
+    _check_p(p)
     report = verify_mr(code, mode="exhaustive")
     if not report.ok:
         raise PropertyViolation("code not verified")

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import io
 import json
 from pathlib import Path
@@ -11,7 +10,7 @@ from mrcodes.cli import decode_file, encode_file, main, repair_file
 from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
 from mrcodes.errors import (MultipleErasuresInGroup, NotCorrectable, ParseError,
                             PropertyViolation, TooLarge)
-from mrcodes.mrcode import _rank_scan, build_code
+from mrcodes.mrcode import _rank_scan
 from mrcodes.pipeline import construct
 
 BENCH_SPEC = Path(__file__).resolve().parents[1] / "bench" / "data" / "r2_q1601.json"
@@ -286,9 +285,15 @@ def test_spec_round_trip(source):
 def test_spec_with_another_primitive_gamma_is_refused(code6, tmp_path, capsys):
     # 3 is primitive mod 101 but make_field picks 2: a spec written for
     # gamma = 3, G included, is not the code its inputs rebuild
-    field = dataclasses.replace(code6.field, gamma=3)
-    doc = code_to_dict(build_code(field, code6.family))
-    assert doc["gamma"] == 3 and doc["G"] != code_to_dict(code6)["G"]
+    doc = code_to_dict(code6)
+    q, r = doc["q"], doc["r"]
+
+    def generator(gamma):  # column (x, ..., x^r, x^(r+1) + (-1)^(r+1)), x = gamma^a
+        rows = [[pow(gamma, (i + 1) * a, q) for a in doc["exponents"]] for i in range(r + 1)]
+        return rows[:r] + [[(x + (-1) ** (r + 1)) % q for x in rows[r]]]
+
+    assert doc["gamma"] == 2 and generator(2) == doc["G"] != generator(3)
+    doc["gamma"], doc["G"] = 3, generator(3)
     path = tmp_path / "gamma3.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1

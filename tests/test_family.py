@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ import pytest
 
 import mrcodes.family
 from mrcodes.errors import BadParams, BadSet, Mismatch, TooLarge
-from mrcodes.family import (FamilyParams, _identity_subsets, _kernel_cost, build_family,
-                            trim_family, verify_zero_sum_property)
+from mrcodes.family import (FamilyParams, ZeroSumFamily, _identity_subsets, _kernel_cost,
+                            build_family, trim_family, verify_zero_sum_property)
 from mrcodes.progfree import ProgressionFreeSet, from_elements
 
 
@@ -73,6 +74,21 @@ def test_r3_worked_example():
     assert fam.transversals == ((1, 13, 25, 613), (2, 14, 26, 610))
     assert fam.n == 8
     assert verify_zero_sum_property(fam.elements, fam.transversals, 652, 3) is None
+
+
+def test_family_is_its_params_and_D(family_r2):
+    params = FamilyParams(N=652, r=3, lam=Fraction(1, 54), delta=Fraction(1, 216))
+    D = from_elements([1, 2], m=3, r=3)
+    assert ZeroSumFamily(params, D) == build_family(params, D)
+    assert ZeroSumFamily(family_r2.params, family_r2.D) == family_r2
+
+
+@pytest.mark.parametrize("name,value", [("transversals", ((1, 2, 3), (4, 5, 6))),
+                                        ("blocks", ((9,),)),
+                                        ("elements", (1, 7, 92, 2, 8, 90))])
+def test_family_derived_values_cannot_be_replaced(family_r2, name, value):
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(family_r2, **{name: value})
 
 
 def test_rejects_bad_set():

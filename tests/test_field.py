@@ -50,26 +50,33 @@ def test_no_primitive_element_is_property_violation(monkeypatch):
         make_field(101)
 
 
-@pytest.mark.parametrize("q,N,gamma,factors", [
-    (101, 100, 4, ()),        # no factors listed, so 4 (order 50) passed for primitive
-    (101, 100, 4, (2, 5)),    # 4 is not primitive
-    (101, 99, 2, (3, 11)),    # N is not q - 1
-    (101, 200, 2, (2, 5)),    # nor is N = 2(q - 1), though 2^N = 1
-    (101, 100, 2, (2, 25)),   # 25 is not prime
-    (101, 100, 2, (2, 5, 7)), # 7 does not divide N
-    (101, 100, 2, (2, 2, 5)), # a repeated prime
-    (91, 90, 2, (2, 3, 5)),   # q = 7 * 13
-])
-def test_field_rejects_inconsistent_arguments(q, N, gamma, factors):
-    with pytest.raises(BadParams):
-        Field(q=q, N=N, gamma=gamma, factorization_of_N=factors)
+@pytest.mark.parametrize("q", [3, 101, 500009, 4294967291])
+def test_field_is_its_q(q):
+    f = Field(q)
+    assert f == make_field(q) and f.N == q - 1
+    # the factors are the distinct primes of N, ascending, and gamma is the
+    # least element of order N
+    rest = f.N
+    for p in f.factorization_of_N:
+        assert is_prime(p) and rest % p == 0
+        while rest % p == 0:
+            rest //= p
+    assert rest == 1 and list(f.factorization_of_N) == sorted(set(f.factorization_of_N))
+    assert f.gamma == next(g for g in range(2, q)
+                           if all(pow(g, f.N // p, q) != 1 for p in f.factorization_of_N))
 
 
-def test_field_accepts_any_primitive_element():
-    f = make_field(101)
-    assert dataclasses.replace(f, gamma=3).gamma == 3
-    with pytest.raises(BadParams):
-        dataclasses.replace(f, gamma=4)
+@pytest.mark.parametrize("name,value", [("gamma", 3), ("N", 100),
+                                        ("factorization_of_N", (2, 5))])
+def test_field_derived_values_cannot_be_replaced(name, value):
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(make_field(101), **{name: value})
+
+
+@pytest.mark.parametrize("q", [101.0, "101", True, None, 101 + 0j])
+def test_field_rejects_a_q_that_is_not_an_int(q):
+    with pytest.raises(BadParams, match="is not an int"):
+        make_field(q)
 
 
 def test_add_mul_examples():

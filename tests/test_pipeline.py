@@ -105,6 +105,25 @@ def test_one_group_code_at_high_r_stays_small():
     assert peak < 20 * 2**20
 
 
+def test_construct_refuses_a_long_code_before_building_its_family(monkeypatch):
+    # q = 1000000007 gives n = 1008: build_code's TooLarge, raised before the
+    # family is built and checked
+    calls = []
+    real = pipeline.build_family
+    monkeypatch.setattr(pipeline, "build_family", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(TooLarge, match="^n=1008 exceeds the desk-scale bound 1000$"):
+        construct(2, 1000000007)
+    assert calls == []
+    # the bound is inclusive, and applies to the trimmed length
+    monkeypatch.setattr(mrcodes.mrcode, "_MAX_N", 5)
+    with pytest.raises(TooLarge, match="^n=6 exceeds the desk-scale bound 5$"):
+        construct(2, 101)
+    assert calls == []
+    assert construct(2, 101, target_n=3)[0].n == 3
+    monkeypatch.setattr(mrcodes.mrcode, "_MAX_N", 6)
+    assert construct(2, 101)[0].n == 6 and len(calls) == 2
+
+
 def test_construct_target_unreachable():
     with pytest.raises(TargetUnreachable):
         construct(2, 101, target_n=9)
