@@ -174,7 +174,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        code = load_code(args.spec)  # re-derives G and re-runs the family oracles
+        code = load_code(args.spec)  # checks the inputs and re-derives G; verify_mr is the proof
         mode = "exhaustive" if args.exhaustive else "sampled" if args.sampled else "auto"
         report = verify_mr(code, mode=mode)
         json.dump({"ok": report.ok} | asdict(report), sys.stdout, indent=2)

@@ -35,7 +35,7 @@ from .errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatc
                      PropertyViolation, TooLarge)
 from . import family as _family
 from .family import ZeroSumFamily, _identity_subsets, _kernel_cost
-from .field import Field, FieldElement
+from .field import Field, FieldElement, _check_int
 
 _MAX_N = 10**3
 _EXHAUSTIVE_SUBSET_GUARD = 10**7
@@ -281,6 +281,7 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     and report mode: see _scan_subsets and _is_exhaustive; exhaustive
     closed-form reports come from _identity_subsets and equal the scan's.
     """
+    _check_int("seed", seed)
     xs = _closed_form_values(code)
     if xs is None:
         return _rank_scan(code, seed, mode)

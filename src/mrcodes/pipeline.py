@@ -112,6 +112,7 @@ def simulate(code: MrCode, p: float, trials: int, seed: int) -> SimReport:
     """
     _check_p(p)
     _check_int("trials", trials)
+    _check_int("seed", seed)
     if trials < 0:
         raise BadParams(f"trials={trials} is negative")
     rng = random.Random(seed)

@@ -180,13 +180,3 @@ def _first_of_size(m: int, r: int, target: int, bound: list[int],
     found = extend([1] + [0] * (r - 1), [1 << K] + [0] * (r - 1), 0, (2 << m) - 2)
     return cur if found else None
 
-
-def from_elements(elements, m: int, r: int) -> ProgressionFreeSet:
-    """Wrap a user-supplied set, after checking it with the oracle."""
-    elems = tuple(sorted(set(elements)))
-    if not elems or elems[0] < 1 or elems[-1] > m:
-        raise BadParams("elements must lie in [1, m]")
-    witness = verify_progression_free(elems, r)
-    if witness is not None:
-        raise BadParams(f"supplied set violates the defining equation: {witness}")
-    return ProgressionFreeSet(r=r, elements=elems, method="user_supplied")

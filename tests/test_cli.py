@@ -6,14 +6,26 @@ from pathlib import Path
 import pytest
 
 import mrcodes.cli
+import mrcodes.family
+import mrcodes.mrcode
 from mrcodes.cli import decode_file, encode_file, main, repair_file
 from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
 from mrcodes.errors import (MultipleErasuresInGroup, NotCorrectable, ParseError,
                             PropertyViolation, TooLarge)
-from mrcodes.mrcode import _rank_scan
-from mrcodes.pipeline import construct
+from mrcodes.family import build_family, trim_family
+from mrcodes.field import make_field
+from mrcodes.mrcode import _rank_scan, build_code
+from mrcodes.pipeline import choose_params, construct
+from mrcodes.progfree import ProgressionFreeSet
 
 BENCH_SPEC = Path(__file__).resolve().parents[1] / "bench" / "data" / "r2_q1601.json"
+
+
+def _hand_picked_code():
+    """A code over GF(1601) with a D that construct never picks: its inputs
+    pass every check, and only verify_mr proves it."""
+    D = ProgressionFreeSet(2, (1, 2, 4, 5), "user_supplied")
+    return build_code(make_field(1601), build_family(choose_params(2, 1601), D))
 
 
 @pytest.fixture(scope="module")
@@ -323,13 +335,13 @@ def test_spec_D_outside_1_to_d_is_named(code6, tmp_path, capsys, D, line):
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-@pytest.mark.parametrize("spec", ["bench-r2-q1601", "r3-q653"])
+@pytest.mark.parametrize("spec", ["bench-r2-q1601", "r3-q653", "hand-picked-D"])
 def test_verify_output_matches_rank_scan(tmp_path, capsys, spec, mode):
-    if spec == "r3-q653":
-        path = tmp_path / "spec.json"
-        save_code(construct(3, 653)[0], path)
-    else:
+    if spec == "bench-r2-q1601":
         path = BENCH_SPEC
+    else:
+        path = tmp_path / "spec.json"
+        save_code(construct(3, 653)[0] if spec == "r3-q653" else _hand_picked_code(), path)
     assert main(["verify", str(path), f"--{mode}"]) == 0
     report = _rank_scan(load_code(path), mode=mode)
     expected = json.dumps({"ok": report.ok, "mode": report.mode,
@@ -338,6 +350,31 @@ def test_verify_output_matches_rank_scan(tmp_path, capsys, spec, mode):
                            "violations": report.violations,
                            "local_distance_ok": report.local_distance_ok}, indent=2)
     assert capsys.readouterr().out == expected + "\n"
+
+
+def test_the_kernel_runs_once_per_proof(tmp_path, monkeypatch):
+    # construct and `mrcodes verify` prove a code with one kernel run, in
+    # verify_mr; building, trimming and loading check inputs only
+    runs = []
+    real = mrcodes.family._identity_subsets
+    for module in (mrcodes.family, mrcodes.mrcode):
+        monkeypatch.setattr(module, "_identity_subsets",
+                            lambda *args: runs.append(1) or real(*args))
+
+    def kernel_runs(call):
+        runs.clear()
+        call()
+        return len(runs)
+
+    code = construct(2, 1601)[0]
+    path = tmp_path / "spec.json"
+    save_code(code, path)
+    assert kernel_runs(lambda: construct(2, 1601)) == 1
+    assert kernel_runs(lambda: build_family(code.family.params, code.family.D)) == 0
+    assert kernel_runs(lambda: trim_family(code.family, 2)) == 0
+    assert kernel_runs(lambda: code_from_dict(code_to_dict(code))) == 0
+    assert kernel_runs(lambda: load_code(path)) == 0
+    assert kernel_runs(lambda: main(["verify", str(path)])) == 1
 
 
 def test_unhandled_command_is_parse_error(monkeypatch, capsys):

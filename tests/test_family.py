@@ -6,12 +6,13 @@ from itertools import combinations
 from operator import add, mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mrcodes.family
 from mrcodes.errors import BadParams, BadSet, Mismatch, TooLarge
 from mrcodes.family import (FamilyParams, ZeroSumFamily, _identity_subsets, _kernel_cost,
                             build_family, trim_family, verify_zero_sum_property)
-from mrcodes.progfree import ProgressionFreeSet, from_elements
+from mrcodes.progfree import ProgressionFreeSet
 
 
 @pytest.fixture
@@ -21,7 +22,7 @@ def params_r2():
 
 @pytest.fixture
 def family_r2(params_r2):
-    return build_family(params_r2, from_elements([1, 2], m=2, r=2))
+    return build_family(params_r2, ProgressionFreeSet(r=2, elements=(1, 2), method="user_supplied"))
 
 
 def test_params_derived(params_r2):
@@ -42,6 +43,17 @@ def test_params_rejected(lam, delta):
 def test_params_require_positive_l_d():
     with pytest.raises(BadParams):
         FamilyParams(N=40, r=2, lam=Fraction(1, 16), delta=Fraction(1, 48))  # d=0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"r": "2"}, {"r": True}, {"r": 2.0}, {"N": 100.5}, {"N": None},
+    {"lam": 0.0625}, {"lam": 1}, {"delta": 0.02}, {"delta": "1/48"},
+], ids=["r-str", "r-bool", "r-float", "N-float", "N-none", "lam-float", "lam-int",
+        "delta-float", "delta-str"])
+def test_params_check_their_types(kwargs):
+    valid = {"N": 100, "r": 2, "lam": Fraction(1, 16), "delta": Fraction(1, 48)}
+    with pytest.raises(BadParams):
+        FamilyParams(**valid | kwargs)
 
 
 def test_worked_example_blocks(family_r2):
@@ -70,7 +82,7 @@ def test_block_ranges(family_r2):
 def test_r3_worked_example():
     params = FamilyParams(N=652, r=3, lam=Fraction(1, 54), delta=Fraction(1, 216))
     assert params.l == 12 and params.d == 3
-    fam = build_family(params, from_elements([1, 2], m=3, r=3))
+    fam = build_family(params, ProgressionFreeSet(r=3, elements=(1, 2), method="user_supplied"))
     assert fam.transversals == ((1, 13, 25, 613), (2, 14, 26, 610))
     assert fam.n == 8
     assert verify_zero_sum_property(fam.elements, fam.transversals, 652, 3) is None
@@ -78,7 +90,7 @@ def test_r3_worked_example():
 
 def test_family_is_its_params_and_D(family_r2):
     params = FamilyParams(N=652, r=3, lam=Fraction(1, 54), delta=Fraction(1, 216))
-    D = from_elements([1, 2], m=3, r=3)
+    D = ProgressionFreeSet(r=3, elements=(1, 2), method="user_supplied")
     assert ZeroSumFamily(params, D) == build_family(params, D)
     assert ZeroSumFamily(family_r2.params, family_r2.D) == family_r2
 
@@ -93,9 +105,6 @@ def test_family_derived_values_cannot_be_replaced(family_r2, name, value):
 
 def test_rejects_bad_set():
     params = FamilyParams(N=652, r=3, lam=Fraction(1, 54), delta=Fraction(1, 216))
-    bad = from_elements([1, 3], m=3, r=3)  # valid for r=3? 1+1+3=5, 1+3+3=7, ok
-    # force a genuinely bad D through the dataclass to bypass from_elements
-    from mrcodes.progfree import ProgressionFreeSet
     bad = ProgressionFreeSet(r=3, elements=(1, 2, 3), method="user_supplied")
     with pytest.raises(BadSet):
         build_family(params, bad)  # 1+2+3 = 3*2
@@ -139,6 +148,34 @@ def test_trim_noop_and_prefix(family_r2):
     assert one.transversals == (family_r2.transversals[0],)
     with pytest.raises(ValueError):
         trim_family(family_r2, 3)
+
+
+@st.composite
+def _params_and_D(draw):
+    """Valid (N, r, lam, delta) with d <= 12, and any nonempty D in [1, d]."""
+    r = draw(st.integers(2, 4))
+    lam = Fraction(1, r**3) * Fraction(draw(st.integers(1, 5)), draw(st.integers(6, 12)))
+    delta = lam / r * Fraction(draw(st.integers(1, 5)), draw(st.integers(6, 12)))
+    N = draw(st.integers(math.ceil(1 / delta), math.floor(13 / delta) - 1))
+    params = FamilyParams(N=N, r=r, lam=lam, delta=delta)
+    D = draw(st.sets(st.integers(1, params.d), min_size=1, max_size=8))
+    return params, ProgressionFreeSet(r=r, elements=tuple(sorted(D)), method="user_supplied")
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(case=_params_and_D())
+def test_build_family_rejects_exactly_the_families_without_the_zero_sum_property(case):
+    # the lemma build_family relies on: with lambda and delta in range and D
+    # in [1, d], the family has the zero-sum property exactly when D passes
+    # the set oracle, so the kernel proof is left to verify_mr
+    params, D = case
+    family = ZeroSumFamily(params, D)
+    witness = verify_zero_sum_property(family.elements, family.transversals, params.N, params.r)
+    if witness is None:
+        assert build_family(params, D) == family
+    else:
+        with pytest.raises(BadSet):
+            build_family(params, D)
 
 
 def test_perturbation_negative_control(family_r2):
@@ -227,7 +264,7 @@ def test_verify_zero_sum_witness_is_first_in_combinations_order(elements, witnes
 
 def test_subset_guard(family_r2, monkeypatch):
     # the kernel's cost at n = 6, r = 2 is C(6, 2) + C(6, 1) = 21: the check
-    # refuses, and build_family skips it
+    # refuses, and build_family, which never runs it, still builds the family
     monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
     with pytest.raises(TooLarge):
         verify_zero_sum_property(family_r2.elements, family_r2.transversals, 100, 2)
@@ -235,14 +272,17 @@ def test_subset_guard(family_r2, monkeypatch):
 
 
 def test_build_family_checks_up_to_the_guard(family_r2, monkeypatch):
+    # build_family checks its inputs only: no kernel call on either side of
+    # the guard (the kernel's cost at n = 6, r = 2 is 21)
     calls = []
-    real = verify_zero_sum_property
-    monkeypatch.setattr(mrcodes.family, "verify_zero_sum_property",
-                        lambda *args: calls.append(args) or real(*args))
-    for guard in (20, 21):  # the kernel's cost at n = 6, r = 2 is 21
+    for name in ("verify_zero_sum_property", "_identity_subsets"):
+        real = getattr(mrcodes.family, name)
+        monkeypatch.setattr(mrcodes.family, name,
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    for guard in (20, 21):
         monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", guard)
         assert build_family(family_r2.params, family_r2.D) == family_r2
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_kernel_cost_takes_the_cheapest_split():

@@ -5,12 +5,13 @@ get, only MrCodesError subclasses escape, an index that is not an int
 None, a mapping or an iterator where the codec wants a sequence of symbols,
 or a number or None where a collection of indices belongs; on a real codeword,
 a correctable erasure set decodes to the message and `local_repair` returns
-the erased symbol.  A q, r, target_n or trial count that is not an int, or a
-p that is not a real number (bools refused for both), is BadParams where it
-enters `make_field`, `construct`, `choose_params`, `simulate` or
-`exact_failure_probability`.  Whatever JSON values replace keys of a valid
-spec, `code_from_dict` raises only MrCodesError subclasses (the unmodified spec's
-round trip is `tests/test_cli.py::test_spec_round_trip[r2-q101]`)."""
+the erased symbol.  A q, r, target_n, trial count, seed or group count that
+is not an int, or a p that is not a real number (bools refused for both), is
+BadParams where it enters `make_field`, `construct`, `choose_params`,
+`simulate`, `verify_mr`, `trim_family` or `exact_failure_probability`.
+Whatever JSON values replace keys of a valid spec, `code_from_dict` raises
+only MrCodesError subclasses (the unmodified spec's round trip is
+`tests/test_cli.py::test_spec_round_trip[r2-q101]`)."""
 
 import json
 import math
@@ -20,8 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from mrcodes.codespec import code_from_dict, code_to_dict
 from mrcodes.errors import BadParams, MrCodesError, MultipleErasuresInGroup, NotCorrectable
+from mrcodes.family import trim_family
 from mrcodes.field import make_field
-from mrcodes.mrcode import ErasurePattern, decode, encode, is_correctable, local_repair
+from mrcodes.mrcode import (ErasurePattern, decode, encode, is_correctable, local_repair,
+                            verify_mr)
 from mrcodes.pipeline import choose_params, construct, exact_failure_probability, simulate
 
 _FUZZ = settings(deadline=None, max_examples=150, derandomize=True)
@@ -46,7 +49,7 @@ _not_a_sequence = st.one_of(st.integers(), st.none(),
 _received = st.one_of(st.lists(_symbols, min_size=6, max_size=6), st.lists(_symbols, max_size=8),
                       _not_a_sequence)
 _not_int = st.one_of(st.booleans(), st.floats(), st.text(max_size=2),
-                    st.sampled_from([1.0, 0.0, "1", None, (1,)]))
+                    st.sampled_from([1.0, 0.0, "1", None, (1,), [1]]))
 _index = st.one_of(st.integers(-8, 8), st.integers(), _not_int)
 _not_real = st.one_of(st.booleans(), st.none(), st.text(max_size=3), st.complex_numbers(),
                       st.sampled_from(["0.1", b"0", [0.1], (0,), {}]))
@@ -90,7 +93,8 @@ def test_wrong_typed_parameters_are_bad_params(codes, bad, p):
     code = codes[0]
     calls = [lambda: make_field(bad), lambda: construct(2, bad), lambda: construct(bad, 101),
              lambda: choose_params(bad, 101), lambda: simulate(code, p, 10, 0), lambda: simulate(code, 0.1, bad, 0),
-             lambda: exact_failure_probability(code, p)]
+             lambda: exact_failure_probability(code, p), lambda: simulate(code, 0.1, 10, bad),
+             lambda: verify_mr(code, seed=bad, mode="sampled"), lambda: trim_family(code.family, bad)]
     if bad is not None:  # target_n=None asks for no target
         calls.append(lambda: construct(2, 101, target_n=bad))
     for call in calls:

@@ -5,8 +5,7 @@ import pytest
 
 import mrcodes.progfree
 from mrcodes.errors import ParamsTooSmall, PropertyViolation, RangeTooLarge, TooLarge
-from mrcodes.progfree import (alon_construct, exhaustive_best, from_elements,
-                              verify_progression_free)
+from mrcodes.progfree import alon_construct, exhaustive_best, verify_progression_free
 
 
 def brute_force_check(elems, r):
@@ -119,13 +118,6 @@ def test_subset_closure():
         k = rng.randint(1, len(base))
         sub = rng.sample(base.elements, k)
         assert verify_progression_free(sub, 2) is None
-
-
-def test_from_elements_rejects_bad_set():
-    with pytest.raises(ValueError):
-        from_elements([1, 2, 3], m=10, r=2)
-    d = from_elements([1, 4], m=10, r=2)
-    assert d.method == "user_supplied"
 
 
 def reference_exhaustive_best(m, r):
