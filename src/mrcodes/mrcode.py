@@ -148,8 +148,12 @@ class ErasurePattern:
 def _closed_form_column(x: int, r: int, q: int) -> tuple[int, ...]:
     """(x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) mod q: the column of G whose
     first-row value is x."""
-    *head, top = (pow(x, ell, q) for ell in range(1, r + 2))
-    return (*head, (top + (-1) ** (r + 1)) % q)
+    y, col = 1, []
+    for _ in range(r + 1):
+        y = y * x % q
+        col.append(y)
+    col[r] = (y + (-1) ** (r + 1)) % q
+    return tuple(col)
 
 
 def _check_length(n: int) -> None:

@@ -1,23 +1,23 @@
 """Sets D in {1..m} where d_0 + ... + d_{r-1} = r*d_r forces all terms equal.
 
-For r = 2 this is the classical 3-term-AP-free condition.  Two constructors
-are provided: the digit construction (large m, asymptotically dense) and an
-exhaustive maximum-cardinality search for tiny m (a bitmask DFS that forces
-both ends of each growing set and skips values the chosen elements forbid;
-see exhaustive_best).  Neither falls back on the other;
-pipeline._choose_set is the one place that picks between them.  Both are
-distrusted by default: every returned set is re-checked by the brute-force
-oracle.
+For r = 2 this is the classical 3-term-AP-free condition.  Two constructors:
+the digit construction (large m; it counts its buckets before building
+one) and an exhaustive maximum-cardinality search for tiny m (a bitmask DFS
+that forces both ends, skips values the elements forbid and cuts mirror
+images; see exhaustive_best).  Neither falls back on the other;
+pipeline._choose_set is the one place that picks between them.  Every
+returned set is re-checked by the brute-force oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from typing import Optional
 
 from .errors import BadParams, ParamsTooSmall, PropertyViolation, RangeTooLarge, TooLarge
+from .field import _check_int
 
 # verify_progression_free enumeration budget: |D|^r tuples
 _VERIFY_GUARD = 10**8
@@ -54,7 +54,11 @@ def verify_progression_free(candidate, r: int) -> Optional[tuple]:
     Returns None on pass, or a witness tuple (d_0, ..., d_{r-1}, d_r) with
     d_0 + ... + d_{r-1} = r*d_r and not all entries equal.
     """
-    elems = sorted(set(candidate))
+    _check_int("r", r)
+    elems = list(candidate)
+    for e in elems:
+        _check_int("element", e)
+    elems = sorted(set(elems))
     if not elems or elems[0] < 1:
         raise BadParams("candidate must be a nonempty set of integers >= 1")
     if len(elems) ** r > _VERIFY_GUARD:
@@ -70,24 +74,23 @@ def verify_progression_free(candidate, r: int) -> Optional[tuple]:
     return None
 
 
-def _max_digit(h: int, r: int) -> int:
-    # largest integer strictly below h/r
-    return (h + r - 1) // r - 1
-
-
 def alon_construct(m: int, r: int) -> ProgressionFreeSet:
     """Digit construction: base-h digits below h/r, constant square-sum.
 
     h = floor(e^{sqrt(ln m * ln r)}) (natural logs), t+1 digit positions with
     t = floor(log_h m) - 1.  Elements sharing the most popular square-sum B
     form the set; convexity of z -> z^2 rules out nontrivial solutions.
-    The result is re-checked by the oracle before returning.  ParamsTooSmall
+    Buckets are counted first; only B's is built.  The result is
+    re-checked by the oracle before returning.  ParamsTooSmall
     when h <= r, where the only digit is 0 and the construction degenerates.
     """
+    _check_int("m", m)
+    _check_int("r", r)
     if r < 2 or m < 2:
         raise BadParams("need r >= 2 and m >= 2")
     h = max(2, math.floor(math.exp(math.sqrt(math.log(m) * math.log(r)))))
-    if _max_digit(h, r) < 1:
+    top = (h - 1) // r  # the largest digit below h/r
+    if top < 1:
         raise ParamsTooSmall(f"h={h} <= r={r}: the digit range is {{0}} for m={m}")
     # t = floor(log_h m) - 1, computed in exact integers
     k = 0
@@ -96,14 +99,22 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
         hp *= h
         k += 1
     t = max(k - 1, 0)
-    weights = [h**j for j in range(t + 1)]
-    buckets: dict[int, list[int]] = {}
-    for digits in product(range(_max_digit(h, r) + 1), repeat=t + 1):
-        x = sum(d * w for d, w in zip(digits, weights))
-        if 1 <= x <= m:
-            buckets.setdefault(sum(d * d for d in digits), []).append(x)
-    best_b = min(buckets, key=lambda b: (-len(buckets[b]), b))
-    elements = tuple(sorted(buckets[best_b]))
+    # ways[j][s]: j-digit vectors of square-sum s.  All nonzero ones lie in
+    # [1, m]: h <= m and top < h/2 give x < h^(t+1) <= m
+    ways = [[1]]
+    for _ in range(t + 1):
+        row = [0] * (len(ways[-1]) + top * top)
+        for s, c in enumerate(ways[-1]):
+            for dig in range(top + 1):
+                row[s + dig * dig] += c
+        ways.append(row)
+    best_b = max(range(1, len(ways[-1])), key=lambda b: (ways[-1][b], -b))
+    # top digit first, each ascending: sorted x
+    level = [(best_b, 0)]
+    for j in range(t, -1, -1):
+        level = [(s, x + dig * h**j) for rest, x in level for dig in range(top + 1)
+                 if 0 <= (s := rest - dig * dig) < len(ways[j]) and ways[j][s]]
+    elements = tuple(x for _, x in level)
     witness = verify_progression_free(elements, r)
     if witness is not None:
         raise PropertyViolation(f"digit construction produced a violation: {witness}")
@@ -124,18 +135,22 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
     L: each step is a yes/no search with both ends forced, and the last
     step's set, if it grew, is the answer.  Otherwise one unforced search
     for size sizes[m] runs.  The search drops from its candidates every
-    value an element forbids (see _first_of_size).
+    value an element forbids (see _first_of_size).  d -> L+1-d keeps the
+    equation, so the yes/no steps L < m cut mirror images; the last step and
+    the unforced search, which must find the first set, run uncut.
     """
+    _check_int("m", m)
+    _check_int("r", r)
     if r < 2 or m < 1:
         raise BadParams("need r >= 2 and m >= 1")
     if m > _EXHAUSTIVE_MAX_M:
         raise RangeTooLarge(f"m={m} > {_EXHAUSTIVE_MAX_M}")
     sizes = [0]
     for L in range(1, m + 1):
-        best = _first_of_size(L, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True)
+        best = _first_of_size(L, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True, L < m)
         sizes.append(sizes[-1] + (best is not None))
     if best is None:
-        best = _first_of_size(m, r, sizes[m], sizes, False)
+        best = _first_of_size(m, r, sizes[m], sizes, False, False)
     witness = verify_progression_free(best, r)
     if witness is not None:
         raise PropertyViolation(f"exhaustive search produced a violation: {witness}")
@@ -143,10 +158,12 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
 
 
 def _first_of_size(m: int, r: int, target: int, bound: list[int],
-                   ends: bool) -> Optional[list[int]]:
+                   ends: bool, mirror: bool) -> Optional[list[int]]:
     """First valid subset of {1..m} of size target in include-first order,
     the lexicographically smallest, or None; bound[L] caps any L consecutive
     integers.  ends: the set must hold m (a branch stops once m is ruled out).
+    mirror (every set holds 1 and m): cut sets with more elements in
+    [m-h+1, m] than in [1, h], h = m//2 (at x > h after elements <= h).
 
     Bitmasks: sums[j] has bit s when a j-multiset of the set sums to s,
     rev[j] bit K - s, means bit r*d per member d.  Appending x (the largest
@@ -155,6 +172,7 @@ def _first_of_size(m: int, r: int, target: int, bound: list[int],
     r = 2, some of them for r >= 3, where the exact test still decides.
     """
     K, need = r * m, 1 << m if ends else -1
+    h = m // 2 if mirror and m > 1 else m
     cur: list[int] = []
 
     def extend(sums: list[int], rev: list[int], means: int, allowed: int) -> bool:
@@ -162,7 +180,8 @@ def _first_of_size(m: int, r: int, target: int, bound: list[int],
             return True
         while allowed & need:
             x = (allowed & -allowed).bit_length() - 1
-            if len(cur) + min(bound[m - x + 1], allowed.bit_count()) < target:
+            if (len(cur) + min(bound[m - x + 1], allowed.bit_count()) < target
+                    or x > h >= cur[-1] and 2 * len(cur) + (x <= m - h) < target):
                 return False
             allowed ^= 1 << x
             grown, rgrown = [sums[0]], [rev[0]]

@@ -10,8 +10,8 @@ from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, 
                             MrCodesError, MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                             PropertyViolation, TooLarge)
 from mrcodes.field import FieldElement, make_field
-from mrcodes.mrcode import (ErasurePattern, _build_plan, _closed_form_values, _DecodePlan,
-                            _rank_scan, build_code, decode, encode, is_correctable,
+from mrcodes.mrcode import (ErasurePattern, _build_plan, _closed_form_column,
+                            _closed_form_values, _DecodePlan, _rank_scan, build_code, decode, encode, is_correctable,
                             local_repair, rank, verify_mr)
 from mrcodes.pipeline import construct
 
@@ -277,6 +277,16 @@ class TestClosedFormVerify:
         report = verify_mr(code, mode=mode)
         assert report == _rank_scan(code, mode=mode)
         assert report.ok and report.mode == mode
+
+    @pytest.mark.parametrize("q", [101, 1601, 4294967291])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_column_matches_pow_form(self, r, q):
+        # the running product against one pow per entry
+        rng = random.Random(q * 10 + r)
+        for x in [0, 1, q - 1] + [rng.randrange(q) for _ in range(200)]:
+            powers = [pow(x, ell, q) for ell in range(1, r + 2)]
+            powers[r] = (powers[r] + (-1) ** (r + 1)) % q
+            assert _closed_form_column(x, r, q) == tuple(powers), x
 
     def test_sampled_seed(self, code8):
         assert verify_mr(code8, seed=5, mode="sampled") == _rank_scan(code8, seed=5,

@@ -4,8 +4,10 @@ import random
 import pytest
 
 import mrcodes.progfree
-from mrcodes.errors import ParamsTooSmall, PropertyViolation, RangeTooLarge, TooLarge
-from mrcodes.progfree import alon_construct, exhaustive_best, verify_progression_free
+from mrcodes.errors import BadParams, ParamsTooSmall, PropertyViolation, RangeTooLarge, TooLarge
+from mrcodes.pipeline import choose_params
+from mrcodes.progfree import (AlonMeta, ProgressionFreeSet, _first_of_size, alon_construct,
+                              exhaustive_best, verify_progression_free)
 
 
 def brute_force_check(elems, r):
@@ -165,3 +167,112 @@ def test_rejected_construction_is_property_violation(monkeypatch, build):
                         lambda candidate, r: (1, 3, 2))
     with pytest.raises(PropertyViolation):
         build()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_mirror_cut_keeps_every_yes_no_answer(r):
+    # each sweep step asks whether a set of size sizes[L-1] + 1 holding 1
+    # and L exists; the cut searches only sets whose bottom half is at least
+    # as full as their top half, so it must answer as the uncut search does
+    sizes = [0]
+    for L in range(1, (24 if r < 5 else 20) + 1):
+        bound = sizes + [sizes[-1] + 1]
+        uncut = _first_of_size(L, r, sizes[-1] + 1, bound, True, False)
+        cut = _first_of_size(L, r, sizes[-1] + 1, bound, True, True)
+        assert (cut is None) == (uncut is None), L
+        if cut is not None:
+            assert cut[0] == 1 and cut[-1] == L and verify_progression_free(cut, r) is None
+            h = L // 2
+            assert sum(x <= h for x in cut) >= sum(x > L - h for x in cut), L
+        sizes.append(sizes[-1] + (uncut is not None))
+
+
+def reference_alon_construct(m, r):
+    """The digit construction by enumeration: every digit vector is built
+    and bucketed by square-sum, the oracle for the counted construction."""
+    from itertools import product
+    if r < 2 or m < 2:
+        raise BadParams("need r >= 2 and m >= 2")
+    h = max(2, math.floor(math.exp(math.sqrt(math.log(m) * math.log(r)))))
+    top = (h + r - 1) // r - 1
+    if top < 1:
+        raise ParamsTooSmall("the digit range is {0}")
+    k, hp = 0, h
+    while hp <= m:
+        hp *= h
+        k += 1
+    t = max(k - 1, 0)
+    weights = [h**j for j in range(t + 1)]
+    buckets = {}
+    for digits in product(range(top + 1), repeat=t + 1):
+        x = sum(d * w for d, w in zip(digits, weights))
+        if 1 <= x <= m:
+            buckets.setdefault(sum(d * d for d in digits), []).append(x)
+    best_b = min(buckets, key=lambda b: (-len(buckets[b]), b))
+    meta = AlonMeta(h=h, t=t, B=best_b,
+                    size_bound=m * math.exp(-5 * math.sqrt(math.log(m) * math.log(r))))
+    return ProgressionFreeSet(r=r, elements=tuple(sorted(buckets[best_b])), method="alon",
+                              alon_meta=meta)
+
+
+# the d that construct reaches in the tests and the benchmark, beside the
+# direct calls above; (2, 2) and (25, 25) have the digit range {0}
+_USED = sorted({(16, 2), (256, 2), (4096, 2), (16, 3), (256, 3), (4096, 3), (33, 2),
+                (10416, 2), (2, 2), (25, 25)}
+               | {(choose_params(r, q).d, r) for r, q in [
+                   (2, 401), (2, 1601), (2, 500009), (2, 1000000007), (3, 5003),
+                   (3, 100000007), (3, 4294967291), (4, 20011)]})
+
+
+def _same_as_reference(m, r):
+    try:
+        expected = reference_alon_construct(m, r)
+    except ParamsTooSmall:
+        with pytest.raises(ParamsTooSmall):
+            alon_construct(m, r)
+    else:
+        # dataclass equality: elements, h, t, B (the largest bucket, ties to
+        # the smallest B) and the size bound
+        assert alon_construct(m, r) == expected, (m, r)
+
+
+@pytest.mark.parametrize("m,r", _USED)
+def test_counted_digit_set_matches_enumeration(m, r):
+    _same_as_reference(m, r)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_counted_digit_set_matches_enumeration_seeded(r):
+    rng = random.Random(17 + r)
+    for m in [rng.randint(2, 10**6) for _ in range(12)] + [10**6]:
+        _same_as_reference(m, r)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_every_nonzero_digit_vector_is_in_range(monkeypatch, r):
+    # the counted construction keeps no range filter: wherever the digit
+    # range is not {0}, the largest vector, all digits top, is at most m
+    # (only h and t are read here, so the oracle's re-check is skipped)
+    monkeypatch.setattr(mrcodes.progfree, "verify_progression_free", lambda c, r: None)
+    rng = random.Random(31 + r)
+    for m in list(range(2, 400)) + [rng.randint(400, 10**7) for _ in range(40)]:
+        try:
+            meta = alon_construct(m, r).alon_meta
+        except ParamsTooSmall:
+            continue
+        top = (meta.h - 1) // r
+        assert top * sum(meta.h**j for j in range(meta.t + 1)) <= m, (m, r)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exhaustive_best(24, 2.0),
+    lambda: exhaustive_best(True, 2),
+    lambda: alon_construct(10416, "2"),
+    lambda: alon_construct(10416.0, 2),
+    lambda: verify_progression_free([1.5, 2, 4], 2),
+    lambda: verify_progression_free([1, 2, 4], 2.0),
+], ids=["eb-r-float", "eb-m-bool", "alon-r-str", "alon-m-float", "verify-element-float",
+        "verify-r-float"])
+def test_wrong_typed_inputs_are_bad_params(call):
+    with pytest.raises(BadParams):
+        call()
