@@ -117,6 +117,10 @@ def verify_zero_sum_property(elements, transversals, N: int, r: int) -> Optional
     Returns None on pass, or the counterexample subset that
     combinations(elements, r + 1) meets first.
     """
+    _check_int("N", N)
+    _check_int("r", r)
+    if N < 1:
+        raise BadParams(f"N={N} must be >= 1")
     if r < 2:
         raise BadParams("r must be >= 2")
     elements = tuple(elements)

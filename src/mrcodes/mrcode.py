@@ -1,22 +1,23 @@
 """The (r+1) x n generator matrix, its verifier, and erasure decoding.
 
-Column j is _closed_form_column(x) = (x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1))
+Column j is (x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) (see _closed_form_rows)
 with x = gamma^a, a = elements[j] of the zero-sum family in its canonical
 order, so build_code puts repair group i at columns [i*(r+1), (i+1)*(r+1)).
 MrCode reads r and n from the family (k = r+1) and checks once, when it is
 made, that the family's N is the field's, that G is a k x n matrix over
-GF(q) and that the groups split range(n) into k-sets in any order.
+GF(q) in that closed form with distinct nonzero x, and that the groups split
+range(n) into k-sets in any order.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
-deficient (rank r) exactly when it is a repair group, and every r columns
-inside a group are independent.  Message recovery from erasures reduces to
+deficient (rank r) exactly when it is a repair group.  By the closed form,
+r+1 columns are deficient exactly when their x multiply to 1 mod q, and
+every r columns are independent.  Message recovery from erasures reduces to
 linear algebra over GF(q), all done by one Gauss-Jordan (_row_reduce): a
 decode plan is one reduction of the present columns beside I_k, which gives
 the verdict, the pivot columns and their inverse together.
 
-verify_mr is exhaustive while its work fits a guard, and samples past it:
-the family's lookup-kernel cost against _KERNEL_GUARD for a closed-form G,
-C(n, r+1) ranks against _EXHAUSTIVE_SUBSET_GUARD for any other G.
+verify_mr is exhaustive while the family's lookup-kernel cost fits
+_KERNEL_GUARD, and samples past it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, repeat
+from itertools import repeat
 from operator import add, lshift, mul
 from struct import pack, unpack
 from typing import NamedTuple, Optional, Sequence
@@ -38,7 +39,6 @@ from .family import ZeroSumFamily, _identity_subsets, _kernel_cost
 from .field import Field, FieldElement, _check_int
 
 _MAX_N = 10**3
-_EXHAUSTIVE_SUBSET_GUARD = 10**7
 _SAMPLED_SUBSETS = 10**5
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
@@ -63,10 +63,11 @@ class MrCode:
     G: Matrix                                 # (r+1) rows x n columns
     repair_groups: tuple[tuple[int, ...], ...]
     # State derived from this object's own fields, never shared between codes:
-    # each column's group index and the other columns of its group, G packed
-    # for _codeword, the local-repair coefficients per erased column, and the
-    # last erasure set's decode plan.
+    # each column's group index and the other columns of its group, G's
+    # first-row values x, G packed for _codeword, the local-repair
+    # coefficients per erased column, and the last erasure set's decode plan.
     _groups: dict = dc_field(init=False, repr=False, compare=False)
+    _xs: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
     _packed: tuple[int, tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
     _repair_coeffs: dict = dc_field(init=False, repr=False, compare=False,
                                     default_factory=dict)
@@ -83,18 +84,24 @@ class MrCode:
         if (len(G) != k or any(len(row) != n for row in G)
                 or any(type(e) is not FieldElement or e.field.q != q for row in G for e in row)):
             raise Mismatch(f"G is not a {k} x {n} matrix over GF({q})")
+        values = [[e.value for e in row] for row in G]
+        xs = tuple(values[0])
+        if 0 in xs or len(set(xs)) != n or _closed_form_rows(xs, r, q) != values:
+            raise Mismatch("G is not (x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) "
+                           "over distinct nonzero x")
         if (any(len(g) != k for g in groups)
                 or sorted(j for g in groups for j in g) != list(range(n))):
             raise Mismatch(f"repair groups do not split range({n}) into {k}-sets")
         object.__setattr__(self, "_groups", {j: (i, g[:p] + g[p + 1:])
                                              for i, g in enumerate(map(tuple, groups))
                                              for p, j in enumerate(g)})
+        object.__setattr__(self, "_xs", xs)
         # each row of G as one integer with a slot of `words` 64-bit words per
         # column, enough for a sum of k products of values below q
         words = -(-(k * (q - 1) ** 2).bit_length() // 64)
         slots = "<" + f"Q{8 * words - 8}x" * n
         object.__setattr__(self, "_packed", (words, tuple(
-            int.from_bytes(pack(slots, *[e.value for e in row]), "little") for row in G)))
+            int.from_bytes(pack(slots, *row), "little") for row in values)))
 
     @property
     def h(self) -> int:
@@ -145,15 +152,15 @@ class ErasurePattern:
         return cls.from_indices(indices, code.n)
 
 
-def _closed_form_column(x: int, r: int, q: int) -> tuple[int, ...]:
-    """(x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) mod q: the column of G whose
-    first-row value is x."""
-    y, col = 1, []
-    for _ in range(r + 1):
-        y = y * x % q
-        col.append(y)
-    col[r] = (y + (-1) ** (r + 1)) % q
-    return tuple(col)
+def _closed_form_rows(xs: Sequence[int], r: int, q: int) -> list[list[int]]:
+    """The r+1 rows of G whose first row is xs (residues mod q): the column
+    of x is (x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) mod q, each row the one
+    above times the first."""
+    rows = [list(xs)]
+    for _ in range(r):
+        rows.append([y * x % q for y, x in zip(rows[-1], xs)])
+    rows[r] = [(y + (-1) ** (r + 1)) % q for y in rows[r]]
+    return rows
 
 
 def _check_length(n: int) -> None:
@@ -165,8 +172,8 @@ def build_code(field: Field, family: ZeroSumFamily) -> MrCode:
     r, n = family.r, family.n
     _check_length(n)
     q = field.q
-    columns = [_closed_form_column(pow(field.gamma, a, q), r, q) for a in family.elements]
-    G = tuple(tuple(FieldElement(col[i], field) for col in columns) for i in range(r + 1))
+    xs = [pow(field.gamma, a, q) for a in family.elements]
+    G = tuple(tuple(FieldElement(v, field) for v in row) for row in _closed_form_rows(xs, r, q))
     groups = tuple(tuple(range(i, i + r + 1)) for i in range(0, n, r + 1))
     return MrCode(field=field, family=family, G=G, repair_groups=groups)
 
@@ -199,9 +206,13 @@ def _row_reduce(rows: list[list[FieldElement]], ncols: int) -> list[int]:
 
 
 def rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
-    """Row-echelon rank, exact field arithmetic, first-nonzero pivot."""
+    """Row-echelon rank, exact field arithmetic, first-nonzero pivot.
+    Mismatch unless the rows are of one length and hold FieldElements."""
     rows = [list(row) for row in matrix]
-    return len(_row_reduce(rows, len(rows[0]) if rows else 0))
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width or any(type(e) is not FieldElement for e in row) for row in rows):
+        raise Mismatch("rank needs equal-length rows of FieldElements")
+    return len(_row_reduce(rows, width))
 
 
 @dataclass
@@ -210,6 +221,8 @@ class MrReport:
     mds_subsets_checked: int = 0
     deficient_subsets: list = dc_field(default_factory=list)
     violations: list = dc_field(default_factory=list)
+    # every r columns independent: always so, since any r distinct nonzero x
+    # give a scaled Vandermonde block in the top r rows
     local_distance_ok: bool = True
 
     @property
@@ -217,108 +230,57 @@ class MrReport:
         return not self.violations and self.local_distance_ok
 
 
-def _is_exhaustive(mode: str, cost: int, guard: int, what: str) -> bool:
-    """Whether this mode checks every (r+1)-column subset, given the cost of
-    doing so (what names it) and its guard.  "auto" is exhaustive within the
-    guard and samples past it; "exhaustive" raises TooLarge past it;
-    "sampled" always samples.  Every verifier path asks, so it also rejects
-    an unknown mode."""
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise BadParams(f"unknown verifier mode {mode!r}")
-    if mode == "exhaustive" and cost > guard:
-        raise TooLarge(f"{what} = {cost} exceeds the exhaustive guard {guard}")
-    return cost <= guard if mode == "auto" else mode == "exhaustive"
-
-
-def _scan_subsets(code: MrCode, seed: int, exhaustive: bool, subset_rank) -> MrReport:
-    """Report subset_rank(subset) against the expected rank (r for a repair
-    group, r+1 otherwise) over the (r+1)-column subsets: all of them when
-    exhaustive, else all repair groups plus uniformly sampled subsets
-    (flagged in report.mode)."""
-    r, k = code.r, code.k
+def _scan_subsets(code: MrCode, seed: int) -> MrReport:
+    """The sampled report: every repair group plus uniformly sampled
+    (r+1)-column subsets, each deficient exactly when its x multiply to 1
+    mod q, against the expected rank (r for a repair group, r+1 otherwise)."""
+    r, k, q, xs = code.r, code.k, code.field.q, code._xs
     group_sets = {frozenset(g) for g in code.repair_groups}
-    if exhaustive:
-        subsets = combinations(range(code.n), k)
-    else:
-        rng = random.Random(seed)
-        sampled = {tuple(sorted(rng.sample(range(code.n), k)))
-                   for _ in range(_SAMPLED_SUBSETS)}
-        sampled.update(tuple(sorted(g)) for g in code.repair_groups)
-        subsets = iter(sampled)
-    report = MrReport(mode="exhaustive" if exhaustive else "sampled")
-    for subset in subsets:
-        rk = subset_rank(subset)
+    rng = random.Random(seed)
+    sampled = {tuple(sorted(rng.sample(range(code.n), k))) for _ in range(_SAMPLED_SUBSETS)}
+    sampled.update(tuple(sorted(g)) for g in code.repair_groups)
+    report = MrReport(mode="sampled", mds_subsets_checked=len(sampled))
+    for subset in sampled:
+        rk = r if math.prod(xs[j] for j in subset) % q == 1 else k
         expected = r if frozenset(subset) in group_sets else k
-        report.mds_subsets_checked += 1
         if rk == r:
-            report.deficient_subsets.append(tuple(subset))
+            report.deficient_subsets.append(subset)
         if rk != expected:
-            report.violations.append((tuple(subset), rk, expected))
+            report.violations.append((subset, rk, expected))
     return report
-
-
-def _closed_form_values(code: MrCode) -> Optional[list[int]]:
-    """The first-row values x_j when G is the closed-form matrix, else None.
-
-    Closed form: column j is _closed_form_column(x_j) with x_j nonzero and
-    the x_j pairwise distinct.  Reads only G and q.
-    """
-    q, r, n = code.field.q, code.r, code.n
-    columns = list(zip(*[[e.value for e in row] for row in code.G]))
-    xs = [col[0] for col in columns]
-    if (0 in xs or len(set(xs)) != n
-            or any(col != _closed_form_column(col[0], r, q) for col in columns)):
-        return None
-    return xs
 
 
 def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     """Check that the deficient (r+1)-column subsets are the repair groups.
 
-    When G has the closed form (see _closed_form_values), the determinant of
-    any r+1 of its columns is V(x) * (prod x - 1) with V the Vandermonde
-    determinant of their first-row values, so a subset is deficient (rank r)
-    exactly when its values multiply to 1 mod q, and otherwise has rank
-    r+1.  Every r columns have rank r (their top r rows are a scaled
-    Vandermonde matrix), so the in-group distance check always passes.  Any
-    other G gets the rank scan (_rank_scan) and its report.  Subset choice
-    and report mode: see _scan_subsets and _is_exhaustive; exhaustive
-    closed-form reports come from _identity_subsets and equal the scan's.
+    G has the closed form (MrCode checks it when the code is made), so the
+    determinant of any r+1 of its columns is V(x) * (prod x - 1) with V the
+    Vandermonde determinant of their first-row values: a subset is deficient
+    (rank r) exactly when its x multiply to 1 mod q, and otherwise has rank
+    r+1.  "auto" runs the lookup kernel (_identity_subsets) over every
+    subset while its cost fits _KERNEL_GUARD and samples past it (see
+    _scan_subsets; the report's mode says which); "exhaustive" raises
+    TooLarge past the guard; "sampled" always samples.
     """
     _check_int("seed", seed)
-    xs = _closed_form_values(code)
-    if xs is None:
-        return _rank_scan(code, seed, mode)
-    r, k, q = code.r, code.k, code.field.q
-    if not _is_exhaustive(mode, _kernel_cost(code.n, r)[0], _family._KERNEL_GUARD,
-                          f"the lookup kernel's cost for n={code.n}, r={r}"):
-        return _scan_subsets(code, seed, False,
-                             lambda subset: r if math.prod(xs[j] for j in subset) % q == 1 else k)
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise BadParams(f"unknown verifier mode {mode!r}")
+    n, r, k, q, xs = code.n, code.r, code.k, code.field.q, code._xs
+    cost, guard = _kernel_cost(n, r)[0], _family._KERNEL_GUARD
+    if mode == "exhaustive" and cost > guard:
+        raise TooLarge(f"the lookup kernel's cost for n={n}, r={r} = {cost} "
+                       f"exceeds the exhaustive guard {guard}")
+    if mode == "sampled" or cost > guard:
+        return _scan_subsets(code, seed)
     deficient = list(_identity_subsets(xs, [pow(x, -1, q) for x in xs], r, mul, q))
-    # the scan's violations, in its order: the symmetric difference of the
+    # the violations in lexicographic order: the symmetric difference of the
     # deficient subsets and the groups
     deficient_sets = set(map(frozenset, deficient))
     odd = deficient_sets.symmetric_difference(map(frozenset, code.repair_groups))
     violations = sorted((tuple(sorted(s)),) + ((r, k) if s in deficient_sets else (k, r))
                         for s in odd)
-    return MrReport(mode="exhaustive", mds_subsets_checked=math.comb(code.n, k),
+    return MrReport(mode="exhaustive", mds_subsets_checked=math.comb(n, k),
                     deficient_subsets=deficient, violations=violations)
-
-
-def _rank_scan(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
-    """verify_mr by brute force: a rank per subset plus the in-group
-    distance check.  Trusts no structure of G; exhaustive while its
-    C(n, r+1) rank computations fit _EXHAUSTIVE_SUBSET_GUARD."""
-    exhaustive = _is_exhaustive(mode, math.comb(code.n, code.k), _EXHAUSTIVE_SUBSET_GUARD,
-                                f"C({code.n}, {code.k})")
-    report = _scan_subsets(code, seed, exhaustive, lambda subset: rank(code.columns(subset)))
-    r = code.r
-    for group in code.repair_groups:
-        for subset in combinations(group, r):
-            if rank(code.columns(subset)) != r:
-                report.local_distance_ok = False
-                report.violations.append((tuple(subset), rank(code.columns(subset)), r))
-    return report
 
 
 def _length(symbols, what: str) -> int:

@@ -55,6 +55,8 @@ def verify_progression_free(candidate, r: int) -> Optional[tuple]:
     d_0 + ... + d_{r-1} = r*d_r and not all entries equal.
     """
     _check_int("r", r)
+    if r < 2:
+        raise BadParams("need r >= 2")
     elems = list(candidate)
     for e in elems:
         _check_int("element", e)

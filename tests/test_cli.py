@@ -14,9 +14,10 @@ from mrcodes.errors import (MultipleErasuresInGroup, NotCorrectable, ParseError,
                             PropertyViolation, TooLarge)
 from mrcodes.family import build_family, trim_family
 from mrcodes.field import make_field
-from mrcodes.mrcode import _rank_scan, build_code
+from mrcodes.mrcode import build_code
 from mrcodes.pipeline import choose_params, construct
 from mrcodes.progfree import ProgressionFreeSet
+from rank_scan import rank_scan
 
 BENCH_SPEC = Path(__file__).resolve().parents[1] / "bench" / "data" / "r2_q1601.json"
 
@@ -343,7 +344,7 @@ def test_verify_output_matches_rank_scan(tmp_path, capsys, spec, mode):
         path = tmp_path / "spec.json"
         save_code(construct(3, 653)[0] if spec == "r3-q653" else _hand_picked_code(), path)
     assert main(["verify", str(path), f"--{mode}"]) == 0
-    report = _rank_scan(load_code(path), mode=mode)
+    report = rank_scan(load_code(path), mode=mode)
     expected = json.dumps({"ok": report.ok, "mode": report.mode,
                            "mds_subsets_checked": report.mds_subsets_checked,
                            "deficient_subsets": report.deficient_subsets,

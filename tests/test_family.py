@@ -128,6 +128,13 @@ def test_verify_zero_sum_pass(family_r2):
                                     100, 2) is None
 
 
+@pytest.mark.parametrize("N,r", [(0, 2), (100, "2"), (1.5, 2)],
+                         ids=["N-zero", "r-str", "N-float"])
+def test_verify_zero_sum_rejects_bad_N_and_r(family_r2, N, r):
+    with pytest.raises(BadParams):
+        verify_zero_sum_property(family_r2.elements, family_r2.transversals, N, r)
+
+
 def test_verify_zero_sum_planted_violation():
     elements = (10, 40, 50, 20, 35, 45, 70, 12, 18)
     transversals = ((10, 40, 50), (20, 35, 45), (70, 12, 18))

@@ -10,10 +10,11 @@ from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, 
                             MrCodesError, MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                             PropertyViolation, TooLarge)
 from mrcodes.field import FieldElement, make_field
-from mrcodes.mrcode import (ErasurePattern, _build_plan, _closed_form_column,
-                            _closed_form_values, _DecodePlan, _rank_scan, build_code, decode, encode, is_correctable,
-                            local_repair, rank, verify_mr)
+from mrcodes.mrcode import (ErasurePattern, _build_plan, _closed_form_rows, _DecodePlan,
+                            build_code, decode, encode, is_correctable, local_repair, rank,
+                            verify_mr)
 from mrcodes.pipeline import construct
+from rank_scan import rank_scan, raw
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,11 @@ class ReadTracker:
 
 def column(code, j):
     return [code.G[i][j].value for i in range(code.k)]
+
+
+def closed_form_column(x, r, q):
+    """(x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) mod q."""
+    return [row[0] for row in _closed_form_rows([x], r, q)]
 
 
 class TestBuild:
@@ -89,6 +95,16 @@ class TestRank:
                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])) % 101
         assert det == 0
+
+    @pytest.mark.parametrize("matrix", [
+        lambda one: [[one], [one, one]],
+        lambda one: [[one, one], [one]],
+        lambda one: [[1, 0], [0, 1]],
+        lambda one: [[one, 1], [one, one]],
+    ], ids=["short-first-row", "short-last-row", "ints", "one-int"])
+    def test_not_a_matrix_of_field_elements(self, code6, matrix):
+        with pytest.raises(Mismatch):
+            rank(matrix(code6.field.one))
 
 
 class TestVerify:
@@ -258,24 +274,20 @@ class TestDecode:
 def test_mutation_breaks_verifier(code6):
     for i in range(code6.k):
         for j in range(code6.n):
-            G = [list(row) for row in code6.G]
-            G[i][j] = G[i][j] + 1
-            mutated = type(code6)(field=code6.field, family=code6.family,
-                                  G=tuple(tuple(r) for r in G),
-                                  repair_groups=code6.repair_groups)
-            assert not verify_mr(mutated).ok, f"mutation at ({i},{j}) undetected"
+            value = (code6.G[i][j].value + 1) % code6.field.q
+            assert _caught(code6, i, j, value), f"mutation at ({i},{j}) undetected"
 
 
 class TestClosedFormVerify:
-    """verify_mr's determinant shortcut against the rank scan it replaces."""
+    """verify_mr's determinant shortcut against the brute-force rank scan."""
 
     @pytest.mark.parametrize("r,q", [(2, 101), (3, 653), (2, 1601), (4, 1283)])
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_matches_rank_scan(self, r, q, mode):
         code = construct(r, q)[0]
-        assert _closed_form_values(code) is not None
+        assert code._xs == tuple(e.value for e in code.G[0])
         report = verify_mr(code, mode=mode)
-        assert report == _rank_scan(code, mode=mode)
+        assert report == rank_scan(code, mode=mode)
         assert report.ok and report.mode == mode
 
     @pytest.mark.parametrize("q", [101, 1601, 4294967291])
@@ -283,27 +295,30 @@ class TestClosedFormVerify:
     def test_column_matches_pow_form(self, r, q):
         # the running product against one pow per entry
         rng = random.Random(q * 10 + r)
-        for x in [0, 1, q - 1] + [rng.randrange(q) for _ in range(200)]:
+        xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(200)]
+        for x, col in zip(xs, zip(*_closed_form_rows(xs, r, q))):
             powers = [pow(x, ell, q) for ell in range(1, r + 2)]
             powers[r] = (powers[r] + (-1) ** (r + 1)) % q
-            assert _closed_form_column(x, r, q) == tuple(powers), x
+            assert col == tuple(powers), x
 
     def test_sampled_seed(self, code8):
-        assert verify_mr(code8, seed=5, mode="sampled") == _rank_scan(code8, seed=5,
-                                                                      mode="sampled")
+        assert verify_mr(code8, seed=5, mode="sampled") == rank_scan(code8, seed=5,
+                                                                     mode="sampled")
 
-    def test_mutations_fall_back_to_rank_scan(self, code6):
+    def test_mutations_are_caught_and_not_mr(self, code6):
+        # every single-entry mutation is caught, and the rank scan over the
+        # raw matrix finds none of them MR: refusing them refuses no MR code
         q = code6.field.q
         for i in range(code6.k):
             for j in range(code6.n):
                 for value in range(q):
                     if value == code6.G[i][j].value:
                         continue
-                    mutated = _with_entry(code6, i, j, value)
-                    assert _closed_form_values(mutated) is None, (i, j, value)
-                    report = verify_mr(mutated, mode="exhaustive")
+                    assert _caught(code6, i, j, value), (i, j, value)
+                    G = [list(row) for row in code6.G]
+                    G[i][j] = code6.field.element(value)
+                    report = rank_scan(raw(G, code6.repair_groups), mode="exhaustive")
                     assert not report.ok, (i, j, value)
-                    assert report == _rank_scan(mutated, mode="exhaustive"), (i, j, value)
 
     def test_product_one_subset_reported(self, code6):
         # closed-form G whose x-values 2*3*17 = 102 = 1 (mod 101) lie in
@@ -316,16 +331,16 @@ class TestClosedFormVerify:
         code = type(code6)(field=f, family=code6.family,
                            G=tuple(tuple(row) for row in rows),
                            repair_groups=code6.repair_groups)
-        assert _closed_form_values(code) == xs
+        assert code._xs == tuple(xs)
         report = verify_mr(code, mode="exhaustive")
-        assert report == _rank_scan(code, mode="exhaustive")
+        assert report == rank_scan(code, mode="exhaustive")
         assert (0, 1, 3) in report.deficient_subsets and not report.ok
 
     def test_tampered_repair_groups(self, code6):
         code = type(code6)(field=code6.field, family=code6.family,
                            G=code6.G, repair_groups=((0, 1, 3), (2, 4, 5)))
         report = verify_mr(code)
-        assert report == _rank_scan(code)
+        assert report == rank_scan(code)
         assert not report.ok
 
     def test_guard_picks_the_mode(self, code6, monkeypatch):
@@ -333,13 +348,13 @@ class TestClosedFormVerify:
         # scan's C(6, 3) = 20 subsets: auto samples past the guards,
         # exhaustive refuses
         monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
-        monkeypatch.setattr(mrcodes.mrcode, "_EXHAUSTIVE_SUBSET_GUARD", 19)
+        monkeypatch.setattr("rank_scan.EXHAUSTIVE_SUBSET_GUARD", 19)
         report = verify_mr(code6)
-        assert report.mode == "sampled" and report == _rank_scan(code6)
+        assert report.mode == "sampled" and report == rank_scan(code6)
         with pytest.raises(TooLarge):
             verify_mr(code6, mode="exhaustive")
         with pytest.raises(TooLarge):
-            _rank_scan(code6, mode="exhaustive")
+            rank_scan(code6, mode="exhaustive")
         monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 21)
         assert verify_mr(code6).mode == "exhaustive"
 
@@ -358,7 +373,7 @@ class TestClosedFormVerify:
             return
         code = type(code6)(field=code6.field, family=code6.family,
                            G=code6.G, repair_groups=groups)
-        assert verify_mr(code, mode="exhaustive") == _rank_scan(code, mode="exhaustive")
+        assert verify_mr(code, mode="exhaustive") == rank_scan(code, mode="exhaustive")
 
     @pytest.mark.parametrize("groups", [
         ((0, 1, 2), (3, 4, -1)),
@@ -374,7 +389,7 @@ class TestClosedFormVerify:
         with pytest.raises(BadParams):
             verify_mr(code6, mode="exhaustve")
         with pytest.raises(BadParams):
-            _rank_scan(code6, mode="exhaustve")
+            rank_scan(code6, mode="exhaustve")
 
     def test_sampled_counts_a_permuted_group_once(self, code6):
         code = type(code6)(field=code6.field, family=code6.family,
@@ -392,14 +407,44 @@ def _with_entry(code, i, j, value):
                       repair_groups=code.repair_groups)
 
 
+def _caught(code, i, j, value) -> bool:
+    """Whether G with entry (i, j) set to value is refused when the code is
+    made, or fails its exhaustive check."""
+    try:
+        mutated = _with_entry(code, i, j, value)
+    except Mismatch:
+        return True
+    return not verify_mr(mutated, mode="exhaustive").ok
+
+
+def _with_column(code, j, x):
+    """The code with column j replaced by the closed-form column of x."""
+    G = [list(row) for row in code.G]
+    for i, v in enumerate(closed_form_column(x, code.r, code.field.q)):
+        G[i][j] = code.field.element(v)
+    return type(code)(field=code.field, family=code.family,
+                      G=tuple(tuple(row) for row in G),
+                      repair_groups=code.repair_groups)
+
+
 @pytest.mark.parametrize("defect", ["missing-row", "ragged-row", "extra-column", "gf103-entry",
-                                    "int-entry", "family-N"])
+                                    "int-entry", "family-N", "zero-x", "repeated-x",
+                                    "middle-row", "last-row-sign"])
 def test_code_checks_its_shape_once_when_made(code6, defect):
     # r, n and k come from the family; a G or field that disagrees with
-    # them is refused when the code is made, not answered from later
+    # them, or a G without the closed form over distinct nonzero x, is
+    # refused when the code is made, not answered from later
     field = make_field(103) if defect == "family-N" else code6.field
     G = [[field.element(e.value) for e in row] for row in code6.G]
-    if defect == "missing-row":
+    if defect in ("zero-x", "repeated-x"):
+        x = 0 if defect == "zero-x" else G[0][0].value
+        for i, v in enumerate(closed_form_column(x, code6.r, 101)):
+            G[i][1] = field.element(v)
+    elif defect == "middle-row":
+        G[1][0] += 1
+    elif defect == "last-row-sign":
+        G[2][0] += 2  # x^3 + 1 where the form has x^3 - 1
+    elif defect == "missing-row":
         del G[-1]
     elif defect == "ragged-row":
         del G[1][-1]
@@ -664,16 +709,18 @@ class TestDecodeMatchesReference:
         assert code6._plan is not other._plan
 
     def test_mutated_copy_does_not_reuse_plan(self, code6):
-        # no group has exactly one erasure, so the reference never local-repairs
-        # through the columns a mutation breaks
+        # each copy gives one column the closed-form column of an x that G
+        # does not use; no group has exactly one erasure, so the reference
+        # never local-repairs through the columns a mutation breaks
         rng = random.Random(6)
         codeword = _codeword(code6, rng)
+        fresh = [x for x in range(1, 101) if x not in code6._xs][:3]
         differing = 0
         for erased in ({0, 1}, {3, 5}):
-            for i in range(code6.k):
+            for x in fresh:
                 for j in range(code6.n):
                     original = _assert_agrees(code6, _received(codeword, erased))
-                    mutated = _with_entry(code6, i, j, (code6.G[i][j].value + 1) % 101)
+                    mutated = _with_column(code6, j, x)
                     differing += original != _assert_agrees(mutated,
                                                             _received(codeword, erased))
                     _assert_agrees(mutated, _received(_codeword(mutated, rng), erased))

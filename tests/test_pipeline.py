@@ -235,7 +235,9 @@ def test_exact_failure_probability_past_n24():
 
 def test_exact_failure_probability_rejects(monkeypatch):
     code = construct(2, 101)[0]
-    mutated = dataclasses.replace(code, G=((code.field.element(0),) + code.G[0][1:],) + code.G[1:])
+    # x = 0 in column 0: refused when the code is made
+    with pytest.raises(Mismatch):
+        dataclasses.replace(code, G=((code.field.element(0),) + code.G[0][1:],) + code.G[1:])
     # a closed-form G whose deficient triples (0, 1, 2) and (0, 3, 4) are
     # its listed groups: overlapping groups are refused when the code is made
     xs = [51, 99, 100, 55, 79, 7]
@@ -245,9 +247,9 @@ def test_exact_failure_probability_rejects(monkeypatch):
             code, repair_groups=((0, 1, 2), (0, 3, 4)),
             G=tuple(tuple(f.element(pow(x, ell, 101) - (ell == 3)) for x in xs)
                     for ell in (1, 2, 3)))
-    for bad in (mutated, dataclasses.replace(code, repair_groups=((0, 1, 3), (2, 4, 5)))):
-        with pytest.raises(PropertyViolation):
-            exact_failure_probability(bad, 0.1)
+    with pytest.raises(PropertyViolation):
+        exact_failure_probability(
+            dataclasses.replace(code, repair_groups=((0, 1, 3), (2, 4, 5))), 0.1)
     for p in (1.5, -0.1, float("nan")):
         with pytest.raises(BadParams):
             exact_failure_probability(code, p)

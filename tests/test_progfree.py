@@ -36,6 +36,11 @@ class TestVerify:
         with pytest.raises(TooLarge):
             verify_progression_free(range(1, 101), 5)
 
+    @pytest.mark.parametrize("r", [-1, 0, 1])
+    def test_r_below_2(self, r):
+        with pytest.raises(BadParams, match="^need r >= 2$"):
+            verify_progression_free([1, 2, 4], r)
+
     def test_agrees_with_ordered_enumeration(self):
         rng = random.Random(7)
         for _ in range(30):
