@@ -1,12 +1,13 @@
 """The (r+1) x n generator matrix, its verifier, and erasure decoding.
 
-Column j is (x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) (see _closed_form_rows)
-with x = gamma^a, a = elements[j] of the zero-sum family in its canonical
-order, so build_code puts repair group i at columns [i*(r+1), (i+1)*(r+1)).
-MrCode reads r and n from the family (k = r+1) and checks once, when it is
-made, that the family's N is the field's, that G is a k x n matrix over
-GF(q) in that closed form with distinct nonzero x, and that the groups split
-range(n) into k-sets in any order.
+A code is its field, its zero-sum family and its repair groups.  G is
+derived from the first two when the code is made: column j is (x, x^2, ...,
+x^r, x^(r+1) + (-1)^(r+1)) (see _closed_form_rows) with x = gamma^a,
+a = elements[j] of the family in its canonical order, so build_code puts
+repair group i at columns [i*(r+1), (i+1)*(r+1)).  MrCode reads r and n from
+the family (k = r+1) and checks once that n is within _MAX_N, that the
+family's N is the field's, that its exponents are distinct mod N (so the x
+are), and that the groups split range(n) into k-sets in any order.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group.  By the closed form,
@@ -60,7 +61,7 @@ class MrCode:
     r: int = dc_field(init=False)
     n: int = dc_field(init=False)
     k: int = dc_field(init=False)
-    G: Matrix                                 # (r+1) rows x n columns
+    G: Matrix = dc_field(init=False)          # (r+1) rows x n columns
     repair_groups: tuple[tuple[int, ...], ...]
     # State derived from this object's own fields, never shared between codes:
     # each column's group index and the other columns of its group, G's
@@ -75,27 +76,25 @@ class MrCode:
                                             default=None)
 
     def __post_init__(self):
-        field, family, G, groups = self.field, self.family, self.G, self.repair_groups
+        field, family, groups = self.field, self.family, self.repair_groups
         r, n, k, q = family.r, family.n, family.r + 1, field.q
-        for name, value in (("r", r), ("n", n), ("k", k)):
-            object.__setattr__(self, name, value)
+        _check_length(n)
         if family.params.N != field.N:
             raise Mismatch(f"family N={family.params.N} != field N={field.N}")
-        if (len(G) != k or any(len(row) != n for row in G)
-                or any(type(e) is not FieldElement or e.field.q != q for row in G for e in row)):
-            raise Mismatch(f"G is not a {k} x {n} matrix over GF({q})")
-        values = [[e.value for e in row] for row in G]
-        xs = tuple(values[0])
-        if 0 in xs or len(set(xs)) != n or _closed_form_rows(xs, r, q) != values:
-            raise Mismatch("G is not (x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) "
-                           "over distinct nonzero x")
+        xs = tuple(pow(field.gamma, a, q) for a in family.elements)
+        if len(set(xs)) != n:
+            raise Mismatch(f"the family's exponents {family.elements} collide mod N={field.N}")
+        values = _closed_form_rows(xs, r, q)
+        for name, value in (("r", r), ("n", n), ("k", k), ("_xs", xs),
+                            ("G", tuple(tuple(FieldElement(v, field) for v in row)
+                                        for row in values))):
+            object.__setattr__(self, name, value)
         if (any(len(g) != k for g in groups)
                 or sorted(j for g in groups for j in g) != list(range(n))):
             raise Mismatch(f"repair groups do not split range({n}) into {k}-sets")
         object.__setattr__(self, "_groups", {j: (i, g[:p] + g[p + 1:])
                                              for i, g in enumerate(map(tuple, groups))
                                              for p, j in enumerate(g)})
-        object.__setattr__(self, "_xs", xs)
         # each row of G as one integer with a slot of `words` 64-bit words per
         # column, enough for a sum of k products of values below q
         words = -(-(k * (q - 1) ** 2).bit_length() // 64)
@@ -169,13 +168,8 @@ def _check_length(n: int) -> None:
 
 
 def build_code(field: Field, family: ZeroSumFamily) -> MrCode:
-    r, n = family.r, family.n
-    _check_length(n)
-    q = field.q
-    xs = [pow(field.gamma, a, q) for a in family.elements]
-    G = tuple(tuple(FieldElement(v, field) for v in row) for row in _closed_form_rows(xs, r, q))
-    groups = tuple(tuple(range(i, i + r + 1)) for i in range(0, n, r + 1))
-    return MrCode(field=field, family=family, G=G, repair_groups=groups)
+    k = family.r + 1
+    return MrCode(field, family, tuple(tuple(range(i, i + k)) for i in range(0, family.n, k)))
 
 
 def _row_reduce(rows: list[list[FieldElement]], ncols: int) -> list[int]:
@@ -253,7 +247,7 @@ def _scan_subsets(code: MrCode, seed: int) -> MrReport:
 def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     """Check that the deficient (r+1)-column subsets are the repair groups.
 
-    G has the closed form (MrCode checks it when the code is made), so the
+    G has the closed form (MrCode derives it when the code is made), so the
     determinant of any r+1 of its columns is V(x) * (prod x - 1) with V the
     Vandermonde determinant of their first-row values: a subset is deficient
     (rank r) exactly when its x multiply to 1 mod q, and otherwise has rank

@@ -3,8 +3,8 @@
 rank_scan computes one Gauss-Jordan rank (the public rank) per (r+1)-column
 subset and checks every r columns inside each repair group.  It trusts no
 structure of G: it reads only code.G and code.repair_groups, so it also
-judges a matrix that MrCode refuses (see raw).  Its reports, modes and
-errors are the ones verify_mr gives for every code MrCode accepts.
+judges a matrix no MrCode has (see raw).  Its reports, modes and errors are
+the ones verify_mr gives for every MrCode.
 """
 
 import math

@@ -13,6 +13,7 @@ Whatever JSON values replace keys of a valid spec, `code_from_dict` raises
 only MrCodesError subclasses (the unmodified spec's round trip is
 `tests/test_cli.py::test_spec_round_trip[r2-q101]`)."""
 
+import dataclasses
 import json
 import math
 
@@ -32,10 +33,9 @@ _FUZZ = settings(deadline=None, max_examples=150, derandomize=True)
 
 @pytest.fixture(scope="module")
 def codes():
-    """The (2, 101) code, and the same G with its groups listed out of order."""
+    """The (2, 101) code, and the same code with its groups listed out of order."""
     code = construct(2, 101)[0]
-    permuted = type(code)(field=code.field, family=code.family,
-                          G=code.G, repair_groups=((2, 1, 0), (5, 3, 4)))
+    permuted = dataclasses.replace(code, repair_groups=((2, 1, 0), (5, 3, 4)))
     return code, permuted
 
 

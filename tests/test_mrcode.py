@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 from typing import Optional
@@ -6,14 +7,17 @@ import pytest
 
 import mrcodes.family
 import mrcodes.mrcode
+from mrcodes.codespec import code_from_dict, code_to_dict
 from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                             MrCodesError, MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                             PropertyViolation, TooLarge)
+from mrcodes.family import ZeroSumFamily
 from mrcodes.field import FieldElement, make_field
-from mrcodes.mrcode import (ErasurePattern, _build_plan, _closed_form_rows, _DecodePlan,
+from mrcodes.mrcode import (ErasurePattern, MrCode, _build_plan, _closed_form_rows, _DecodePlan,
                             build_code, decode, encode, is_correctable, local_repair, rank,
                             verify_mr)
-from mrcodes.pipeline import construct
+from mrcodes.pipeline import choose_params, construct
+from mrcodes.progfree import ProgressionFreeSet
 from rank_scan import rank_scan, raw
 
 
@@ -25,6 +29,11 @@ def code6():
 @pytest.fixture(scope="module")
 def code8():
     return construct(3, 653)[0]
+
+
+def _user_family(r, q, D):
+    """The family on D with the default parameters, built without build_family's checks."""
+    return ZeroSumFamily(choose_params(r, q), ProgressionFreeSet(r, D, "user_supplied"))
 
 
 class ReadTracker:
@@ -215,8 +224,7 @@ class TestCorrectable:
         assert p.erased == frozenset({5})
 
     def test_group_positions_read_the_code_groups(self, code6):
-        permuted = type(code6)(field=code6.field, family=code6.family,
-                               G=code6.G, repair_groups=((2, 1, 0), (5, 3, 4)))
+        permuted = dataclasses.replace(code6, repair_groups=((2, 1, 0), (5, 3, 4)))
         p = ErasurePattern.from_group_positions([(0, 0), (1, 2)], permuted)
         assert p.erased == frozenset({2, 4})
         for pairs in ([(0, 3)], [(2, 0)], [(-1, 0)], [(0, -1)]):
@@ -285,7 +293,6 @@ class TestClosedFormVerify:
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_matches_rank_scan(self, r, q, mode):
         code = construct(r, q)[0]
-        assert code._xs == tuple(e.value for e in code.G[0])
         report = verify_mr(code, mode=mode)
         assert report == rank_scan(code, mode=mode)
         assert report.ok and report.mode == mode
@@ -321,24 +328,17 @@ class TestClosedFormVerify:
                     assert not report.ok, (i, j, value)
 
     def test_product_one_subset_reported(self, code6):
-        # closed-form G whose x-values 2*3*17 = 102 = 1 (mod 101) lie in
-        # different repair groups: the fast path must report what the rank
-        # scan reports
-        f = code6.field
-        xs = [2, 3, 5, 17, 7, 11]
-        rows = [[f.element(pow(x, ell, 101)) for x in xs] for ell in (1, 2)]
-        rows.append([f.element(pow(x, 3, 101) - 1) for x in xs])
-        code = type(code6)(field=f, family=code6.family,
-                           G=tuple(tuple(row) for row in rows),
-                           repair_groups=code6.repair_groups)
-        assert code._xs == tuple(xs)
+        # D = (1, 2, 3) is not progression free (1 + 3 = 2 * 2), and its
+        # family's exponents 7 + 90 + 3 and 1 + 90 + 9 sum to 0 mod 100 across
+        # repair groups: the fast path must report what the rank scan reports
+        code = build_code(code6.field, _user_family(2, 101, (1, 2, 3)))
         report = verify_mr(code, mode="exhaustive")
         assert report == rank_scan(code, mode="exhaustive")
-        assert (0, 1, 3) in report.deficient_subsets and not report.ok
+        assert not report.ok
+        assert report.violations == [((0, 5, 7), 2, 3), ((1, 5, 6), 2, 3)]
 
     def test_tampered_repair_groups(self, code6):
-        code = type(code6)(field=code6.field, family=code6.family,
-                           G=code6.G, repair_groups=((0, 1, 3), (2, 4, 5)))
+        code = dataclasses.replace(code6, repair_groups=((0, 1, 3), (2, 4, 5)))
         report = verify_mr(code)
         assert report == rank_scan(code)
         assert not report.ok
@@ -368,11 +368,9 @@ class TestClosedFormVerify:
         # into k-sets are refused when the code is made
         if not valid:
             with pytest.raises(Mismatch):
-                type(code6)(field=code6.field, family=code6.family,
-                            G=code6.G, repair_groups=groups)
+                dataclasses.replace(code6, repair_groups=groups)
             return
-        code = type(code6)(field=code6.field, family=code6.family,
-                           G=code6.G, repair_groups=groups)
+        code = dataclasses.replace(code6, repair_groups=groups)
         assert verify_mr(code, mode="exhaustive") == rank_scan(code, mode="exhaustive")
 
     @pytest.mark.parametrize("groups", [
@@ -382,8 +380,7 @@ class TestClosedFormVerify:
     ], ids=["minus-one", "n", "extra-group"])
     def test_out_of_range_repair_groups(self, code6, groups):
         with pytest.raises(Mismatch):
-            type(code6)(field=code6.field, family=code6.family,
-                        G=code6.G, repair_groups=groups)
+            dataclasses.replace(code6, repair_groups=groups)
 
     def test_unknown_mode(self, code6):
         with pytest.raises(BadParams):
@@ -392,71 +389,95 @@ class TestClosedFormVerify:
             rank_scan(code6, mode="exhaustve")
 
     def test_sampled_counts_a_permuted_group_once(self, code6):
-        code = type(code6)(field=code6.field, family=code6.family,
-                           G=code6.G, repair_groups=((2, 1, 0), (5, 3, 4)))
+        code = dataclasses.replace(code6, repair_groups=((2, 1, 0), (5, 3, 4)))
         report = verify_mr(code, mode="sampled")
         assert report.mds_subsets_checked == 20
         assert set(report.deficient_subsets) == {(0, 1, 2), (3, 4, 5)}
 
 
-def _with_entry(code, i, j, value):
-    G = [list(row) for row in code.G]
-    G[i][j] = code.field.element(value)
-    return type(code)(field=code.field, family=code.family,
-                      G=tuple(tuple(row) for row in G),
-                      repair_groups=code.repair_groups)
-
-
 def _caught(code, i, j, value) -> bool:
-    """Whether G with entry (i, j) set to value is refused when the code is
-    made, or fails its exhaustive check."""
+    """Whether the code's spec with entry (i, j) of G set to value is
+    refused, naming G, where a G enters from outside: code_from_dict."""
+    doc = code_to_dict(code)
+    doc["G"][i][j] = value
     try:
-        mutated = _with_entry(code, i, j, value)
-    except Mismatch:
-        return True
-    return not verify_mr(mutated, mode="exhaustive").ok
-
-
-def _with_column(code, j, x):
-    """The code with column j replaced by the closed-form column of x."""
-    G = [list(row) for row in code.G]
-    for i, v in enumerate(closed_form_column(x, code.r, code.field.q)):
-        G[i][j] = code.field.element(v)
-    return type(code)(field=code.field, family=code.family,
-                      G=tuple(tuple(row) for row in G),
-                      repair_groups=code.repair_groups)
+        code_from_dict(doc)
+    except PropertyViolation as exc:
+        return str(exc).startswith("spec keys ['G'] ")
+    return False
 
 
 @pytest.mark.parametrize("defect", ["missing-row", "ragged-row", "extra-column", "gf103-entry",
                                     "int-entry", "family-N", "zero-x", "repeated-x",
                                     "middle-row", "last-row-sign"])
 def test_code_checks_its_shape_once_when_made(code6, defect):
-    # r, n and k come from the family; a G or field that disagrees with
-    # them, or a G without the closed form over distinct nonzero x, is
-    # refused when the code is made, not answered from later
-    field = make_field(103) if defect == "family-N" else code6.field
-    G = [[field.element(e.value) for e in row] for row in code6.G]
-    if defect in ("zero-x", "repeated-x"):
-        x = 0 if defect == "zero-x" else G[0][0].value
-        for i, v in enumerate(closed_form_column(x, code6.r, 101)):
-            G[i][1] = field.element(v)
+    # r, n, k and G come from the field and family, so a field or family
+    # that disagrees with them is refused when the code is made.  A G
+    # enters only through a spec, and code_from_dict refuses, naming G, one
+    # that is not the closed form over the family's x
+    if defect == "family-N":
+        with pytest.raises(Mismatch, match="^family N=100 != field N=102$"):
+            MrCode(make_field(103), code6.family, code6.repair_groups)
+        return
+    if defect == "repeated-x":
+        # D = (1, 7) gives exponent 7 twice: a_{1,1} = l + 1 = a_{0,7}
+        with pytest.raises(Mismatch, match="collide mod N=100$"):
+            build_code(code6.field, _user_family(2, 101, (1, 7)))
+        return
+    doc = code_to_dict(code6)
+    G = doc["G"]
+    if defect == "zero-x":
+        for i, v in enumerate(closed_form_column(0, code6.r, 101)):
+            G[i][1] = v
     elif defect == "middle-row":
-        G[1][0] += 1
+        G[1][0] = (G[1][0] + 1) % 101
     elif defect == "last-row-sign":
-        G[2][0] += 2  # x^3 + 1 where the form has x^3 - 1
+        G[2][0] = (G[2][0] + 2) % 101  # x^3 + 1 where the form has x^3 - 1
     elif defect == "missing-row":
         del G[-1]
     elif defect == "ragged-row":
         del G[1][-1]
     elif defect == "extra-column":
-        G = [row + row[:1] for row in G]
+        doc["G"] = [row + row[:1] for row in G]
     elif defect == "gf103-entry":
-        G[0][0] = make_field(103).element(G[0][0].value)
+        G[0][0] = 102  # a residue of GF(103), not of GF(101)
     elif defect == "int-entry":
-        G[2][5] = G[2][5].value
-    with pytest.raises(Mismatch):
-        type(code6)(field=field, family=code6.family, G=tuple(map(tuple, G)),
-                    repair_groups=code6.repair_groups)
+        G[2][5] = str(G[2][5])  # an entry of the wrong type
+    with pytest.raises(PropertyViolation, match=r"^spec keys \['G'\] "):
+        code_from_dict(doc)
+
+
+@pytest.mark.parametrize("r,q,D", [(2, 101, None), (3, 653, None), (2, 1601, None),
+                                   (4, 1283, None), (2, 101, (1, 2, 3))],
+                         ids=["r2-q101", "r3-q653", "r2-q1601", "r4-q1283", "r2-q101-D123"])
+def test_code_is_built_on_its_own_family(r, q, D):
+    # G's x are gamma to the family's exponents, however the family was
+    # built, and a code made through build_family is the code its spec
+    # rebuilds
+    if D is None:
+        code = construct(r, q)[0]
+    else:
+        code = build_code(make_field(q), _user_family(r, q, D))
+    field = code.field
+    assert code._xs == tuple(pow(field.gamma, a, q) for a in code.family.elements)
+    assert code.G == tuple(tuple(map(field.element, row))
+                           for row in _closed_form_rows(code._xs, r, q))
+    if D is None:
+        assert code_from_dict(code_to_dict(code)) == code
+
+
+@pytest.mark.parametrize("name", ["G", "_xs"])
+def test_code_derived_values_cannot_be_replaced(code6, name):
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(code6, **{name: getattr(code6, name)})
+
+
+def test_code_past_the_length_bound_is_too_large(code6, monkeypatch):
+    # the bound is checked where G is built, so a family that did not come
+    # through construct cannot pass it either
+    monkeypatch.setattr(mrcodes.mrcode, "_MAX_N", 5)
+    with pytest.raises(TooLarge, match="^n=6 exceeds the desk-scale bound 5$"):
+        MrCode(code6.field, _user_family(2, 101, (1, 2)), code6.repair_groups)
 
 
 def test_bad_arguments_are_typed_errors(code6):
@@ -709,21 +730,18 @@ class TestDecodeMatchesReference:
         assert code6._plan is not other._plan
 
     def test_mutated_copy_does_not_reuse_plan(self, code6):
-        # each copy gives one column the closed-form column of an x that G
-        # does not use; no group has exactly one erasure, so the reference
-        # never local-repairs through the columns a mutation breaks
+        # each copy is the code over another family of the same n: the plan
+        # code6 keeps for an erasure set must not answer for it
         rng = random.Random(6)
         codeword = _codeword(code6, rng)
-        fresh = [x for x in range(1, 101) if x not in code6._xs][:3]
+        copies = [dataclasses.replace(code6, family=_user_family(2, 101, D))
+                  for D in ((1, 3), (2, 3), (1, 4))]
         differing = 0
         for erased in ({0, 1}, {3, 5}):
-            for x in fresh:
-                for j in range(code6.n):
-                    original = _assert_agrees(code6, _received(codeword, erased))
-                    mutated = _with_column(code6, j, x)
-                    differing += original != _assert_agrees(mutated,
-                                                            _received(codeword, erased))
-                    _assert_agrees(mutated, _received(_codeword(mutated, rng), erased))
+            for mutated in copies:
+                original = _assert_agrees(code6, _received(codeword, erased))
+                differing += original != _assert_agrees(mutated, _received(codeword, erased))
+                _assert_agrees(mutated, _received(_codeword(mutated, rng), erased))
         assert differing > 0
 
     @pytest.mark.parametrize("bad", [101 + 27, -1, 2.5, True, make_field(103).element(7)])
@@ -794,8 +812,7 @@ class TestTamperedRepairGroups:
 
     @pytest.fixture
     def tampered(self, code6):
-        return type(code6)(field=code6.field, family=code6.family,
-                           G=code6.G, repair_groups=((0, 1, 3), (2, 4, 5)))
+        return dataclasses.replace(code6, repair_groups=((0, 1, 3), (2, 4, 5)))
 
     def test_local_repair_raises_property_violation(self, tampered):
         received = [s.value for s in encode(tampered, [1, 2, 3])]

@@ -106,8 +106,8 @@ def test_one_group_code_at_high_r_stays_small():
 
 
 def test_construct_refuses_a_long_code_before_building_its_family(monkeypatch):
-    # q = 1000000007 gives n = 1008: build_code's TooLarge, raised before the
-    # family is built and checked
+    # q = 1000000007 gives n = 1008: the length bound's TooLarge, raised
+    # before the family is built and checked
     calls = []
     real = pipeline.build_family
     monkeypatch.setattr(pipeline, "build_family", lambda *args: calls.append(args) or real(*args))
@@ -235,18 +235,9 @@ def test_exact_failure_probability_past_n24():
 
 def test_exact_failure_probability_rejects(monkeypatch):
     code = construct(2, 101)[0]
-    # x = 0 in column 0: refused when the code is made
+    # overlapping groups are refused when the code is made
     with pytest.raises(Mismatch):
-        dataclasses.replace(code, G=((code.field.element(0),) + code.G[0][1:],) + code.G[1:])
-    # a closed-form G whose deficient triples (0, 1, 2) and (0, 3, 4) are
-    # its listed groups: overlapping groups are refused when the code is made
-    xs = [51, 99, 100, 55, 79, 7]
-    f = code.field
-    with pytest.raises(Mismatch):
-        dataclasses.replace(
-            code, repair_groups=((0, 1, 2), (0, 3, 4)),
-            G=tuple(tuple(f.element(pow(x, ell, 101) - (ell == 3)) for x in xs)
-                    for ell in (1, 2, 3)))
+        dataclasses.replace(code, repair_groups=((0, 1, 2), (0, 3, 4)))
     with pytest.raises(PropertyViolation):
         exact_failure_probability(
             dataclasses.replace(code, repair_groups=((0, 1, 3), (2, 4, 5))), 0.1)
