@@ -174,7 +174,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        code = load_code(args.spec)  # checks the inputs and re-derives G; verify_mr is the proof
+        code = load_code(args.spec)  # checks the inputs, re-derives G's rows; verify_mr proves
         mode = "exhaustive" if args.exhaustive else "sampled" if args.sampled else "auto"
         report = verify_mr(code, mode=mode)
         json.dump({"ok": report.ok} | asdict(report), sys.stdout, indent=2)

@@ -57,7 +57,7 @@ def code_to_dict(code: MrCode) -> dict:
         "blocks": [_enc_list(b) for b in fam.blocks],
         "transversals": [_enc_list(t) for t in fam.transversals],
         "exponents": _enc_list(fam.elements),
-        "G": [_enc_list(e.value for e in row) for row in code.G],
+        "G": [_enc_list(row) for row in code._rows],
         "repair_groups": [list(g) for g in code.repair_groups],
         "derived": {"n": code.n, "k": code.k, "h": code.h},
     }

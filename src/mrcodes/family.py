@@ -204,5 +204,11 @@ def trim_family(family: ZeroSumFamily, target_groups: int) -> ZeroSumFamily:
         raise BadParams(f"target_groups={target_groups} outside [1, {len(family.D.elements)}]")
     if target_groups == len(family.D.elements):
         return family
-    return build_family(family.params,
-                        replace(family.D, elements=family.D.elements[:target_groups]))
+    return build_family(family.params, _smallest_b(family.D, target_groups))
+
+
+def _smallest_b(D: ProgressionFreeSet, count: int) -> ProgressionFreeSet:
+    """D's first count elements: its count smallest b when D is ascending, as
+    progfree's constructors list it.  trim_family and construct's target_n
+    both keep these."""
+    return replace(D, elements=D.elements[:count])

@@ -1,13 +1,14 @@
 """The (r+1) x n generator matrix, its verifier, and erasure decoding.
 
-A code is its field, its zero-sum family and its repair groups.  G is
-derived from the first two when the code is made: column j is (x, x^2, ...,
-x^r, x^(r+1) + (-1)^(r+1)) (see _closed_form_rows) with x = gamma^a,
-a = elements[j] of the family in its canonical order, so build_code puts
-repair group i at columns [i*(r+1), (i+1)*(r+1)).  MrCode reads r and n from
-the family (k = r+1) and checks once that n is within _MAX_N, that the
-family's N is the field's, that its exponents are distinct mod N (so the x
-are), and that the groups split range(n) into k-sets in any order.
+A code is its field, its zero-sum family and its repair groups.  G's rows
+are derived as ints from the first two when the code is made, and G's
+FieldElements on its first read: column j is (x, x^2, ..., x^r, x^(r+1) +
+(-1)^(r+1)) (see _closed_form_rows) with x = gamma^a, a = elements[j] of the
+family in its canonical order, so build_code puts repair group i at columns
+[i*(r+1), (i+1)*(r+1)).  MrCode reads r and n from the family (k = r+1) and
+checks once that n is within _MAX_N, that the family's N is the field's, that
+its exponents are distinct mod N (so the x are), and that the groups split
+range(n) into k-sets in any order.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group.  By the closed form,
@@ -27,6 +28,7 @@ import math
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import repeat
 from operator import add, lshift, mul
 from struct import pack, unpack
@@ -61,14 +63,15 @@ class MrCode:
     r: int = dc_field(init=False)
     n: int = dc_field(init=False)
     k: int = dc_field(init=False)
-    G: Matrix = dc_field(init=False)          # (r+1) rows x n columns
     repair_groups: tuple[tuple[int, ...], ...]
     # State derived from this object's own fields, never shared between codes:
     # each column's group index and the other columns of its group, G's
-    # first-row values x, G packed for _codeword, the local-repair
-    # coefficients per erased column, and the last erasure set's decode plan.
+    # first-row values x, G's rows as ints, G packed for _codeword, the
+    # local-repair coefficients per erased column, and the last erasure set's
+    # decode plan.
     _groups: dict = dc_field(init=False, repr=False, compare=False)
     _xs: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
+    _rows: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
     _packed: tuple[int, tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
     _repair_coeffs: dict = dc_field(init=False, repr=False, compare=False,
                                     default_factory=dict)
@@ -86,8 +89,7 @@ class MrCode:
             raise Mismatch(f"the family's exponents {family.elements} collide mod N={field.N}")
         values = _closed_form_rows(xs, r, q)
         for name, value in (("r", r), ("n", n), ("k", k), ("_xs", xs),
-                            ("G", tuple(tuple(FieldElement(v, field) for v in row)
-                                        for row in values))):
+                            ("_rows", tuple(map(tuple, values)))):
             object.__setattr__(self, name, value)
         if (any(len(g) != k for g in groups)
                 or sorted(j for g in groups for j in g) != list(range(n))):
@@ -101,6 +103,12 @@ class MrCode:
         slots = "<" + f"Q{8 * words - 8}x" * n
         object.__setattr__(self, "_packed", (words, tuple(
             int.from_bytes(pack(slots, *row), "little") for row in values)))
+
+    @cached_property
+    def G(self) -> Matrix:
+        """(r+1) rows x n columns of FieldElements, built from _rows on first read."""
+        field = self.field
+        return tuple(tuple(FieldElement(v, field) for v in row) for row in self._rows)
 
     @property
     def h(self) -> int:
@@ -247,7 +255,8 @@ def _scan_subsets(code: MrCode, seed: int) -> MrReport:
 def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     """Check that the deficient (r+1)-column subsets are the repair groups.
 
-    G has the closed form (MrCode derives it when the code is made), so the
+    G has the closed form (MrCode derives its rows when the code is made;
+    this check reads only their first-row values x, never G), so the
     determinant of any r+1 of its columns is V(x) * (prod x - 1) with V the
     Vandermonde determinant of their first-row values: a subset is deficient
     (rank r) exactly when its x multiply to 1 mod q, and otherwise has rank

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from numbers import Real
 from typing import Optional
@@ -14,28 +14,34 @@ from typing import Optional
 from .codespec import RNG_NAME
 from .errors import (BadParams, FieldTooSmall, NotCorrectable, ParamsTooSmall,
                      PropertyViolation, TargetUnreachable)
-from .family import FamilyParams, build_family
+from .family import FamilyParams, _smallest_b, build_family
 from .field import Field, _check_int, make_field
 from .mrcode import MrCode, MrReport, _check_length, build_code, decode, encode, verify_mr
-from .progfree import _EXHAUSTIVE_MAX_M, ProgressionFreeSet, alon_construct, exhaustive_best
+from .progfree import (_EXHAUSTIVE_MAX_M, ProgressionFreeSet, _finish_sweep, _sweep,
+                       alon_construct, exhaustive_best)
 
 
 def _choose_set(d: int, r: int) -> ProgressionFreeSet:
     """Pick D for the given bound: exhaustive search where feasible, digit
     construction beyond, never worse than the capped exhaustive set (any
     valid subset of {1..24} stays valid for larger d; ties go to the digit
-    set).  The capped search is skipped when the digit set already reaches
-    twice the best of {1..12}: the defining equation is translation
-    invariant, so that bounds each half of {1..24}."""
+    set).  The capped search's size sweep runs once: its steps up to L = 12
+    give the best size on {1..12}, and the capped search is skipped when the
+    digit set already reaches twice that (the defining equation is
+    translation invariant, so it bounds each half of {1..24}); otherwise the
+    same sweep goes on to L = 24."""
     if d <= _EXHAUSTIVE_MAX_M:
         return exhaustive_best(d, r)
     try:
         alon = alon_construct(d, r)
     except ParamsTooSmall:  # digit range {0}: the construction degenerates
         return exhaustive_best(_EXHAUSTIVE_MAX_M, r)
-    if len(alon) >= 2 * len(exhaustive_best((_EXHAUSTIVE_MAX_M + 1) // 2, r)):
+    half = (_EXHAUSTIVE_MAX_M + 1) // 2
+    sizes = [0]
+    _sweep(sizes, half, r)
+    if len(alon) >= 2 * sizes[half]:
         return alon
-    capped = exhaustive_best(_EXHAUSTIVE_MAX_M, r)
+    capped = _finish_sweep(sizes, _EXHAUSTIVE_MAX_M, r)
     return alon if len(alon) >= len(capped) else capped
 
 
@@ -71,8 +77,7 @@ def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, M
         n = len(D) * (r + 1)
         if n < target_n:
             raise TargetUnreachable(f"construction reaches n={n} < target {target_n}")
-        # the target_n // (r+1) smallest b, as trim_family keeps
-        D = replace(D, elements=D.elements[:target_n // (r + 1)])
+        D = _smallest_b(D, target_n // (r + 1))
     _check_length(len(D) * (r + 1))  # before the family is built and checked
     code = build_code(field, build_family(params, D))
     report = verify_mr(code)

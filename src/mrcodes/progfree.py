@@ -147,10 +147,24 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
         raise BadParams("need r >= 2 and m >= 1")
     if m > _EXHAUSTIVE_MAX_M:
         raise RangeTooLarge(f"m={m} > {_EXHAUSTIVE_MAX_M}")
-    sizes = [0]
-    for L in range(1, m + 1):
-        best = _first_of_size(L, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True, L < m)
-        sizes.append(sizes[-1] + (best is not None))
+    return _finish_sweep([0], m, r)
+
+
+def _sweep(sizes: list[int], last: int, r: int) -> None:
+    """Extend sizes, where sizes[L] is the best size on {1..L}, through
+    L = last: one mirror-cut yes/no step per new L (see exhaustive_best)."""
+    for L in range(len(sizes), last + 1):
+        grew = _first_of_size(L, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True, True)
+        sizes.append(sizes[-1] + (grew is not None))
+
+
+def _finish_sweep(sizes: list[int], m: int, r: int) -> ProgressionFreeSet:
+    """exhaustive_best(m, r) from a sweep already run through some L < m
+    (sizes = [0] for none): the cut steps up to m - 1, the uncut last step,
+    the unforced search if that step did not grow, and the oracle."""
+    _sweep(sizes, m - 1, r)
+    best = _first_of_size(m, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True, False)
+    sizes.append(sizes[-1] + (best is not None))
     if best is None:
         best = _first_of_size(m, r, sizes[m], sizes, False, False)
     witness = verify_progression_free(best, r)

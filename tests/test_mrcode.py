@@ -1,13 +1,14 @@
 import dataclasses
 import random
 from itertools import combinations
+from pathlib import Path
 from typing import Optional
 
 import pytest
 
 import mrcodes.family
 import mrcodes.mrcode
-from mrcodes.codespec import code_from_dict, code_to_dict
+from mrcodes.codespec import code_from_dict, code_to_dict, load_code
 from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                             MrCodesError, MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                             PropertyViolation, TooLarge)
@@ -29,6 +30,9 @@ def code6():
 @pytest.fixture(scope="module")
 def code8():
     return construct(3, 653)[0]
+
+
+BENCH_SPEC = Path(__file__).resolve().parents[1] / "bench" / "data" / "r2_q1601.json"
 
 
 def _user_family(r, q, D):
@@ -468,8 +472,41 @@ def test_code_is_built_on_its_own_family(r, q, D):
 
 @pytest.mark.parametrize("name", ["G", "_xs"])
 def test_code_derived_values_cannot_be_replaced(code6, name):
-    with pytest.raises(ValueError, match="init=False"):
+    # _xs is a field the code derives (init=False); G is no field at all but
+    # a property built from the int rows on first read
+    error, match = (TypeError, "'G'") if name == "G" else (ValueError, "init=False")
+    with pytest.raises(error, match=match):
         dataclasses.replace(code6, **{name: getattr(code6, name)})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(code6, name, getattr(code6, name))
+
+
+def _count_elements(monkeypatch) -> list:
+    """Count FieldElement constructions from here on, through the
+    __post_init__ hook that bench/tracer.py counts through too."""
+    built = []
+    post_init = FieldElement.__post_init__
+    monkeypatch.setattr(FieldElement, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    return built
+
+
+@pytest.mark.parametrize("make", [lambda: construct(2, 1601)[0],
+                                  lambda: construct(3, 5003)[0],
+                                  lambda: load_code(BENCH_SPEC)],
+                         ids=["construct-2-1601", "construct-3-5003", "load-r2-q1601"])
+def test_g_is_built_on_first_read(monkeypatch, make):
+    # G holds k*n FieldElements: 90, 128 and 90 here, none built until read
+    built = _count_elements(monkeypatch)
+    code = make()
+    code_to_dict(code)
+    assert len(built) == 0
+    G = code.G
+    assert len(built) == code.k * code.n
+    field = code.field
+    assert G == tuple(tuple(map(field.element, row))
+                      for row in _closed_form_rows(code._xs, code.r, field.q))
+    assert code.G is G
 
 
 def test_code_past_the_length_bound_is_too_large(code6, monkeypatch):

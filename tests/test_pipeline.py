@@ -10,10 +10,10 @@ import pytest
 
 import mrcodes.family
 import mrcodes.mrcode
-from mrcodes import pipeline
+from mrcodes import pipeline, progfree
 from mrcodes.codespec import code_from_dict, code_to_dict
-from mrcodes.errors import (BadParams, FieldTooSmall, Mismatch, PropertyViolation,
-                            TargetUnreachable, TooLarge)
+from mrcodes.errors import (BadParams, FieldTooSmall, Mismatch, ParamsTooSmall,
+                            PropertyViolation, TargetUnreachable, TooLarge)
 from mrcodes.family import trim_family
 from mrcodes.mrcode import build_code, is_correctable, rank
 from mrcodes.pipeline import (choose_params, construct, exact_failure_probability,
@@ -267,13 +267,60 @@ def test_choose_set_matches_full_rule(r):
         assert pipeline._choose_set(d, r) == (alon if len(alon) >= len(capped) else capped)
 
 
+def reference_choose_set(d, r):
+    """The set rule as three whole searches: exhaustive_best(12, r) for the
+    skip bound, then exhaustive_best(24, r) from scratch."""
+    if d <= 24:
+        return exhaustive_best(d, r)
+    try:
+        alon = pipeline.alon_construct(d, r)
+    except ParamsTooSmall:
+        return exhaustive_best(24, r)
+    if len(alon) >= 2 * len(exhaustive_best(12, r)):
+        return alon
+    capped = exhaustive_best(24, r)
+    return alon if len(alon) >= len(capped) else capped
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_choose_set_matches_reference(r):
+    for d in [*range(1, 25), 25, 33, 250, 2000, 5000, 10416, 20000]:
+        assert pipeline._choose_set(d, r) == reference_choose_set(d, r), d
+
+
+def _count_search_steps(monkeypatch) -> tuple[list, list]:
+    """Record each _first_of_size call as (L, ends) and each oracle call's set."""
+    steps, checked = [], []
+    search, oracle = progfree._first_of_size, progfree.verify_progression_free
+    monkeypatch.setattr(progfree, "_first_of_size",
+                        lambda m, r, *rest: steps.append((m, rest[2])) or search(m, r, *rest))
+    monkeypatch.setattr(progfree, "verify_progression_free",
+                        lambda c, r: checked.append(tuple(c)) or oracle(c, r))
+    return steps, checked
+
+
+def test_choose_set_sweeps_each_length_once(monkeypatch):
+    # construct(2, 1601)'s d: the digit set (2 elements) is below 2 * 6, so
+    # the capped search runs.  reference_choose_set searches 37 times here
+    # and runs the oracle 3 times, building and proving a set of {1..12}
+    digits = pipeline.alon_construct(33, 2).elements
+    steps, checked = _count_search_steps(monkeypatch)
+    chosen = pipeline._choose_set(33, 2)
+    sweep = [L for L, ends in steps if ends]
+    assert sorted(sweep) == list(range(1, 25))
+    assert len(steps) == 24  # {1..24} grows at L = 24: no unforced search
+    assert chosen.method == "exhaustive" and len(chosen) == 10
+    assert checked == [digits, chosen.elements]
+
+
 def test_choose_set_skips_capped_search_when_digits_win(monkeypatch):
-    calls = []
-    real = pipeline.exhaustive_best
-    monkeypatch.setattr(pipeline, "exhaustive_best",
-                        lambda m, r: calls.append((m, r)) or real(m, r))
-    assert pipeline._choose_set(10416, 2).method == "alon"
-    assert (24, 2) not in calls
+    # at d = 10416 the digit set's 12 elements reach 2 * 6: no sweep step
+    # past L = 12 runs, and the only set the oracle proves is the digit set
+    steps, checked = _count_search_steps(monkeypatch)
+    chosen = pipeline._choose_set(10416, 2)
+    assert chosen.method == "alon"
+    assert sorted(L for L, _ in steps) == list(range(1, 13))
+    assert checked == [chosen.elements]
 
 
 def test_scaling_table_fixed_r():
