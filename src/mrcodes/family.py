@@ -32,6 +32,7 @@ from .field import _check_int
 from .progfree import ProgressionFreeSet, verify_progression_free
 
 _KERNEL_GUARD = 3 * 10**6  # lookups plus index entries
+_MAX_N = 10**3  # the desk-scale bound on a family's, and so a code's, length n
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,16 @@ class ZeroSumFamily:
         return self.params.r
 
 
+def _check_length(n: int) -> None:
+    if n > _MAX_N:
+        raise TooLarge(f"n={n} exceeds the desk-scale bound {_MAX_N}")
+
+
 def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
+    """The family of (params, D), after its inputs are checked: n within
+    _MAX_N first, then D's r, D in [1, d] and the set oracle, so an
+    oversized D is refused before the oracle's |D|^r enumeration."""
+    _check_length(len(D.elements) * (params.r + 1))
     if D.r != params.r:
         raise Mismatch(f"D was checked for r={D.r}, the family has r={params.r}")
     if not D.elements or min(D.elements) < 1 or max(D.elements) > params.d:

@@ -6,9 +6,9 @@ FieldElements on its first read: column j is (x, x^2, ..., x^r, x^(r+1) +
 (-1)^(r+1)) (see _closed_form_rows) with x = gamma^a, a = elements[j] of the
 family in its canonical order, so build_code puts repair group i at columns
 [i*(r+1), (i+1)*(r+1)).  MrCode reads r and n from the family (k = r+1) and
-checks once that n is within _MAX_N, that the family's N is the field's, that
-its exponents are distinct mod N (so the x are), and that the groups split
-range(n) into k-sets in any order.
+checks once that n is within family._MAX_N, that the family's N is the
+field's, that its exponents are distinct mod N (so the x are), and that the
+groups split range(n) into k-sets in any order.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group.  By the closed form,
@@ -38,10 +38,9 @@ from .errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatc
                      MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                      PropertyViolation, TooLarge)
 from . import family as _family
-from .family import ZeroSumFamily, _identity_subsets, _kernel_cost
+from .family import ZeroSumFamily, _check_length, _identity_subsets, _kernel_cost
 from .field import Field, FieldElement, _check_int
 
-_MAX_N = 10**3
 _SAMPLED_SUBSETS = 10**5
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
@@ -168,11 +167,6 @@ def _closed_form_rows(xs: Sequence[int], r: int, q: int) -> list[list[int]]:
         rows.append([y * x % q for y, x in zip(rows[-1], xs)])
     rows[r] = [(y + (-1) ** (r + 1)) % q for y in rows[r]]
     return rows
-
-
-def _check_length(n: int) -> None:
-    if n > _MAX_N:
-        raise TooLarge(f"n={n} exceeds the desk-scale bound {_MAX_N}")
 
 
 def build_code(field: Field, family: ZeroSumFamily) -> MrCode:

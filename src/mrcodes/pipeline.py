@@ -16,7 +16,7 @@ from .errors import (BadParams, FieldTooSmall, NotCorrectable, ParamsTooSmall,
                      PropertyViolation, TargetUnreachable)
 from .family import FamilyParams, _smallest_b, build_family
 from .field import Field, _check_int, make_field
-from .mrcode import MrCode, MrReport, _check_length, build_code, decode, encode, verify_mr
+from .mrcode import MrCode, MrReport, build_code, decode, encode, verify_mr
 from .progfree import (_EXHAUSTIVE_MAX_M, ProgressionFreeSet, _finish_sweep, _sweep,
                        alon_construct, exhaustive_best)
 
@@ -69,16 +69,16 @@ def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, M
     """Full construction pipeline; fails loudly if any verifier fails."""
     field = make_field(q)
     params = _params_over(field, r)
-    D = _choose_set(params.d, r)
-    if target_n is not None:
+    if target_n is not None:  # before D is chosen, which can take seconds at large q
         _check_int("target_n", target_n)
         if target_n <= 0 or target_n % (r + 1) != 0:
             raise BadParams(f"target_n={target_n} is not a positive multiple of r+1={r + 1}")
+    D = _choose_set(params.d, r)
+    if target_n is not None:
         n = len(D) * (r + 1)
         if n < target_n:
             raise TargetUnreachable(f"construction reaches n={n} < target {target_n}")
         D = _smallest_b(D, target_n // (r + 1))
-    _check_length(len(D) * (r + 1))  # before the family is built and checked
     code = build_code(field, build_family(params, D))
     report = verify_mr(code)
     if not report.ok:

@@ -1,12 +1,10 @@
 """Sets D in {1..m} where d_0 + ... + d_{r-1} = r*d_r forces all terms equal.
 
-For r = 2 this is the classical 3-term-AP-free condition.  Two constructors:
-the digit construction (large m; it counts its buckets before building
-one) and an exhaustive maximum-cardinality search for tiny m (a bitmask DFS
-that forces both ends, skips values the elements forbid and cuts mirror
-images; see exhaustive_best).  Neither falls back on the other;
-pipeline._choose_set is the one place that picks between them.  Every
-returned set is re-checked by the brute-force oracle.
+For r = 2 this is the classical 3-term-AP-free condition.  Two constructors,
+neither falling back on the other (pipeline._choose_set picks): the digit
+construction for large m, which counts its buckets before building one, and
+an exact maximum search for tiny m, one loop over a stack of bitmask levels
+(see exhaustive_best).  The brute-force oracle re-checks every result.
 """
 
 from __future__ import annotations
@@ -19,11 +17,8 @@ from typing import Optional
 from .errors import BadParams, ParamsTooSmall, PropertyViolation, RangeTooLarge, TooLarge
 from .field import _check_int
 
-# verify_progression_free enumeration budget: |D|^r tuples
-_VERIFY_GUARD = 10**8
-
-# exhaustive_best is exponential in m
-_EXHAUSTIVE_MAX_M = 24
+_VERIFY_GUARD = 10**8  # verify_progression_free's enumeration budget: |D|^r tuples
+_EXHAUSTIVE_MAX_M = 24  # exhaustive_best is exponential in m
 
 
 @dataclass(frozen=True)
@@ -33,13 +28,24 @@ class AlonMeta:
     B: int          # square-sum shared by all chosen elements
     size_bound: float  # m * e^{-5 sqrt(ln m ln r)}
 
+    def __post_init__(self):
+        for name, kind in (("h", int), ("t", int), ("B", int), ("size_bound", float)):
+            if type(getattr(self, name)) is not kind:
+                raise BadParams(f"{name}={getattr(self, name)!r} is not of type {kind.__name__}")
+
 
 @dataclass(frozen=True)
 class ProgressionFreeSet:
     r: int
     elements: tuple[int, ...]
-    method: str  # "alon" | "exhaustive" | "user_supplied"
+    method: str
     alon_meta: Optional[AlonMeta] = None
+
+    def __post_init__(self):
+        if self.method not in ("alon", "exhaustive", "user_supplied"):
+            raise BadParams(f"method={self.method!r} is not alon, exhaustive or user_supplied")
+        if self.alon_meta is not None and self.method != "alon":
+            raise BadParams(f"a {self.method} set carries digit-construction meta")
 
     def __len__(self):
         return len(self.elements)
@@ -82,9 +88,8 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
     h = floor(e^{sqrt(ln m * ln r)}) (natural logs), t+1 digit positions with
     t = floor(log_h m) - 1.  Elements sharing the most popular square-sum B
     form the set; convexity of z -> z^2 rules out nontrivial solutions.
-    Buckets are counted first; only B's is built.  The result is
-    re-checked by the oracle before returning.  ParamsTooSmall
-    when h <= r, where the only digit is 0 and the construction degenerates.
+    Buckets are counted first; only B's is built.  The result is re-checked
+    by the oracle.  ParamsTooSmall when h <= r: the only digit is 0.
     """
     _check_int("m", m)
     _check_int("r", r)
@@ -94,13 +99,9 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
     top = (h - 1) // r  # the largest digit below h/r
     if top < 1:
         raise ParamsTooSmall(f"h={h} <= r={r}: the digit range is {{0}} for m={m}")
-    # t = floor(log_h m) - 1, computed in exact integers
-    k = 0
-    hp = h
+    t, hp = 0, h * h  # t = max(floor(log_h m) - 1, 0), in exact integers
     while hp <= m:
-        hp *= h
-        k += 1
-    t = max(k - 1, 0)
+        hp, t = hp * h, t + 1
     # ways[j][s]: j-digit vectors of square-sum s.  All nonzero ones lie in
     # [1, m]: h <= m and top < h/2 give x < h^(t+1) <= m
     ways = [[1]]
@@ -120,10 +121,8 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
     witness = verify_progression_free(elements, r)
     if witness is not None:
         raise PropertyViolation(f"digit construction produced a violation: {witness}")
-    meta = AlonMeta(
-        h=h, t=t, B=best_b,
-        size_bound=m * math.exp(-5 * math.sqrt(math.log(m) * math.log(r))),
-    )
+    meta = AlonMeta(h=h, t=t, B=best_b,
+                    size_bound=m * math.exp(-5 * math.sqrt(math.log(m) * math.log(r))))
     return ProgressionFreeSet(r=r, elements=elements, method="alon", alon_meta=meta)
 
 
@@ -131,15 +130,12 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
     """Maximum-cardinality valid subset of {1..m}; lexicographically smallest
     element list among the maximum-size subsets.
 
-    sizes[L] = maximum size for {1..L}; the defining equation is translation
-    invariant, so it bounds any L consecutive integers, and sizes[L] <=
-    sizes[L-1] + 1.  So a set of size sizes[L-1] + 1 in {1..L} holds 1 and
-    L: each step is a yes/no search with both ends forced, and the last
-    step's set, if it grew, is the answer.  Otherwise one unforced search
-    for size sizes[m] runs.  The search drops from its candidates every
-    value an element forbids (see _first_of_size).  d -> L+1-d keeps the
-    equation, so the yes/no steps L < m cut mirror images; the last step and
-    the unforced search, which must find the first set, run uncut.
+    sizes[L] = maximum size for {1..L}; by translation invariance it bounds
+    any L consecutive integers, and sizes[L] <= sizes[L-1] + 1, so a set of
+    size sizes[L-1] + 1 in {1..L} holds 1 and L.  Each step is a yes/no
+    search with both ends forced, and steps L < m cut mirror images (d ->
+    L+1-d keeps the equation).  The uncut last step's set, if it grew, is
+    the answer; else an unforced search for size sizes[m] runs.
     """
     _check_int("m", m)
     _check_int("r", r)
@@ -175,43 +171,51 @@ def _finish_sweep(sizes: list[int], m: int, r: int) -> ProgressionFreeSet:
 
 def _first_of_size(m: int, r: int, target: int, bound: list[int],
                    ends: bool, mirror: bool) -> Optional[list[int]]:
-    """First valid subset of {1..m} of size target in include-first order,
-    the lexicographically smallest, or None; bound[L] caps any L consecutive
-    integers.  ends: the set must hold m (a branch stops once m is ruled out).
-    mirror (every set holds 1 and m): cut sets with more elements in
-    [m-h+1, m] than in [1, h], h = m//2 (at x > h after elements <= h).
+    """First valid subset of {1..m} of size target in include-first order
+    (the lexicographically smallest), or None; bound[L] caps any L
+    consecutive integers.  ends: the set must hold m.  mirror (every set
+    holds 1 and m): cut sets with more elements in [m-h+1, m] than in
+    [1, h], h = m//2 (at x > h after elements <= h).
 
     Bitmasks: sums[j] has bit s when a j-multiset of the set sums to s,
     rev[j] bit K - s, means bit r*d per member d.  Appending x (the largest
     so far) makes a solution iff x + (r-1 members) = r*d for a member d, so
     later y = r*x - s (s in sums[r-1]) are forbidden: all the invalid y for
     r = 2, some of them for r >= 3, where the exact test still decides.
+    One loop over a stack of parent levels: a child is entered only if its
+    allowed holds m (ends) or anything; the target-th element returns.
     """
     K, need = r * m, 1 << m if ends else -1
     h = m // 2 if mirror and m > 1 else m
-    cur: list[int] = []
-
-    def extend(sums: list[int], rev: list[int], means: int, allowed: int) -> bool:
-        if len(cur) == target:
-            return True
-        while allowed & need:
+    caps = [0] + bound[m:0:-1]  # caps[x] = bound[m - x + 1], the cap on [x, m]
+    cur, levels, left, js = [], [], target, range(1, r)
+    sums, rev, means, allowed = [1] + [0] * (r - 1), [1 << K] + [0] * (r - 1), 0, (2 << m) - 2
+    while left:
+        if allowed & need:
             x = (allowed & -allowed).bit_length() - 1
-            if (len(cur) + min(bound[m - x + 1], allowed.bit_count()) < target
-                    or x > h >= cur[-1] and 2 * len(cur) + (x <= m - h) < target):
-                return False
-            allowed ^= 1 << x
-            grown, rgrown = [sums[0]], [rev[0]]
-            for j in range(1, r):
-                grown.append(sums[j] | grown[j - 1] << x)
-                rgrown.append(rev[j] | rgrown[j - 1] >> x)
-            if not (means >> x) & grown[r - 1]:
-                cur.append(x)
-                if extend(grown, rgrown, means | 1 << (r * x),
-                          allowed & ~(rgrown[r - 1] >> (K - r * x))):
-                    return True
-                cur.pop()
-        return False
-
-    found = extend([1] + [0] * (r - 1), [1 << K] + [0] * (r - 1), 0, (2 << m) - 2)
-    return cur if found else None
-
+            if not (caps[x] < left or allowed.bit_count() < left
+                    or x > h >= cur[-1] and 2 * (target - left) + (x <= m - h) < target):
+                allowed ^= 1 << x
+                g, rg = 1, 1 << K
+                grown, rgrown = [g], [rg]
+                for j in js:
+                    g = sums[j] | g << x
+                    rg = rev[j] | rg >> x
+                    grown.append(g)
+                    rgrown.append(rg)
+                if not (means >> x) & g:
+                    if left == 1:
+                        return cur + [x]
+                    child = allowed & ~(rg >> (K - r * x))
+                    if child & need:
+                        cur.append(x)
+                        levels.append((sums, rev, means, allowed))
+                        sums, rev, means, allowed = grown, rgrown, means | 1 << (r * x), child
+                        left -= 1
+                continue
+        if not levels:
+            return None
+        sums, rev, means, allowed = levels.pop()  # pruned or spent: back to the parent
+        cur.pop()
+        left += 1
+    return cur

@@ -202,8 +202,12 @@ def _without(doc, key):
     lambda doc: doc | {"D": []},
     lambda doc: doc | {"exponents": None},
     lambda doc: [doc],
+    lambda doc: doc | {"D_method": "bogus"},
+    lambda doc: doc | {"D_method": 7},
+    lambda doc: doc | {"D_alon_meta": {"h": 4, "t": 1, "B": 1, "size_bound": 0.5}},
 ], ids=["no-lambda", "no-G", "r-str", "r-bool", "r-null", "G-int", "G-flat", "G-str",
-        "lambda-list", "delta-den-0", "D-empty", "exponents-null", "not-object"])
+        "lambda-list", "delta-den-0", "D-empty", "exponents-null", "not-object",
+        "D-method-bogus", "D-method-int", "alon-meta-on-exhaustive-set"])
 def test_malformed_spec_is_typed_error(code6, tmp_path, capsys, mangle):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(mangle(code_to_dict(code6))))
@@ -220,6 +224,27 @@ def test_code_past_the_length_bound_is_too_large(tmp_path, capsys):
     assert main(["construct", "--r", "2", "--q", "1000000007",
                  "--out", str(tmp_path / "spec.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_oversized_D_is_refused_before_the_set_oracle(code6, tmp_path, capsys, monkeypatch):
+    # a spec hand-edited to hold 400 elements in D (n = 1200): build_family
+    # refuses the length before the oracle's |D|^r enumeration, from the
+    # library and from the command line alike
+    calls = []
+    real = mrcodes.family.verify_progression_free
+    monkeypatch.setattr(mrcodes.family, "verify_progression_free",
+                        lambda *args: calls.append(args) or real(*args))
+    message = "n=1200 exceeds the desk-scale bound 1000"
+    doc = code_to_dict(code6) | {"D": list(range(1, 401))}
+    with pytest.raises(TooLarge, match=f"^{message}$"):
+        build_family(code6.family.params, ProgressionFreeSet(2, tuple(doc["D"]), "user_supplied"))
+    with pytest.raises(TooLarge, match=f"^{message}$"):
+        code_from_dict(doc)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])

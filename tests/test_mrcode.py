@@ -512,7 +512,7 @@ def test_g_is_built_on_first_read(monkeypatch, make):
 def test_code_past_the_length_bound_is_too_large(code6, monkeypatch):
     # the bound is checked where G is built, so a family that did not come
     # through construct cannot pass it either
-    monkeypatch.setattr(mrcodes.mrcode, "_MAX_N", 5)
+    monkeypatch.setattr(mrcodes.family, "_MAX_N", 5)
     with pytest.raises(TooLarge, match="^n=6 exceeds the desk-scale bound 5$"):
         MrCode(code6.field, _user_family(2, 101, (1, 2)), code6.repair_groups)
 

@@ -9,7 +9,6 @@ from itertools import combinations
 import pytest
 
 import mrcodes.family
-import mrcodes.mrcode
 from mrcodes import pipeline, progfree
 from mrcodes.codespec import code_from_dict, code_to_dict
 from mrcodes.errors import (BadParams, FieldTooSmall, Mismatch, ParamsTooSmall,
@@ -106,22 +105,42 @@ def test_one_group_code_at_high_r_stays_small():
 
 
 def test_construct_refuses_a_long_code_before_building_its_family(monkeypatch):
-    # q = 1000000007 gives n = 1008: the length bound's TooLarge, raised
-    # before the family is built and checked
-    calls = []
-    real = pipeline.build_family
-    monkeypatch.setattr(pipeline, "build_family", lambda *args: calls.append(args) or real(*args))
+    # q = 1000000007 gives n = 1008: build_family's length check raises
+    # TooLarge before the family is made or D meets the set oracle
+    families, oracle = [], []
+    family, real_oracle = mrcodes.family.ZeroSumFamily, mrcodes.family.verify_progression_free
+    monkeypatch.setattr(mrcodes.family, "ZeroSumFamily",
+                        lambda *args: families.append(args) or family(*args))
+    monkeypatch.setattr(mrcodes.family, "verify_progression_free",
+                        lambda *args: oracle.append(args) or real_oracle(*args))
     with pytest.raises(TooLarge, match="^n=1008 exceeds the desk-scale bound 1000$"):
         construct(2, 1000000007)
-    assert calls == []
+    assert families == oracle == []
     # the bound is inclusive, and applies to the trimmed length
-    monkeypatch.setattr(mrcodes.mrcode, "_MAX_N", 5)
+    monkeypatch.setattr(mrcodes.family, "_MAX_N", 5)
     with pytest.raises(TooLarge, match="^n=6 exceeds the desk-scale bound 5$"):
         construct(2, 101)
-    assert calls == []
+    assert families == oracle == []
     assert construct(2, 101, target_n=3)[0].n == 3
-    monkeypatch.setattr(mrcodes.mrcode, "_MAX_N", 6)
-    assert construct(2, 101)[0].n == 6 and len(calls) == 2
+    monkeypatch.setattr(mrcodes.family, "_MAX_N", 6)
+    assert construct(2, 101)[0].n == 6 and len(families) == len(oracle) == 2
+
+
+@pytest.mark.parametrize("target_n,message", [
+    (7, "^target_n=7 is not a positive multiple of r\\+1=3$"),
+    (-3, "^target_n=-3 is not a positive multiple of r\\+1=3$"),
+    (0, "^target_n=0 is not a positive multiple of r\\+1=3$"),
+    (3.0, "^target_n=3.0 is not an int$"),
+])
+def test_construct_checks_target_n_before_choosing_the_set(monkeypatch, target_n, message):
+    # at q = 4294967291 the digit construction alone takes seconds: a bad
+    # target_n is refused before any set constructor runs
+    calls = []
+    for name in ("alon_construct", "exhaustive_best", "_sweep", "_finish_sweep"):
+        monkeypatch.setattr(pipeline, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(BadParams, match=message):
+        construct(2, 4294967291, target_n=target_n)
+    assert calls == []
 
 
 def test_construct_target_unreachable():

@@ -1,5 +1,6 @@
 import math
 import random
+from typing import Optional
 
 import pytest
 
@@ -190,6 +191,88 @@ def test_mirror_cut_keeps_every_yes_no_answer(r):
             h = L // 2
             assert sum(x <= h for x in cut) >= sum(x > L - h for x in cut), L
         sizes.append(sizes[-1] + (uncut is not None))
+
+
+# the recursive search that the flat loop replaced, copied unchanged: the
+# oracle for _first_of_size
+def reference_first_of_size(m: int, r: int, target: int, bound: list[int],
+                            ends: bool, mirror: bool) -> Optional[list[int]]:
+    """First valid subset of {1..m} of size target in include-first order,
+    the lexicographically smallest, or None; bound[L] caps any L consecutive
+    integers.  ends: the set must hold m (a branch stops once m is ruled out).
+    mirror (every set holds 1 and m): cut sets with more elements in
+    [m-h+1, m] than in [1, h], h = m//2 (at x > h after elements <= h).
+
+    Bitmasks: sums[j] has bit s when a j-multiset of the set sums to s,
+    rev[j] bit K - s, means bit r*d per member d.  Appending x (the largest
+    so far) makes a solution iff x + (r-1 members) = r*d for a member d, so
+    later y = r*x - s (s in sums[r-1]) are forbidden: all the invalid y for
+    r = 2, some of them for r >= 3, where the exact test still decides.
+    """
+    K, need = r * m, 1 << m if ends else -1
+    h = m // 2 if mirror and m > 1 else m
+    cur: list[int] = []
+
+    def extend(sums: list[int], rev: list[int], means: int, allowed: int) -> bool:
+        if len(cur) == target:
+            return True
+        while allowed & need:
+            x = (allowed & -allowed).bit_length() - 1
+            if (len(cur) + min(bound[m - x + 1], allowed.bit_count()) < target
+                    or x > h >= cur[-1] and 2 * len(cur) + (x <= m - h) < target):
+                return False
+            allowed ^= 1 << x
+            grown, rgrown = [sums[0]], [rev[0]]
+            for j in range(1, r):
+                grown.append(sums[j] | grown[j - 1] << x)
+                rgrown.append(rev[j] | rgrown[j - 1] >> x)
+            if not (means >> x) & grown[r - 1]:
+                cur.append(x)
+                if extend(grown, rgrown, means | 1 << (r * x),
+                          allowed & ~(rgrown[r - 1] >> (K - r * x))):
+                    return True
+                cur.pop()
+        return False
+
+    found = extend([1] + [0] * (r - 1), [1 << K] + [0] * (r - 1), 0, (2 << m) - 2)
+    return cur if found else None
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_flat_search_matches_recursive_search(monkeypatch, r):
+    # every call the sweeps make for m <= 24: the mirror-cut steps, each
+    # uncut last step and the unforced searches
+    calls = []
+    real = mrcodes.progfree._first_of_size
+
+    def spy(m, r, target, bound, ends, mirror):
+        found = real(m, r, target, bound, ends, mirror)
+        calls.append(((m, r, target, list(bound), ends, mirror), found))
+        return found
+
+    monkeypatch.setattr(mrcodes.progfree, "_first_of_size", spy)
+    for m in range(1, 25):
+        exhaustive_best(m, r)
+    assert {args[4:] for args, _ in calls} == {(True, True), (True, False), (False, False)}
+    for args, found in calls:
+        assert found == reference_first_of_size(*args), args
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProgressionFreeSet(2, (1, 2), "bogus"),
+    lambda: ProgressionFreeSet(2, (1, 2), 7),
+    lambda: ProgressionFreeSet(2, (1, 2), "exhaustive", AlonMeta(4, 1, 1, 0.5)),
+    lambda: ProgressionFreeSet(2, (1, 2), "user_supplied", AlonMeta(4, 1, 1, 0.5)),
+    lambda: AlonMeta("abc", 1, 1, 0.5),
+    lambda: AlonMeta(4, None, 1, 0.5),
+    lambda: AlonMeta(4, 1, [1], 0.5),
+    lambda: AlonMeta(4, 1, True, 0.5),
+    lambda: AlonMeta(4, 1, 1, 1),
+], ids=["method-bogus", "method-int", "meta-on-exhaustive", "meta-on-user-supplied",
+        "h-str", "t-none", "B-list", "B-bool", "size-bound-int"])
+def test_set_labels_are_typed(make):
+    with pytest.raises(BadParams):
+        make()
 
 
 def reference_alon_construct(m, r):
