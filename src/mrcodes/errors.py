@@ -44,10 +44,6 @@ class BadSet(MrCodesError):
     pass
 
 
-class Collision(MrCodesError):
-    pass
-
-
 class PropertyViolation(MrCodesError):
     """A construction failed one of its own brute-force oracles."""
 

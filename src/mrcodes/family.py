@@ -8,13 +8,15 @@ n = |D|*(r+1) residues
 
 partitioned into transversals A_b = {a_{0,b}, ..., a_{r,b}}.  The defining
 property: an (r+1)-subset of the family sums to 0 mod N exactly when it is
-one of the transversals.  With lambda and delta in range it holds exactly
-when D satisfies the defining equation, so build_family checks its inputs
-and the derived residues only.  verify_mr proves the property on the code
-(construct and `mrcodes verify` run it); verify_zero_sum_property, the
-tests' oracle for the family formula, checks it directly.  Both run one
-lookup kernel (_identity_subsets), which finds the identity subsets by meet
-in the middle; _kernel_cost picks its split and counts its work, and that
+one of the transversals.  With lambda and delta in range (r^3*l < N and
+r*d <= l) the residues are distinct, the last block needs no reduction and
+every transversal sums to exactly N, and the property holds exactly when D
+satisfies the defining equation: so build_family checks its inputs only.
+verify_mr proves the property on the code (construct and `mrcodes verify`
+run it); verify_zero_sum_property, the tests' oracle for the family
+formula, checks it directly.  Both run one lookup kernel
+(_identity_subsets), which finds the subsets summing to 0 mod N by meet in
+the middle; _kernel_cost picks its split and counts its work, and that
 count against _KERNEL_GUARD is the one test of whether it runs.
 """
 
@@ -24,10 +26,9 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from itertools import combinations
-from operator import add
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .errors import BadParams, BadSet, Collision, Mismatch, PropertyViolation, TooLarge
+from .errors import BadParams, BadSet, Mismatch, TooLarge
 from .field import _check_int
 from .progfree import ProgressionFreeSet, verify_progression_free
 
@@ -102,7 +103,7 @@ def _check_length(n: int) -> None:
 def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
     """The family of (params, D), after its inputs are checked: n within
     _MAX_N first, then D's r, D in [1, d] and the set oracle, so an
-    oversized D is refused before the oracle's |D|^r enumeration."""
+    oversized D is refused before the oracle's enumeration."""
     _check_length(len(D.elements) * (params.r + 1))
     if D.r != params.r:
         raise Mismatch(f"D was checked for r={D.r}, the family has r={params.r}")
@@ -110,15 +111,7 @@ def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
         raise BadParams(f"D={D.elements} is not a nonempty subset of [1, d={params.d}]")
     if verify_progression_free(D.elements, params.r) is not None:
         raise BadSet(f"D={D.elements} fails the defining equation for r={params.r}")
-    family = ZeroSumFamily(params, D)
-    N = params.N
-    if len(set(family.elements)) != family.n:
-        raise Collision(f"residues not distinct for N={N}, r={params.r}, l={params.l}, "
-                        f"D={D.elements}")
-    for tr in family.transversals:
-        if sum(tr) % N != 0:
-            raise PropertyViolation(f"transversal {tr} does not sum to 0 mod {N}")
-    return family
+    return ZeroSumFamily(params, D)
 
 
 def verify_zero_sum_property(elements, transversals, N: int, r: int) -> Optional[frozenset]:
@@ -146,7 +139,7 @@ def verify_zero_sum_property(elements, transversals, N: int, r: int) -> Optional
     # the witness by position: the first zero-sum non-transversal, or an
     # earlier subset spelling a transversal whose sum is not 0
     residues = [a % N for a in elements]
-    zero_sums = _identity_subsets(residues, [-a % N for a in residues], r, add, N)
+    zero_sums = _identity_subsets(residues, r, N)
     first = next((s for s in zero_sums if value_set(s) not in transversal_sets), None)
     positions: dict[int, list[int]] = {}
     for i, a in enumerate(elements):
@@ -170,40 +163,38 @@ def _kernel_cost(n: int, r: int) -> tuple[int, int]:
     return min((math.comb(n, r - t + 1) + math.comb(n, t), t) for t in range(1, r))
 
 
-def _identity_subsets(values: Sequence[int], completions: Sequence[int], r: int,
-                      op: Callable[[int, int], int], modulus: int) -> Iterator[tuple[int, ...]]:
+def _identity_subsets(values: Sequence[int], r: int, N: int) -> Iterator[tuple[int, ...]]:
     """Yield the index (r+1)-subsets, in lexicographic order, whose values
-    combine under op (mod modulus) to the identity, given completions[j] =
-    the inverse of values[j].  op must be commutative.  Needs r >= 2.
+    sum to 0 mod N.  Needs r >= 2.
 
     Meet in the middle: with t from _kernel_cost, index the t-subsets
-    (tails) by their combined completions, then walk the (r-t)-subset heads
-    with a running combination plus one running index i, and look up the
-    tails that start past i.  Tails are indexed in combinations order, so
-    the hits come out in lexicographic order.
+    (tails) by minus their sum, then walk the (r-t)-subset heads with a
+    running sum plus one running index i, and look up the tails that start
+    past i.  Tails are indexed in combinations order, so the hits come out
+    in lexicographic order.
     """
     n, t = len(values), _kernel_cost(len(values), r)[1]
     tails: dict[int, list[tuple[int, ...]]] = {}
     # a tail starts past at least r-t+1 indices; a head leaves i and a tail after it
-    for tail, key in _running(completions, range(r - t + 1, n), t, op, modulus):
-        tails.setdefault(key, []).append(tail)
-    for head, acc in _running(values, range(n - t - 1), r - t, op, modulus):
+    for tail, total in _running(values, range(r - t + 1, n), t, N):
+        tails.setdefault(-total % N, []).append(tail)
+    for head, acc in _running(values, range(n - t - 1), r - t, N):
         for i in range(head[-1] + 1, n - t):
-            for tail in tails.get(op(acc, values[i]) % modulus, ()):
+            for tail in tails.get((acc + values[i]) % N, ()):
                 if tail[0] > i:
                     yield head + (i,) + tail
 
 
 def _running(values: Sequence[int], indices: range, size: int,
-             op: Callable[[int, int], int], modulus: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (subset, its values combined under op mod modulus) for each
-    subset of indices of the given size >= 1, in combinations order.  Only
-    prefixes that can still grow to that size inside indices are built, and
-    the subsets are made lazily, so no level is held in memory."""
+             N: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (subset, its values' sum mod N) for each subset of indices of
+    the given size >= 1, in combinations order.  Only prefixes that can
+    still grow to that size inside indices are built, and the subsets are
+    made lazily, so no level is held in memory."""
     if size == 1:
-        return (((j,), values[j] % modulus) for j in indices)
-    prefixes = _running(values, range(indices.start, indices.stop - 1), size - 1, op, modulus)
-    return ((prefix + (j,), op(acc, values[j]) % modulus)
+        return (((j,), values[j] % N) for j in indices)
+    prefixes = _running(values, range(indices.start, indices.stop - 1), size - 1, N)
+    return ((prefix + (j,), (acc + values[j]) % N)
             for prefix, acc in prefixes for j in range(prefix[-1] + 1, indices.stop))
 
 

@@ -12,11 +12,13 @@ groups split range(n) into k-sets in any order.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group.  By the closed form,
-r+1 columns are deficient exactly when their x multiply to 1 mod q, and
-every r columns are independent.  Message recovery from erasures reduces to
-linear algebra over GF(q), all done by one Gauss-Jordan (_row_reduce): a
-decode plan is one reduction of the present columns beside I_k, which gives
-the verdict, the pivot columns and their inverse together.
+r+1 columns are deficient exactly when their x multiply to 1 mod q, that
+is (gamma being primitive) when their exponents sum to 0 mod N, which is
+all verify_mr reads; every r columns are independent.  Message recovery
+from erasures reduces to linear algebra over GF(q), all done by one
+Gauss-Jordan (_row_reduce): a decode plan is one reduction of the present
+columns beside I_k, which gives the verdict, the pivot columns and their
+inverse together.
 
 verify_mr is exhaustive while the family's lookup-kernel cost fits
 _KERNEL_GUARD, and samples past it.
@@ -64,12 +66,11 @@ class MrCode:
     k: int = dc_field(init=False)
     repair_groups: tuple[tuple[int, ...], ...]
     # State derived from this object's own fields, never shared between codes:
-    # each column's group index and the other columns of its group, G's
-    # first-row values x, G's rows as ints, G packed for _codeword, the
+    # each column's group index and the other columns of its group, G's rows
+    # as ints (the first holds the x), G packed for _codeword, the
     # local-repair coefficients per erased column, and the last erasure set's
     # decode plan.
     _groups: dict = dc_field(init=False, repr=False, compare=False)
-    _xs: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
     _rows: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
     _packed: tuple[int, tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
     _repair_coeffs: dict = dc_field(init=False, repr=False, compare=False,
@@ -87,7 +88,7 @@ class MrCode:
         if len(set(xs)) != n:
             raise Mismatch(f"the family's exponents {family.elements} collide mod N={field.N}")
         values = _closed_form_rows(xs, r, q)
-        for name, value in (("r", r), ("n", n), ("k", k), ("_xs", xs),
+        for name, value in (("r", r), ("n", n), ("k", k),
                             ("_rows", tuple(map(tuple, values)))):
             object.__setattr__(self, name, value)
         if (any(len(g) != k for g in groups)
@@ -228,16 +229,16 @@ class MrReport:
 
 def _scan_subsets(code: MrCode, seed: int) -> MrReport:
     """The sampled report: every repair group plus uniformly sampled
-    (r+1)-column subsets, each deficient exactly when its x multiply to 1
-    mod q, against the expected rank (r for a repair group, r+1 otherwise)."""
-    r, k, q, xs = code.r, code.k, code.field.q, code._xs
+    (r+1)-column subsets, each deficient exactly when its exponents sum to 0
+    mod N, against the expected rank (r for a repair group, r+1 otherwise)."""
+    r, k, N, a = code.r, code.k, code.field.N, code.family.elements
     group_sets = {frozenset(g) for g in code.repair_groups}
     rng = random.Random(seed)
     sampled = {tuple(sorted(rng.sample(range(code.n), k))) for _ in range(_SAMPLED_SUBSETS)}
     sampled.update(tuple(sorted(g)) for g in code.repair_groups)
     report = MrReport(mode="sampled", mds_subsets_checked=len(sampled))
     for subset in sampled:
-        rk = r if math.prod(xs[j] for j in subset) % q == 1 else k
+        rk = r if sum(a[j] for j in subset) % N == 0 else k
         expected = r if frozenset(subset) in group_sets else k
         if rk == r:
             report.deficient_subsets.append(subset)
@@ -249,27 +250,29 @@ def _scan_subsets(code: MrCode, seed: int) -> MrReport:
 def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     """Check that the deficient (r+1)-column subsets are the repair groups.
 
-    G has the closed form (MrCode derives its rows when the code is made;
-    this check reads only their first-row values x, never G), so the
-    determinant of any r+1 of its columns is V(x) * (prod x - 1) with V the
-    Vandermonde determinant of their first-row values: a subset is deficient
-    (rank r) exactly when its x multiply to 1 mod q, and otherwise has rank
-    r+1.  "auto" runs the lookup kernel (_identity_subsets) over every
-    subset while its cost fits _KERNEL_GUARD and samples past it (see
-    _scan_subsets; the report's mode says which); "exhaustive" raises
-    TooLarge past the guard; "sampled" always samples.
+    G has the closed form (MrCode derives its rows when the code is made),
+    so the determinant of any r+1 of its columns is V(x) * (prod x - 1) with
+    V the Vandermonde determinant of their first-row values: a subset is
+    deficient (rank r) exactly when its x multiply to 1 mod q, and otherwise
+    has rank r+1.  The x are gamma^a for the family's exponents a, and gamma
+    is primitive (of order N), so prod gamma^a = 1 exactly when sum a = 0
+    mod N: this check reads only the exponents and N, never G.  "auto" runs
+    the lookup kernel (_identity_subsets) over every subset while its cost
+    fits _KERNEL_GUARD and samples past it (see _scan_subsets; the report's
+    mode says which); "exhaustive" raises TooLarge past the guard; "sampled"
+    always samples.
     """
     _check_int("seed", seed)
     if mode not in ("auto", "exhaustive", "sampled"):
         raise BadParams(f"unknown verifier mode {mode!r}")
-    n, r, k, q, xs = code.n, code.r, code.k, code.field.q, code._xs
+    n, r, k = code.n, code.r, code.k
     cost, guard = _kernel_cost(n, r)[0], _family._KERNEL_GUARD
     if mode == "exhaustive" and cost > guard:
         raise TooLarge(f"the lookup kernel's cost for n={n}, r={r} = {cost} "
                        f"exceeds the exhaustive guard {guard}")
     if mode == "sampled" or cost > guard:
         return _scan_subsets(code, seed)
-    deficient = list(_identity_subsets(xs, [pow(x, -1, q) for x in xs], r, mul, q))
+    deficient = list(_identity_subsets(code.family.elements, r, code.field.N))
     # the violations in lexicographic order: the symmetric difference of the
     # deficient subsets and the groups
     deficient_sets = set(map(frozenset, deficient))

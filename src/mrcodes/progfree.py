@@ -17,7 +17,7 @@ from typing import Optional
 from .errors import BadParams, ParamsTooSmall, PropertyViolation, RangeTooLarge, TooLarge
 from .field import _check_int
 
-_VERIFY_GUARD = 10**8  # verify_progression_free's enumeration budget: |D|^r tuples
+_VERIFY_GUARD = 10**8  # verify_progression_free's enumeration budget: C(|D|+r-1, r) multisets
 _EXHAUSTIVE_MAX_M = 24  # exhaustive_best is exponential in m
 
 
@@ -44,6 +44,8 @@ class ProgressionFreeSet:
     def __post_init__(self):
         if self.method not in ("alon", "exhaustive", "user_supplied"):
             raise BadParams(f"method={self.method!r} is not alon, exhaustive or user_supplied")
+        if self.alon_meta is not None and not isinstance(self.alon_meta, AlonMeta):
+            raise BadParams(f"alon_meta={self.alon_meta!r} is not an AlonMeta")
         if self.alon_meta is not None and self.method != "alon":
             raise BadParams(f"a {self.method} set carries digit-construction meta")
 
@@ -69,8 +71,10 @@ def verify_progression_free(candidate, r: int) -> Optional[tuple]:
     elems = sorted(set(elems))
     if not elems or elems[0] < 1:
         raise BadParams("candidate must be a nonempty set of integers >= 1")
-    if len(elems) ** r > _VERIFY_GUARD:
-        raise TooLarge(f"|D|^r = {len(elems)}^{r} exceeds the enumeration guard")
+    count = math.comb(len(elems) + r - 1, r)
+    if count > _VERIFY_GUARD:
+        raise TooLarge(f"C(|D|+r-1, r) = {count} multisets for |D|={len(elems)}, r={r} "
+                       f"exceed the enumeration guard {_VERIFY_GUARD}")
     elem_set = set(elems)
     for combo in combinations_with_replacement(elems, r):
         s = sum(combo)

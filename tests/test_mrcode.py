@@ -293,7 +293,7 @@ def test_mutation_breaks_verifier(code6):
 class TestClosedFormVerify:
     """verify_mr's determinant shortcut against the brute-force rank scan."""
 
-    @pytest.mark.parametrize("r,q", [(2, 101), (3, 653), (2, 1601), (4, 1283)])
+    @pytest.mark.parametrize("r,q", [(2, 101), (3, 653), (2, 1601), (4, 1283), (2, 257)])
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_matches_rank_scan(self, r, q, mode):
         code = construct(r, q)[0]
@@ -463,16 +463,16 @@ def test_code_is_built_on_its_own_family(r, q, D):
     else:
         code = build_code(make_field(q), _user_family(r, q, D))
     field = code.field
-    assert code._xs == tuple(pow(field.gamma, a, q) for a in code.family.elements)
+    assert code._rows[0] == tuple(pow(field.gamma, a, q) for a in code.family.elements)
     assert code.G == tuple(tuple(map(field.element, row))
-                           for row in _closed_form_rows(code._xs, r, q))
+                           for row in _closed_form_rows(code._rows[0], r, q))
     if D is None:
         assert code_from_dict(code_to_dict(code)) == code
 
 
-@pytest.mark.parametrize("name", ["G", "_xs"])
+@pytest.mark.parametrize("name", ["G", "_rows"])
 def test_code_derived_values_cannot_be_replaced(code6, name):
-    # _xs is a field the code derives (init=False); G is no field at all but
+    # _rows is a field the code derives (init=False); G is no field at all but
     # a property built from the int rows on first read
     error, match = (TypeError, "'G'") if name == "G" else (ValueError, "init=False")
     with pytest.raises(error, match=match):
@@ -505,7 +505,7 @@ def test_g_is_built_on_first_read(monkeypatch, make):
     assert len(built) == code.k * code.n
     field = code.field
     assert G == tuple(tuple(map(field.element, row))
-                      for row in _closed_form_rows(code._xs, code.r, field.q))
+                      for row in _closed_form_rows(code._rows[0], code.r, field.q))
     assert code.G is G
 
 

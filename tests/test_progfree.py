@@ -34,8 +34,12 @@ class TestVerify:
         assert verify_progression_free({5}, 4) is None
 
     def test_guard(self):
-        with pytest.raises(TooLarge):
-            verify_progression_free(range(1, 101), 5)
+        # the guard counts the C(|D|+r-1, r) multisets the check walks:
+        # 216 071 394 here, over 10^8, and C(17, 14) = 680 for the
+        # exhaustive set at r = 14, though 4^14 is over 10^8
+        with pytest.raises(TooLarge, match="216071394 multisets"):
+            verify_progression_free(range(1, 120), 5)
+        assert exhaustive_best(24, 14).elements == (1, 2, 16, 17)
 
     @pytest.mark.parametrize("r", [-1, 0, 1])
     def test_r_below_2(self, r):
@@ -268,8 +272,9 @@ def test_flat_search_matches_recursive_search(monkeypatch, r):
     lambda: AlonMeta(4, 1, [1], 0.5),
     lambda: AlonMeta(4, 1, True, 0.5),
     lambda: AlonMeta(4, 1, 1, 1),
+    lambda: ProgressionFreeSet(2, (1, 2), "alon", {"h": 4}),
 ], ids=["method-bogus", "method-int", "meta-on-exhaustive", "meta-on-user-supplied",
-        "h-str", "t-none", "B-list", "B-bool", "size-bound-int"])
+        "h-str", "t-none", "B-list", "B-bool", "size-bound-int", "meta-dict"])
 def test_set_labels_are_typed(make):
     with pytest.raises(BadParams):
         make()
