@@ -1,7 +1,8 @@
 """Zero-sum transversal families in Z_N.
 
 A family is its parameters and a valid set D in {1..d}, which fix the
-n = |D|*(r+1) residues
+n = |D|*(r+1) residues (FamilyParams derives l = floor(lambda*N) and
+d = floor(delta*N) once, when it is made)
 
     a_{i,b} = i*l + b            (0 <= i <= r-1, b in D)
     a_{r,b} = N - C(r,2)*l - r*b (reduced mod N)
@@ -42,6 +43,8 @@ class FamilyParams:
     r: int
     lam: Fraction    # 0 < lam < 1/r^3
     delta: Fraction  # 0 < delta < lam/r
+    l: int = dc_field(init=False, repr=False)  # floor(lam*N), derived once
+    d: int = dc_field(init=False, repr=False)  # floor(delta*N), derived once
 
     def __post_init__(self):
         _check_int("N", self.N)
@@ -56,16 +59,13 @@ class FamilyParams:
             raise BadParams(f"lambda={self.lam} outside (0, 1/r^3)")
         if not (0 < self.delta < self.lam / r):
             raise BadParams(f"delta={self.delta} outside (0, lambda/r)")
-        if self.l < 1 or self.d < 1:
-            raise BadParams(f"l={self.l}, d={self.d}: both must be >= 1")
-
-    @property
-    def l(self) -> int:
-        return math.floor(self.lam * self.N)
-
-    @property
-    def d(self) -> int:
-        return math.floor(self.delta * self.N)
+        # exact floors: a Fraction's denominator is positive
+        l = self.lam.numerator * self.N // self.lam.denominator
+        d = self.delta.numerator * self.N // self.delta.denominator
+        if l < 1 or d < 1:
+            raise BadParams(f"l={l}, d={d}: both must be >= 1")
+        for name, value in (("l", l), ("d", d)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

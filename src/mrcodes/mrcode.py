@@ -1,14 +1,16 @@
 """The (r+1) x n generator matrix, its verifier, and erasure decoding.
 
 A code is its field, its zero-sum family and its repair groups.  G's rows
-are derived as ints from the first two when the code is made, and G's
-FieldElements on its first read: column j is (x, x^2, ..., x^r, x^(r+1) +
-(-1)^(r+1)) (see _closed_form_rows) with x = gamma^a, a = elements[j] of the
-family in its canonical order, so build_code puts repair group i at columns
-[i*(r+1), (i+1)*(r+1)).  MrCode reads r and n from the family (k = r+1) and
-checks once that n is within family._MAX_N, that the family's N is the
-field's, that its exponents are distinct mod N (so the x are), and that the
-groups split range(n) into k-sets in any order.
+are derived as ints from the first two when the code is made: column j is
+(x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) (see _closed_form_rows) with
+x = gamma^a, a = elements[j] of the family in its canonical order, so
+build_code puts repair group i at columns [i*(r+1), (i+1)*(r+1)).  G's
+FieldElements, the rows packed for encoding and the map from each column to
+its group are built on first use, so construct, verify_mr and the spec
+reader and writer never build them.  MrCode reads r and n from the family
+(k = r+1) and checks once that n is within family._MAX_N, that the family's
+N is the field's, that its exponents are distinct mod N (so the x are), and
+that the groups split range(n) into k-sets in any order.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group.  By the closed form,
@@ -66,13 +68,10 @@ class MrCode:
     k: int = dc_field(init=False)
     repair_groups: tuple[tuple[int, ...], ...]
     # State derived from this object's own fields, never shared between codes:
-    # each column's group index and the other columns of its group, G's rows
-    # as ints (the first holds the x), G packed for _codeword, the
-    # local-repair coefficients per erased column, and the last erasure set's
-    # decode plan.
-    _groups: dict = dc_field(init=False, repr=False, compare=False)
+    # G's rows as ints (the first holds the x), the local-repair coefficients
+    # per erased column, and the last erasure set's decode plan.  The group
+    # map and the packed rows are cached properties, built on first use.
     _rows: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
-    _packed: tuple[int, tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
     _repair_coeffs: dict = dc_field(init=False, repr=False, compare=False,
                                     default_factory=dict)
     _plan: Optional[_DecodePlan] = dc_field(init=False, repr=False, compare=False,
@@ -87,28 +86,33 @@ class MrCode:
         xs = tuple(pow(field.gamma, a, q) for a in family.elements)
         if len(set(xs)) != n:
             raise Mismatch(f"the family's exponents {family.elements} collide mod N={field.N}")
-        values = _closed_form_rows(xs, r, q)
         for name, value in (("r", r), ("n", n), ("k", k),
-                            ("_rows", tuple(map(tuple, values)))):
+                            ("_rows", tuple(map(tuple, _closed_form_rows(xs, r, q))))):
             object.__setattr__(self, name, value)
         if (any(len(g) != k for g in groups)
                 or sorted(j for g in groups for j in g) != list(range(n))):
             raise Mismatch(f"repair groups do not split range({n}) into {k}-sets")
-        object.__setattr__(self, "_groups", {j: (i, g[:p] + g[p + 1:])
-                                             for i, g in enumerate(map(tuple, groups))
-                                             for p, j in enumerate(g)})
-        # each row of G as one integer with a slot of `words` 64-bit words per
-        # column, enough for a sum of k products of values below q
-        words = -(-(k * (q - 1) ** 2).bit_length() // 64)
-        slots = "<" + f"Q{8 * words - 8}x" * n
-        object.__setattr__(self, "_packed", (words, tuple(
-            int.from_bytes(pack(slots, *row), "little") for row in values)))
 
     @cached_property
     def G(self) -> Matrix:
         """(r+1) rows x n columns of FieldElements, built from _rows on first read."""
         field = self.field
         return tuple(tuple(FieldElement(v, field) for v in row) for row in self._rows)
+
+    @cached_property
+    def _groups(self) -> dict[int, tuple[int, tuple[int, ...]]]:
+        """Each column's group index and the other columns of its group."""
+        return {j: (i, g[:p] + g[p + 1:])
+                for i, g in enumerate(map(tuple, self.repair_groups)) for p, j in enumerate(g)}
+
+    @cached_property
+    def _packed(self) -> tuple[int, tuple[int, ...]]:
+        """(words, rows): each row of G as one integer with a slot of `words`
+        64-bit words per column, enough for a sum of k products of values
+        below q; _codeword reads it."""
+        words = -(-(self.k * (self.field.q - 1) ** 2).bit_length() // 64)
+        slots = "<" + f"Q{8 * words - 8}x" * self.n
+        return words, tuple(int.from_bytes(pack(slots, *row), "little") for row in self._rows)
 
     @property
     def h(self) -> int:
@@ -230,11 +234,15 @@ class MrReport:
 def _scan_subsets(code: MrCode, seed: int) -> MrReport:
     """The sampled report: every repair group plus uniformly sampled
     (r+1)-column subsets, each deficient exactly when its exponents sum to 0
-    mod N, against the expected rank (r for a repair group, r+1 otherwise)."""
+    mod N, against the expected rank (r for a repair group, r+1 otherwise).
+    The draws stop early once every subset has been drawn."""
     r, k, N, a = code.r, code.k, code.field.N, code.family.elements
     group_sets = {frozenset(g) for g in code.repair_groups}
-    rng = random.Random(seed)
-    sampled = {tuple(sorted(rng.sample(range(code.n), k))) for _ in range(_SAMPLED_SUBSETS)}
+    rng, total, sampled = random.Random(seed), math.comb(code.n, k), set()
+    for _ in range(_SAMPLED_SUBSETS):
+        sampled.add(tuple(sorted(rng.sample(range(code.n), k))))
+        if len(sampled) == total:
+            break
     sampled.update(tuple(sorted(g)) for g in code.repair_groups)
     report = MrReport(mode="sampled", mds_subsets_checked=len(sampled))
     for subset in sampled:

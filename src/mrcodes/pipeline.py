@@ -17,8 +17,9 @@ from .errors import (BadParams, FieldTooSmall, NotCorrectable, ParamsTooSmall,
 from .family import FamilyParams, _smallest_b, build_family
 from .field import Field, _check_int, make_field
 from .mrcode import MrCode, MrReport, build_code, decode, encode, verify_mr
-from .progfree import (_EXHAUSTIVE_MAX_M, ProgressionFreeSet, _finish_sweep, _sweep,
-                       alon_construct, exhaustive_best)
+from .progfree import _EXHAUSTIVE_MAX_M, ProgressionFreeSet, _alon_digits, _finish_sweep, _sweep
+# the checked constructor, unused here: the set-rule tests read it as pipeline.alon_construct
+from .progfree import alon_construct  # noqa: F401
 
 
 def _choose_set(d: int, r: int) -> ProgressionFreeSet:
@@ -29,13 +30,18 @@ def _choose_set(d: int, r: int) -> ProgressionFreeSet:
     give the best size on {1..12}, and the capped search is skipped when the
     digit set already reaches twice that (the defining equation is
     translation invariant, so it bounds each half of {1..24}); otherwise the
-    same sweep goes on to L = 24."""
+    same sweep goes on to L = 24.
+
+    The constructors' unchecked bodies build the candidates and the set
+    oracle runs on none of them: build_family checks the chosen D, so a
+    candidate that loses is never checked, and a D too long for a code is
+    refused before the oracle meets it."""
     if d <= _EXHAUSTIVE_MAX_M:
-        return exhaustive_best(d, r)
+        return _finish_sweep([0], d, r)
     try:
-        alon = alon_construct(d, r)
+        alon = _alon_digits(d, r)
     except ParamsTooSmall:  # digit range {0}: the construction degenerates
-        return exhaustive_best(_EXHAUSTIVE_MAX_M, r)
+        return _finish_sweep([0], _EXHAUSTIVE_MAX_M, r)
     half = (_EXHAUSTIVE_MAX_M + 1) // 2
     sizes = [0]
     _sweep(sizes, half, r)

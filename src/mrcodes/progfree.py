@@ -4,7 +4,10 @@ For r = 2 this is the classical 3-term-AP-free condition.  Two constructors,
 neither falling back on the other (pipeline._choose_set picks): the digit
 construction for large m, which counts its buckets before building one, and
 an exact maximum search for tiny m, one loop over a stack of bitmask levels
-(see exhaustive_best).  The brute-force oracle re-checks every result.
+(see exhaustive_best).  The public constructors re-check what they return
+with the brute-force oracle; _choose_set calls their unchecked bodies
+(_alon_digits, _finish_sweep) and leaves the check to build_family, which
+every D passes before it becomes a code.
 """
 
 from __future__ import annotations
@@ -95,6 +98,11 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
     Buckets are counted first; only B's is built.  The result is re-checked
     by the oracle.  ParamsTooSmall when h <= r: the only digit is 0.
     """
+    return _proved(_alon_digits(m, r), "digit construction")
+
+
+def _alon_digits(m: int, r: int) -> ProgressionFreeSet:
+    """alon_construct(m, r) without the oracle's re-check."""
     _check_int("m", m)
     _check_int("r", r)
     if r < 2 or m < 2:
@@ -122,9 +130,6 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
         level = [(s, x + dig * h**j) for rest, x in level for dig in range(top + 1)
                  if 0 <= (s := rest - dig * dig) < len(ways[j]) and ways[j][s]]
     elements = tuple(x for _, x in level)
-    witness = verify_progression_free(elements, r)
-    if witness is not None:
-        raise PropertyViolation(f"digit construction produced a violation: {witness}")
     meta = AlonMeta(h=h, t=t, B=best_b,
                     size_bound=m * math.exp(-5 * math.sqrt(math.log(m) * math.log(r))))
     return ProgressionFreeSet(r=r, elements=elements, method="alon", alon_meta=meta)
@@ -139,7 +144,8 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
     size sizes[L-1] + 1 in {1..L} holds 1 and L.  Each step is a yes/no
     search with both ends forced, and steps L < m cut mirror images (d ->
     L+1-d keeps the equation).  The uncut last step's set, if it grew, is
-    the answer; else an unforced search for size sizes[m] runs.
+    the answer; else an unforced search for size sizes[m] runs.  The result
+    is re-checked by the oracle.
     """
     _check_int("m", m)
     _check_int("r", r)
@@ -147,7 +153,15 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
         raise BadParams("need r >= 2 and m >= 1")
     if m > _EXHAUSTIVE_MAX_M:
         raise RangeTooLarge(f"m={m} > {_EXHAUSTIVE_MAX_M}")
-    return _finish_sweep([0], m, r)
+    return _proved(_finish_sweep([0], m, r), "exhaustive search")
+
+
+def _proved(D: ProgressionFreeSet, construction: str) -> ProgressionFreeSet:
+    """D once the oracle passes it; PropertyViolation with its witness if not."""
+    witness = verify_progression_free(D.elements, D.r)
+    if witness is not None:
+        raise PropertyViolation(f"{construction} produced a violation: {witness}")
+    return D
 
 
 def _sweep(sizes: list[int], last: int, r: int) -> None:
@@ -160,16 +174,14 @@ def _sweep(sizes: list[int], last: int, r: int) -> None:
 
 def _finish_sweep(sizes: list[int], m: int, r: int) -> ProgressionFreeSet:
     """exhaustive_best(m, r) from a sweep already run through some L < m
-    (sizes = [0] for none): the cut steps up to m - 1, the uncut last step,
-    the unforced search if that step did not grow, and the oracle."""
+    (sizes = [0] for none) and without the oracle's re-check: the cut steps
+    up to m - 1, the uncut last step, and the unforced search if that step
+    did not grow."""
     _sweep(sizes, m - 1, r)
     best = _first_of_size(m, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True, False)
     sizes.append(sizes[-1] + (best is not None))
     if best is None:
         best = _first_of_size(m, r, sizes[m], sizes, False, False)
-    witness = verify_progression_free(best, r)
-    if witness is not None:
-        raise PropertyViolation(f"exhaustive search produced a violation: {witness}")
     return ProgressionFreeSet(r=r, elements=tuple(best), method="exhaustive")
 
 

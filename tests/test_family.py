@@ -28,6 +28,32 @@ def test_params_derived(params_r2):
     assert params_r2.l == 6 and params_r2.d == 2
 
 
+_open_unit = st.fractions(0, 1).filter(lambda f: 0 < f < 1)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(r=st.integers(2, 6), N=st.integers(-10, 10**15),
+       lam_frac=_open_unit, delta_frac=_open_unit)
+def test_params_derive_l_and_d_as_exact_floors(r, N, lam_frac, delta_frac):
+    # l and d are set once from integer floors; they equal the Fraction floors
+    lam = Fraction(1, r**3) * lam_frac
+    delta = lam / r * delta_frac
+    l, d = math.floor(lam * N), math.floor(delta * N)
+    if l < 1 or d < 1:
+        with pytest.raises(BadParams, match=f"^l={l}, d={d}: both must be >= 1$"):
+            FamilyParams(N=N, r=r, lam=lam, delta=delta)
+    else:
+        params = FamilyParams(N=N, r=r, lam=lam, delta=delta)
+        assert (params.l, params.d) == (l, d)
+
+
+@pytest.mark.parametrize("name", ["l", "d"])
+def test_params_derived_values_cannot_be_replaced(params_r2, name):
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(params_r2, **{name: 1})
+    assert "l=" not in repr(params_r2) and "d=" not in repr(params_r2)
+
+
 @pytest.mark.parametrize("lam,delta", [
     (Fraction(1, 8), Fraction(1, 48)),   # lam = 1/r^3, not strict
     (Fraction(1, 16), Fraction(1, 32)),  # delta = lam/r, not strict

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from itertools import combinations
 from pathlib import Path
@@ -8,15 +9,15 @@ import pytest
 
 import mrcodes.family
 import mrcodes.mrcode
-from mrcodes.codespec import code_from_dict, code_to_dict, load_code
+from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
 from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                             MrCodesError, MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                             PropertyViolation, TooLarge)
 from mrcodes.family import ZeroSumFamily
 from mrcodes.field import FieldElement, make_field
 from mrcodes.mrcode import (ErasurePattern, MrCode, _build_plan, _closed_form_rows, _DecodePlan,
-                            build_code, decode, encode, is_correctable, local_repair, rank,
-                            verify_mr)
+                            MrReport, build_code, decode, encode, is_correctable, local_repair,
+                            rank, verify_mr)
 from mrcodes.pipeline import choose_params, construct
 from mrcodes.progfree import ProgressionFreeSet
 from rank_scan import rank_scan, raw
@@ -399,6 +400,72 @@ class TestClosedFormVerify:
         assert set(report.deficient_subsets) == {(0, 1, 2), (3, 4, 5)}
 
 
+def _reference_scan(code, seed):
+    """The sampled report as it was built before the draws could stop: all
+    _SAMPLED_SUBSETS draws in one set comprehension.  Also returns how many
+    draws it took to hold every subset (all of them if it never did)."""
+    r, k, N, a = code.r, code.k, code.field.N, code.family.elements
+    group_sets = {frozenset(g) for g in code.repair_groups}
+    rng = random.Random(seed)
+    draws = [tuple(sorted(rng.sample(range(code.n), k)))
+             for _ in range(mrcodes.mrcode._SAMPLED_SUBSETS)]
+    sampled = {subset for subset in draws}
+    total, seen, needed = math.comb(code.n, k), set(), len(draws)
+    for i, subset in enumerate(draws, 1):
+        seen.add(subset)
+        if len(seen) == total:
+            needed = i
+            break
+    sampled.update(tuple(sorted(g)) for g in code.repair_groups)
+    report = MrReport(mode="sampled", mds_subsets_checked=len(sampled))
+    for subset in sampled:
+        rk = r if sum(a[j] for j in subset) % N == 0 else k
+        expected = r if frozenset(subset) in group_sets else k
+        if rk == r:
+            report.deficient_subsets.append(subset)
+        if rk != expected:
+            report.violations.append((subset, rk, expected))
+    return report, needed
+
+
+def _sampled_codes():
+    code6 = construct(2, 101)[0]
+    yield "r2_q101", code6
+    yield "r3_q653", construct(3, 653)[0]
+    yield "r2_q401", construct(2, 401)[0]
+    yield "r4_q1283", construct(4, 1283)[0]
+    yield "permuted-groups", dataclasses.replace(code6, repair_groups=((2, 1, 0), (5, 3, 4)))
+    yield "odd-groups", dataclasses.replace(code6, repair_groups=((0, 1, 3), (2, 4, 5)))
+    yield "not-progression-free", build_code(code6.field, _user_family(2, 101, (1, 2, 3)))
+    yield "bench-spec", load_code(BENCH_SPEC)
+
+
+@pytest.mark.parametrize("cap", [None, 5000, 50])
+def test_sampled_report_stops_drawing_once_every_subset_is_drawn(monkeypatch, cap):
+    # the report is the one all the draws give, element for element; only
+    # the draws after the last new subset are skipped.  The default cap runs
+    # on the first code only, to keep the reference's 10^5 draws few; 5000
+    # draws hold every subset of the codes with n <= 12 but not the bench
+    # spec's C(30, 3) = 4060, and 50 draws hold no code's
+    codes = list(_sampled_codes())
+    if cap is None:
+        codes = codes[:1]
+    else:
+        monkeypatch.setattr(mrcodes.mrcode, "_SAMPLED_SUBSETS", cap)
+    draws, sample = [], random.Random.sample
+    monkeypatch.setattr(random.Random, "sample",
+                        lambda self, *args: draws.append(1) or sample(self, *args))
+    for name, code in codes:
+        for seed in (0, 7):
+            expected, needed = _reference_scan(code, seed)
+            draws.clear()
+            report = verify_mr(code, seed=seed, mode="sampled")
+            assert repr(report) == repr(expected), (name, seed)
+            assert len(draws) == needed, (name, seed)
+            cap_now = mrcodes.mrcode._SAMPLED_SUBSETS
+            assert (needed < cap_now) == (cap_now > 50 and code.n <= 12), (name, seed)
+
+
 def _caught(code, i, j, value) -> bool:
     """Whether the code's spec with entry (i, j) of G set to value is
     refused, naming G, where a G enters from outside: code_from_dict."""
@@ -470,15 +537,34 @@ def test_code_is_built_on_its_own_family(r, q, D):
         assert code_from_dict(code_to_dict(code)) == code
 
 
-@pytest.mark.parametrize("name", ["G", "_rows"])
+@pytest.mark.parametrize("name", ["G", "_rows", "_groups", "_packed"])
 def test_code_derived_values_cannot_be_replaced(code6, name):
-    # _rows is a field the code derives (init=False); G is no field at all but
-    # a property built from the int rows on first read
-    error, match = (TypeError, "'G'") if name == "G" else (ValueError, "init=False")
+    # _rows is a field the code derives (init=False); G, the group map and
+    # the packed rows are no fields at all but properties built on first use
+    error, match = (ValueError, "init=False") if name == "_rows" else (TypeError, f"'{name}'")
     with pytest.raises(error, match=match):
         dataclasses.replace(code6, **{name: getattr(code6, name)})
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(code6, name, getattr(code6, name))
+
+
+def test_codec_state_is_built_on_first_use(tmp_path):
+    # construct, verify_mr and the spec writer and reader build none of G,
+    # the packed rows or the group map; encode packs, local_repair maps
+    lazy = {"G", "_packed", "_groups"}
+    code, _ = construct(3, 5003)
+    for mode in ("auto", "exhaustive", "sampled"):
+        verify_mr(code, mode=mode)
+    path = tmp_path / "spec.json"
+    save_code(code, path)
+    loaded = load_code(path)
+    assert code_from_dict(code_to_dict(code)) == loaded == code
+    for c in (code, loaded):
+        assert lazy.isdisjoint(vars(c))
+    codeword = encode(loaded, list(range(loaded.k)))
+    assert lazy & set(vars(loaded)) == {"_packed"}
+    assert local_repair(loaded, [None] + codeword[1:], 0) == codeword[0]
+    assert lazy & set(vars(loaded)) == {"_packed", "_groups", "G"}
 
 
 def _count_elements(monkeypatch) -> list:

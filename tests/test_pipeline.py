@@ -11,7 +11,7 @@ import pytest
 import mrcodes.family
 from mrcodes import pipeline, progfree
 from mrcodes.codespec import code_from_dict, code_to_dict
-from mrcodes.errors import (BadParams, FieldTooSmall, Mismatch, ParamsTooSmall,
+from mrcodes.errors import (BadParams, BadSet, FieldTooSmall, Mismatch, ParamsTooSmall,
                             PropertyViolation, TargetUnreachable, TooLarge)
 from mrcodes.family import trim_family
 from mrcodes.mrcode import build_code, is_correctable, rank
@@ -136,7 +136,7 @@ def test_construct_checks_target_n_before_choosing_the_set(monkeypatch, target_n
     # at q = 4294967291 the digit construction alone takes seconds: a bad
     # target_n is refused before any set constructor runs
     calls = []
-    for name in ("alon_construct", "exhaustive_best", "_sweep", "_finish_sweep"):
+    for name in ("_alon_digits", "_sweep", "_finish_sweep"):
         monkeypatch.setattr(pipeline, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(BadParams, match=message):
         construct(2, 4294967291, target_n=target_n)
@@ -321,25 +321,79 @@ def _count_search_steps(monkeypatch) -> tuple[list, list]:
 def test_choose_set_sweeps_each_length_once(monkeypatch):
     # construct(2, 1601)'s d: the digit set (2 elements) is below 2 * 6, so
     # the capped search runs.  reference_choose_set searches 37 times here
-    # and runs the oracle 3 times, building and proving a set of {1..12}
-    digits = pipeline.alon_construct(33, 2).elements
+    # and runs the oracle 3 times, building and proving a set of {1..12};
+    # _choose_set runs it on none, since build_family proves the D it picks
     steps, checked = _count_search_steps(monkeypatch)
     chosen = pipeline._choose_set(33, 2)
     sweep = [L for L, ends in steps if ends]
     assert sorted(sweep) == list(range(1, 25))
     assert len(steps) == 24  # {1..24} grows at L = 24: no unforced search
     assert chosen.method == "exhaustive" and len(chosen) == 10
-    assert checked == [digits, chosen.elements]
+    assert checked == []
 
 
 def test_choose_set_skips_capped_search_when_digits_win(monkeypatch):
     # at d = 10416 the digit set's 12 elements reach 2 * 6: no sweep step
-    # past L = 12 runs, and the only set the oracle proves is the digit set
+    # past L = 12 runs, and the oracle proves no set here
     steps, checked = _count_search_steps(monkeypatch)
     chosen = pipeline._choose_set(10416, 2)
     assert chosen.method == "alon"
     assert sorted(L for L, _ in steps) == list(range(1, 13))
-    assert checked == [chosen.elements]
+    assert checked == []
+
+
+def _spy_oracle(monkeypatch) -> list:
+    """Record each set-oracle call, from progfree or from build_family, as
+    (the set, r)."""
+    calls, oracle = [], progfree.verify_progression_free
+
+    def spy(candidate, r):
+        calls.append((tuple(candidate), r))
+        return oracle(candidate, r)
+
+    for module in (progfree, mrcodes.family):
+        monkeypatch.setattr(module, "verify_progression_free", spy)
+    return calls
+
+
+@pytest.mark.parametrize("r,q", [(2, 101), (2, 1601), (2, 500009), (3, 5003)])
+def test_construct_checks_the_chosen_set_once(monkeypatch, r, q):
+    # d = 2 (exhaustive), 33 (capped search beats the digits), 10416 (the
+    # digits win) and 23 (exhaustive): each path proves only the D it keeps
+    calls = _spy_oracle(monkeypatch)
+    code, report = construct(r, q)
+    assert report.ok
+    assert calls == [(code.family.D.elements, r)]
+
+
+@pytest.mark.parametrize("d,r,expected", [
+    (52174, 14, None),  # (14, 4294967291): the 4-element digit set ties the capped set
+    (25, 30, (1, 2)),   # digit range {0}: ParamsTooSmall, the capped set
+])
+def test_choose_set_runs_no_oracle(monkeypatch, d, r, expected):
+    calls = _spy_oracle(monkeypatch)
+    chosen = pipeline._choose_set(d, r)
+    assert calls == []
+    if expected is None:
+        assert chosen.method == "alon" and len(chosen) == len(exhaustive_best(24, r)) == 4
+    else:
+        assert chosen.method == "exhaustive" and chosen.elements == expected
+
+
+def test_construct_refuses_the_largest_field_before_the_oracle(monkeypatch):
+    # q = 2^32 - 5, r = 2: the 5170-element digit set gives n = 15510, which
+    # the length bound refuses before the set oracle walks its 13.4 M multisets
+    calls = _spy_oracle(monkeypatch)
+    with pytest.raises(TooLarge, match="^n=15510 exceeds the desk-scale bound 1000$"):
+        construct(2, 4294967291)
+    assert calls == []
+
+
+def test_construct_raises_bad_set_when_the_oracle_rejects(monkeypatch):
+    # construct's only set check is build_family's, so its refusal is BadSet
+    monkeypatch.setattr(mrcodes.family, "verify_progression_free", lambda candidate, r: (1, 3, 2))
+    with pytest.raises(BadSet, match="fails the defining equation for r=2"):
+        construct(2, 101)
 
 
 def test_scaling_table_fixed_r():
