@@ -116,28 +116,33 @@ class FieldElement:
         if not 0 <= self.value < self.field.q:
             raise BadParams(f"residue {self.value} out of range for q={self.field.q}")
 
-    def _coerce(self, other) -> "FieldElement":
+    def _coerce(self, other):
+        """other's residue mod q, or NotImplemented (so Python raises
+        TypeError) when other is neither an int nor a FieldElement."""
         if isinstance(other, FieldElement):
             if other.field.q != self.field.q:
                 raise FieldMismatch(f"GF({self.field.q}) vs GF({other.field.q})")
-            return other
+            return other.value
         if isinstance(other, int):
-            return FieldElement(other % self.field.q, self.field)
+            return other % self.field.q
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement((self.value + other.value) % self.field.q, self.field)
+        v = self._coerce(other)
+        return (v if v is NotImplemented
+                else FieldElement((self.value + v) % self.field.q, self.field))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement((self.value - other.value) % self.field.q, self.field)
+        v = self._coerce(other)
+        return (v if v is NotImplemented
+                else FieldElement((self.value - v) % self.field.q, self.field))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value * other.value % self.field.q, self.field)
+        v = self._coerce(other)
+        return (v if v is NotImplemented
+                else FieldElement(self.value * v % self.field.q, self.field))
 
     __rmul__ = __mul__
 
@@ -157,8 +162,8 @@ class FieldElement:
         return FieldElement(pow(self.value, e % self.field.N, self.field.q), self.field)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inv()
+        v = self._coerce(other)
+        return v if v is NotImplemented else self * FieldElement(v, self.field).inv()
 
     def __eq__(self, other):
         # an int equals only its canonical residue, so equal objects hash

@@ -6,21 +6,22 @@ are derived as ints from the first two when the code is made: column j is
 x = gamma^a, a = elements[j] of the family in its canonical order, so
 build_code puts repair group i at columns [i*(r+1), (i+1)*(r+1)).  G's
 FieldElements, the rows packed for encoding and the map from each column to
-its group are built on first use, so construct, verify_mr and the spec
-reader and writer never build them.  MrCode reads r and n from the family
-(k = r+1) and checks once that n is within family._MAX_N, that the family's
-N is the field's, that its exponents are distinct mod N (so the x are), and
-that the groups split range(n) into k-sets in any order.
+its group, peers and repair coefficients are built on first use, so
+construct, verify_mr and the spec reader and writer never build them.
+MrCode reads r and n from the family (k = r+1) and checks once that n is
+within family._MAX_N, that the family's N is the field's, that its exponents
+are distinct mod N (so the x are), and that the groups split range(n) into
+k-sets in any order.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group.  By the closed form,
 r+1 columns are deficient exactly when their x multiply to 1 mod q, that
 is (gamma being primitive) when their exponents sum to 0 mod N, which is
-all verify_mr reads; every r columns are independent.  Message recovery
-from erasures reduces to linear algebra over GF(q), all done by one
-Gauss-Jordan (_row_reduce): a decode plan is one reduction of the present
-columns beside I_k, which gives the verdict, the pivot columns and their
-inverse together.
+all verify_mr reads; every r columns are independent.  Local repair reads
+only the x (one Lagrange interpolation, the last row checked).  Decode
+plans and rank use one Gauss-Jordan (_row_reduce): a plan is one reduction
+of the present columns beside I_k, which gives the verdict, the pivot
+columns and their inverse together.
 
 verify_mr is exhaustive while the family's lookup-kernel cost fits
 _KERNEL_GUARD, and samples past it.
@@ -68,12 +69,10 @@ class MrCode:
     k: int = dc_field(init=False)
     repair_groups: tuple[tuple[int, ...], ...]
     # State derived from this object's own fields, never shared between codes:
-    # G's rows as ints (the first holds the x), the local-repair coefficients
-    # per erased column, and the last erasure set's decode plan.  The group
-    # map and the packed rows are cached properties, built on first use.
+    # G's rows as ints (the first holds the x) and the last erasure set's
+    # decode plan.  The column map and the packed rows are cached properties,
+    # built on first use.
     _rows: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
-    _repair_coeffs: dict = dc_field(init=False, repr=False, compare=False,
-                                    default_factory=dict)
     _plan: Optional[_DecodePlan] = dc_field(init=False, repr=False, compare=False,
                                             default=None)
 
@@ -100,10 +99,21 @@ class MrCode:
         return tuple(tuple(FieldElement(v, field) for v in row) for row in self._rows)
 
     @cached_property
-    def _groups(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        """Each column's group index and the other columns of its group."""
-        return {j: (i, g[:p] + g[p + 1:])
-                for i, g in enumerate(map(tuple, self.repair_groups)) for p, j in enumerate(g)}
+    def _groups(self) -> dict[int, tuple[int, tuple[int, ...], Optional[tuple[int, ...]]]]:
+        """Each column e's group index, its r peers and the c with G_e = sum
+        c_i G_peers[i], None if there is none.  c_i = x_e L_i(x_e) / x_i, L_i
+        the Lagrange basis over the peers' x, fits rows 1..r (x, ..., x^r),
+        so only the last row is checked."""
+        q, xs, last, groups = self.field.q, self._rows[0], self._rows[-1], {}
+        for i, g in enumerate(map(tuple, self.repair_groups)):
+            for p, e in enumerate(g):
+                peers = g[:p] + g[p + 1:]
+                c = tuple(math.prod((xs[e] - xs[m]) * pow(xs[j] - xs[m], -1, q)
+                                    for m in peers if m != j) * xs[e] * pow(xs[j], -1, q) % q
+                          for j in peers)
+                ok = sum(c_i * last[j] for c_i, j in zip(c, peers)) % q == last[e]
+                groups[e] = (i, peers, c if ok else None)
+        return groups
 
     @cached_property
     def _packed(self) -> tuple[int, tuple[int, ...]]:
@@ -334,23 +344,6 @@ def encode(code: MrCode, message: Sequence) -> list[FieldElement]:
             for v in _codeword(code, [_symbol(code, x) for x in message])]
 
 
-def _repair_coefficients(code: MrCode, erased_index: int, others: Sequence[int]) -> tuple[int, ...]:
-    """The c with G_erased = sum c_i G_others[i], memoised per column."""
-    coeffs = code._repair_coeffs.get(erased_index)
-    if coeffs is None:
-        # g_erased is in the span of the other r group columns (group rank
-        # is r, any r of them independent): reducing [G_others | g_erased]
-        # leaves c beside the r pivots and a zero row below them
-        r = len(others)
-        rows = [[code.G[i][j] for j in others] + [code.G[i][erased_index]]
-                for i in range(code.k)]
-        if len(_row_reduce(rows, r)) < r or any(row[r] for row in rows[r:]):
-            raise PropertyViolation(f"repair system for column {erased_index} unsolvable; "
-                                    f"code structure violated")
-        coeffs = code._repair_coeffs[erased_index] = tuple(row[r].value for row in rows[:r])
-    return coeffs
-
-
 def local_repair(code: MrCode, received: Sequence, erased_index: int) -> FieldElement:
     """Recover one erased symbol from the r other symbols of its group.
 
@@ -363,14 +356,16 @@ def local_repair(code: MrCode, received: Sequence, erased_index: int) -> FieldEl
         raise NotInGroup(f"column {erased_index} out of range [0, {code.n})")
     if _length(received, "received") != code.n:
         raise LengthMismatch(f"received length {len(received)} != n={code.n}")
-    index, others = code._groups[erased_index]
+    index, others, coeffs = code._groups[erased_index]
     symbols = []
     for j in others:
         s = received[j]
         if s is None:
             raise MultipleErasuresInGroup(f"group {index} has another erasure at column {j}")
         symbols.append(_symbol(code, s))
-    coeffs = _repair_coefficients(code, erased_index, others)
+    if coeffs is None:
+        raise PropertyViolation(f"repair system for column {erased_index} unsolvable; "
+                                f"code structure violated")
     return FieldElement(sum(map(mul, coeffs, symbols)) % code.field.q, code.field)
 
 

@@ -18,8 +18,6 @@ from .family import FamilyParams, _smallest_b, build_family
 from .field import Field, _check_int, make_field
 from .mrcode import MrCode, MrReport, build_code, decode, encode, verify_mr
 from .progfree import _EXHAUSTIVE_MAX_M, ProgressionFreeSet, _alon_digits, _finish_sweep, _sweep
-# the checked constructor, unused here: the set-rule tests read it as pipeline.alon_construct
-from .progfree import alon_construct  # noqa: F401
 
 
 def _choose_set(d: int, r: int) -> ProgressionFreeSet:
@@ -66,7 +64,7 @@ def _params_over(field: Field, r: int) -> FamilyParams:
         raise BadParams("r must be >= 2")
     lam = Fraction(1, 2 * r**3)
     delta = lam / (r + 1)
-    if math.floor(delta * field.N) < 1:
+    if field.N < delta.denominator:  # delta = 1/denominator, so d = 0
         raise FieldTooSmall(f"q={field.q} gives d=0 for r={r}; need N >= {delta.denominator}")
     return FamilyParams(N=field.N, r=r, lam=lam, delta=delta)
 

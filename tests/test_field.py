@@ -87,6 +87,23 @@ def test_add_mul_examples():
     assert g.element(100) * g.element(95) == 6  # 9500 mod 101
 
 
+@pytest.mark.parametrize("apply", [
+    lambda a: a + 1.5, lambda a: 1.5 + a, lambda a: a * "x", lambda a: None * a,
+    lambda a: a - None, lambda a: a / 2.0, lambda a: a * 2.0,
+], ids=["add", "radd", "mul", "rmul", "sub", "truediv", "mul-float"])
+def test_foreign_operand_is_type_error(apply):
+    # the operator declines an operand that is neither an int nor an
+    # element, so Python raises its own TypeError naming both operand types,
+    # not an error from inside the operator
+    with pytest.raises(TypeError, match="'FieldElement'"):
+        apply(make_field(13).element(3))
+
+
+def test_int_operands_in_both_orders():
+    a = make_field(13).element(3)
+    assert (a + 11, 11 + a, a - 5, a * 5, 5 * a, a / 2) == (1, 1, 11, 2, 2, 8)
+
+
 def test_field_mismatch():
     a = make_field(13).element(1)
     b = make_field(17).element(1)

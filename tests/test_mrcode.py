@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from itertools import combinations
 from pathlib import Path
 from typing import Optional
@@ -16,8 +17,8 @@ from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, 
 from mrcodes.family import ZeroSumFamily
 from mrcodes.field import FieldElement, make_field
 from mrcodes.mrcode import (ErasurePattern, MrCode, _build_plan, _closed_form_rows, _DecodePlan,
-                            MrReport, build_code, decode, encode, is_correctable, local_repair,
-                            rank, verify_mr)
+                            _row_reduce, MrReport, build_code, decode, encode, is_correctable,
+                            local_repair, rank, verify_mr)
 from mrcodes.pipeline import choose_params, construct
 from mrcodes.progfree import ProgressionFreeSet
 from rank_scan import rank_scan, raw
@@ -550,7 +551,8 @@ def test_code_derived_values_cannot_be_replaced(code6, name):
 
 def test_codec_state_is_built_on_first_use(tmp_path):
     # construct, verify_mr and the spec writer and reader build none of G,
-    # the packed rows or the group map; encode packs, local_repair maps
+    # the packed rows or the column map; encode packs, local_repair maps
+    # and, reading only the x, never builds G
     lazy = {"G", "_packed", "_groups"}
     code, _ = construct(3, 5003)
     for mode in ("auto", "exhaustive", "sampled"):
@@ -564,7 +566,7 @@ def test_codec_state_is_built_on_first_use(tmp_path):
     codeword = encode(loaded, list(range(loaded.k)))
     assert lazy & set(vars(loaded)) == {"_packed"}
     assert local_repair(loaded, [None] + codeword[1:], 0) == codeword[0]
-    assert lazy & set(vars(loaded)) == {"_packed", "_groups", "G"}
+    assert lazy & set(vars(loaded)) == {"_packed", "_groups"}
 
 
 def _count_elements(monkeypatch) -> list:
@@ -890,6 +892,61 @@ class TestDecodeMatchesReference:
         codeword = _codeword(code, rng)
         for j in range(code.n):
             assert local_repair(code, _received(codeword, {j}), j) == codeword[j]
+
+
+def _reference_repair_coefficients(code, erased_index, others):
+    """The c with G_erased = sum c_i G_others[i], by one reduction of
+    [G_others | g_erased] over G's FieldElements: how local_repair found
+    them before it read the x."""
+    # g_erased is in the span of the other r group columns (group rank
+    # is r, any r of them independent): reducing [G_others | g_erased]
+    # leaves c beside the r pivots and a zero row below them
+    r = len(others)
+    rows = [[code.G[i][j] for j in others] + [code.G[i][erased_index]]
+            for i in range(code.k)]
+    if len(_row_reduce(rows, r)) < r or any(row[r] for row in rows[r:]):
+        raise PropertyViolation(f"repair system for column {erased_index} unsolvable; "
+                                f"code structure violated")
+    return tuple(row[r].value for row in rows[:r])
+
+
+def _regrouped(groups):
+    return dataclasses.replace(construct(2, 101)[0], repair_groups=groups)
+
+
+@pytest.mark.parametrize("make, unsolvable", [
+    (lambda: construct(2, 101)[0], 0),
+    (lambda: load_code(BENCH_SPEC), 0),
+    (lambda: construct(3, 653)[0], 0),
+    (lambda: construct(4, 1283)[0], 0),
+    # groups that are not the deficient triples: each has full rank, so no
+    # column is spanned by its two peers
+    (lambda: _regrouped(((0, 1, 3), (2, 4, 5))), 6),
+    (lambda: _regrouped(((2, 1, 0), (5, 3, 4))), 0),
+], ids=["2-101", "bench-2-1601", "3-653", "4-1283", "odd-groups", "permuted-groups"])
+def test_repair_map_matches_the_reduction(make, unsolvable):
+    # each column's interpolated coefficients are the reduction's, None
+    # where the reduction finds no solution; local_repair returns the
+    # reduction's symbol or raises its PropertyViolation
+    code = make()
+    codeword = _codeword(code, random.Random(5))
+    found = 0
+    for i, group in enumerate(code.repair_groups):
+        for e in group:
+            peers = tuple(j for j in group if j != e)
+            try:
+                expected = _reference_repair_coefficients(code, e, peers)
+            except PropertyViolation as exc:
+                found += 1
+                assert code._groups[e] == (i, peers, None)
+                with pytest.raises(PropertyViolation, match=f"^{re.escape(str(exc))}$"):
+                    local_repair(code, _received(codeword, {e}), e)
+                continue
+            assert code._groups[e] == (i, peers, expected)
+            value = sum(c * codeword[j] for c, j in zip(expected, peers)) % code.field.q
+            assert value == codeword[e]
+            assert local_repair(code, _received(codeword, {e}), e) == value
+    assert found == unsolvable
 
 
 def _reference_plan(code, erased):

@@ -45,6 +45,13 @@ def test_choose_params_field_too_small():
         choose_params(3, 101)  # d = floor(100/216) = 0
 
 
+def test_choose_params_d_boundary():
+    # r = 4: delta = 1/640, so d >= 1 exactly when N >= 640
+    assert choose_params(4, 641).d == 1
+    with pytest.raises(FieldTooSmall, match=r"^q=631 gives d=0 for r=4; need N >= 640$"):
+        choose_params(4, 631)
+
+
 def test_construct_r2():
     code, report = construct(2, 101)
     assert (code.n, code.k) == (6, 3)
@@ -282,7 +289,7 @@ def test_choose_set_matches_full_rule(r):
     # elements equal the bound 2 * 6 that skips the capped search
     capped = exhaustive_best(24, r)
     for d in (25, 2000, 5000, 10416, 20000):
-        alon = pipeline.alon_construct(d, r)
+        alon = progfree.alon_construct(d, r)
         assert pipeline._choose_set(d, r) == (alon if len(alon) >= len(capped) else capped)
 
 
@@ -292,7 +299,7 @@ def reference_choose_set(d, r):
     if d <= 24:
         return exhaustive_best(d, r)
     try:
-        alon = pipeline.alon_construct(d, r)
+        alon = progfree.alon_construct(d, r)
     except ParamsTooSmall:
         return exhaustive_best(24, r)
     if len(alon) >= 2 * len(exhaustive_best(12, r)):
