@@ -17,8 +17,8 @@ verify_mr proves the property on the code (construct and `mrcodes verify`
 run it); verify_zero_sum_property, the tests' oracle for the family
 formula, checks it directly.  Both run one lookup kernel
 (_identity_subsets), which finds the subsets summing to 0 mod N by meet in
-the middle; _kernel_cost picks its split and counts its work, and that
-count against _KERNEL_GUARD is the one test of whether it runs.
+the middle; _kernel_cost picks its split and counts its work, and the
+kernel refuses, with TooLarge, a count past _KERNEL_GUARD.
 """
 
 from __future__ import annotations
@@ -127,10 +127,6 @@ def verify_zero_sum_property(elements, transversals, N: int, r: int) -> Optional
     if r < 2:
         raise BadParams("r must be >= 2")
     elements = tuple(elements)
-    cost = _kernel_cost(len(elements), r)[0]
-    if cost > _KERNEL_GUARD:
-        raise TooLarge(f"the lookup kernel's cost for n={len(elements)}, r={r} = {cost} "
-                       f"exceeds its guard {_KERNEL_GUARD}")
     transversal_sets = {frozenset(tr) for tr in transversals}
 
     def value_set(subset):
@@ -171,9 +167,14 @@ def _identity_subsets(values: Sequence[int], r: int, N: int) -> Iterator[tuple[i
     (tails) by minus their sum, then walk the (r-t)-subset heads with a
     running sum plus one running index i, and look up the tails that start
     past i.  Tails are indexed in combinations order, so the hits come out
-    in lexicographic order.
+    in lexicographic order.  TooLarge, before any subset, when the cost
+    exceeds _KERNEL_GUARD.
     """
-    n, t = len(values), _kernel_cost(len(values), r)[1]
+    n = len(values)
+    cost, t = _kernel_cost(n, r)
+    if cost > _KERNEL_GUARD:
+        raise TooLarge(f"the lookup kernel's cost for n={n}, r={r} = {cost} "
+                       f"exceeds its guard {_KERNEL_GUARD}")
     tails: dict[int, list[tuple[int, ...]]] = {}
     # a tail starts past at least r-t+1 indices; a head leaves i and a tail after it
     for tail, total in _running(values, range(r - t + 1, n), t, N):

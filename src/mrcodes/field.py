@@ -91,6 +91,7 @@ class Field:
             object.__setattr__(self, name, value)
 
     def element(self, value: int) -> "FieldElement":
+        _check_int("value", value)
         return FieldElement(value % self.q, self)
 
     @property
@@ -118,12 +119,13 @@ class FieldElement:
 
     def _coerce(self, other):
         """other's residue mod q, or NotImplemented (so Python raises
-        TypeError) when other is neither an int nor a FieldElement."""
+        TypeError) when other is neither an int (bool excluded) nor a
+        FieldElement."""
         if isinstance(other, FieldElement):
             if other.field.q != self.field.q:
                 raise FieldMismatch(f"GF({self.field.q}) vs GF({other.field.q})")
             return other.value
-        if isinstance(other, int):
+        if type(other) is int:
             return other % self.field.q
         return NotImplemented
 
@@ -138,6 +140,11 @@ class FieldElement:
         v = self._coerce(other)
         return (v if v is NotImplemented
                 else FieldElement((self.value - v) % self.field.q, self.field))
+
+    def __rsub__(self, other):
+        v = self._coerce(other)
+        return (v if v is NotImplemented
+                else FieldElement((v - self.value) % self.field.q, self.field))
 
     def __mul__(self, other):
         v = self._coerce(other)
@@ -164,6 +171,10 @@ class FieldElement:
     def __truediv__(self, other):
         v = self._coerce(other)
         return v if v is NotImplemented else self * FieldElement(v, self.field).inv()
+
+    def __rtruediv__(self, other):
+        v = self._coerce(other)
+        return v if v is NotImplemented else self.inv() * v
 
     def __eq__(self, other):
         # an int equals only its canonical residue, so equal objects hash

@@ -23,8 +23,8 @@ plans and rank use one Gauss-Jordan (_row_reduce): a plan is one reduction
 of the present columns beside I_k, which gives the verdict, the pivot
 columns and their inverse together.
 
-verify_mr is exhaustive while the family's lookup-kernel cost fits
-_KERNEL_GUARD, and samples past it.
+verify_mr is exhaustive unless the lookup kernel refuses the work, and then
+samples.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                      MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                      PropertyViolation, TooLarge)
-from . import family as _family
-from .family import ZeroSumFamily, _check_length, _identity_subsets, _kernel_cost
+from .family import ZeroSumFamily, _check_length, _identity_subsets
 from .field import Field, FieldElement, _check_int
 
 _SAMPLED_SUBSETS = 10**5
@@ -275,22 +274,22 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     has rank r+1.  The x are gamma^a for the family's exponents a, and gamma
     is primitive (of order N), so prod gamma^a = 1 exactly when sum a = 0
     mod N: this check reads only the exponents and N, never G.  "auto" runs
-    the lookup kernel (_identity_subsets) over every subset while its cost
-    fits _KERNEL_GUARD and samples past it (see _scan_subsets; the report's
-    mode says which); "exhaustive" raises TooLarge past the guard; "sampled"
-    always samples.
+    the lookup kernel (_identity_subsets) over every subset and samples when
+    the kernel refuses the work (see _scan_subsets; the report's mode says
+    which); "exhaustive" passes that TooLarge on; "sampled" always samples.
     """
     _check_int("seed", seed)
     if mode not in ("auto", "exhaustive", "sampled"):
         raise BadParams(f"unknown verifier mode {mode!r}")
-    n, r, k = code.n, code.r, code.k
-    cost, guard = _kernel_cost(n, r)[0], _family._KERNEL_GUARD
-    if mode == "exhaustive" and cost > guard:
-        raise TooLarge(f"the lookup kernel's cost for n={n}, r={r} = {cost} "
-                       f"exceeds the exhaustive guard {guard}")
-    if mode == "sampled" or cost > guard:
+    if mode == "sampled":
         return _scan_subsets(code, seed)
-    deficient = list(_identity_subsets(code.family.elements, r, code.field.N))
+    n, r, k = code.n, code.r, code.k
+    try:
+        deficient = list(_identity_subsets(code.family.elements, r, code.field.N))
+    except TooLarge:
+        if mode == "exhaustive":
+            raise
+        return _scan_subsets(code, seed)
     # the violations in lexicographic order: the symmetric difference of the
     # deficient subsets and the groups
     deficient_sets = set(map(frozenset, deficient))
@@ -313,13 +312,15 @@ def _length(symbols, what: str) -> int:
 
 def _symbol(code: MrCode, x) -> int:
     """x as an int in [0, q); BadSymbol unless x is such an int (bool
-    excluded) or a FieldElement of the code's field."""
+    excluded) or a FieldElement of the code's field holding one."""
     q = code.field.q
     if type(x) is int and 0 <= x < q:
         return x
     if isinstance(x, FieldElement):
         if x.field.q != q:
             raise BadSymbol(f"symbol {x!r} is not an element of GF({q})")
+        if type(x.value) is not int:
+            raise BadSymbol(f"symbol {x!r} holds a {type(x.value).__name__}, not an int")
         return x.value
     raise BadSymbol(f"symbol {x!r} is not an integer in [0, {q})")
 
@@ -371,7 +372,7 @@ def local_repair(code: MrCode, received: Sequence, erased_index: int) -> FieldEl
 
 def _erased_indices(code: MrCode, pattern) -> frozenset[int]:
     if isinstance(pattern, ErasurePattern):
-        return pattern.erased
+        pattern = pattern.erased  # a hand-built pattern is checked too
     return ErasurePattern.from_indices(pattern, code.n).erased
 
 

@@ -1,5 +1,6 @@
-"""End-to-end pipeline: parameters -> set -> family -> code -> verification,
-plus the erasure simulation harness and the field-size scaling report.
+"""End-to-end pipeline: parameters -> set (progfree._choose_set picks D) ->
+family -> code -> verification, plus the erasure simulation harness and the
+field-size scaling report.
 """
 
 from __future__ import annotations
@@ -12,41 +13,12 @@ from numbers import Real
 from typing import Optional
 
 from .codespec import RNG_NAME
-from .errors import (BadParams, FieldTooSmall, NotCorrectable, ParamsTooSmall,
-                     PropertyViolation, TargetUnreachable)
+from .errors import (BadParams, FieldTooSmall, NotCorrectable, PropertyViolation,
+                     TargetUnreachable)
 from .family import FamilyParams, _smallest_b, build_family
 from .field import Field, _check_int, make_field
 from .mrcode import MrCode, MrReport, build_code, decode, encode, verify_mr
-from .progfree import _EXHAUSTIVE_MAX_M, ProgressionFreeSet, _alon_digits, _finish_sweep, _sweep
-
-
-def _choose_set(d: int, r: int) -> ProgressionFreeSet:
-    """Pick D for the given bound: exhaustive search where feasible, digit
-    construction beyond, never worse than the capped exhaustive set (any
-    valid subset of {1..24} stays valid for larger d; ties go to the digit
-    set).  The capped search's size sweep runs once: its steps up to L = 12
-    give the best size on {1..12}, and the capped search is skipped when the
-    digit set already reaches twice that (the defining equation is
-    translation invariant, so it bounds each half of {1..24}); otherwise the
-    same sweep goes on to L = 24.
-
-    The constructors' unchecked bodies build the candidates and the set
-    oracle runs on none of them: build_family checks the chosen D, so a
-    candidate that loses is never checked, and a D too long for a code is
-    refused before the oracle meets it."""
-    if d <= _EXHAUSTIVE_MAX_M:
-        return _finish_sweep([0], d, r)
-    try:
-        alon = _alon_digits(d, r)
-    except ParamsTooSmall:  # digit range {0}: the construction degenerates
-        return _finish_sweep([0], _EXHAUSTIVE_MAX_M, r)
-    half = (_EXHAUSTIVE_MAX_M + 1) // 2
-    sizes = [0]
-    _sweep(sizes, half, r)
-    if len(alon) >= 2 * sizes[half]:
-        return alon
-    capped = _finish_sweep(sizes, _EXHAUSTIVE_MAX_M, r)
-    return alon if len(alon) >= len(capped) else capped
+from .progfree import _choose_set
 
 
 def choose_params(r: int, q: int) -> FamilyParams:

@@ -1,13 +1,14 @@
 """Sets D in {1..m} where d_0 + ... + d_{r-1} = r*d_r forces all terms equal.
 
 For r = 2 this is the classical 3-term-AP-free condition.  Two constructors,
-neither falling back on the other (pipeline._choose_set picks): the digit
-construction for large m, which counts its buckets before building one, and
-an exact maximum search for tiny m, one loop over a stack of bitmask levels
-(see exhaustive_best).  The public constructors re-check what they return
-with the brute-force oracle; _choose_set calls their unchecked bodies
-(_alon_digits, _finish_sweep) and leaves the check to build_family, which
-every D passes before it becomes a code.
+neither falling back on the other: the digit construction for large m, which
+counts its buckets before building one, and an exact maximum search for tiny
+m, one loop over a stack of bitmask levels (see exhaustive_best).
+_choose_set picks a code's D from the two.  The public constructors re-check
+what they return with the brute-force oracle; _choose_set calls their
+unchecked bodies (_alon_digits, _finish_sweep), and build_family proves the
+D that _choose_set picks: a losing candidate is never checked, and a D too
+long for a code is refused before the oracle meets it.
 """
 
 from __future__ import annotations
@@ -183,6 +184,30 @@ def _finish_sweep(sizes: list[int], m: int, r: int) -> ProgressionFreeSet:
     if best is None:
         best = _first_of_size(m, r, sizes[m], sizes, False, False)
     return ProgressionFreeSet(r=r, elements=tuple(best), method="exhaustive")
+
+
+def _choose_set(d: int, r: int) -> ProgressionFreeSet:
+    """Pick D for the given bound: exhaustive search where feasible, digit
+    construction beyond, never worse than the capped exhaustive set (any
+    valid subset of {1..24} stays valid for larger d; ties go to the digit
+    set).  The capped search's size sweep runs once: its steps up to L = 12
+    give the best size on {1..12}, and the capped search is skipped when the
+    digit set already reaches twice that (the defining equation is
+    translation invariant, so it bounds each half of {1..24}); otherwise the
+    same sweep goes on to L = 24."""
+    if d <= _EXHAUSTIVE_MAX_M:
+        return _finish_sweep([0], d, r)
+    try:
+        alon = _alon_digits(d, r)
+    except ParamsTooSmall:  # digit range {0}: the construction degenerates
+        return _finish_sweep([0], _EXHAUSTIVE_MAX_M, r)
+    half = (_EXHAUSTIVE_MAX_M + 1) // 2
+    sizes = [0]
+    _sweep(sizes, half, r)
+    if len(alon) >= 2 * sizes[half]:
+        return alon
+    capped = _finish_sweep(sizes, _EXHAUSTIVE_MAX_M, r)
+    return alon if len(alon) >= len(capped) else capped
 
 
 def _first_of_size(m: int, r: int, target: int, bound: list[int],

@@ -299,10 +299,14 @@ def test_verify_zero_sum_witness_is_first_in_combinations_order(elements, witnes
 
 
 def test_subset_guard(family_r2, monkeypatch):
-    # the kernel's cost at n = 6, r = 2 is C(6, 2) + C(6, 1) = 21: the check
-    # refuses, and build_family, which never runs it, still builds the family
+    # the kernel's cost at n = 6, r = 2 is C(6, 2) + C(6, 1) = 21: the kernel
+    # refuses before it yields a subset, the check passes on its refusal, and
+    # build_family, which never runs it, still builds the family
     monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
-    with pytest.raises(TooLarge):
+    message = "^the lookup kernel's cost for n=6, r=2 = 21 exceeds its guard 20$"
+    with pytest.raises(TooLarge, match=message):
+        list(_identity_subsets(family_r2.elements, 2, 100))
+    with pytest.raises(TooLarge, match=message):
         verify_zero_sum_property(family_r2.elements, family_r2.transversals, 100, 2)
     assert build_family(family_r2.params, family_r2.D) == family_r2
 

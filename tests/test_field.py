@@ -89,12 +89,14 @@ def test_add_mul_examples():
 
 @pytest.mark.parametrize("apply", [
     lambda a: a + 1.5, lambda a: 1.5 + a, lambda a: a * "x", lambda a: None * a,
-    lambda a: a - None, lambda a: a / 2.0, lambda a: a * 2.0,
-], ids=["add", "radd", "mul", "rmul", "sub", "truediv", "mul-float"])
+    lambda a: a - None, lambda a: a / 2.0, lambda a: a * 2.0, lambda a: 1.5 - a,
+    lambda a: 2.0 / a, lambda a: True + a, lambda a: a - True,
+], ids=["add", "radd", "mul", "rmul", "sub", "truediv", "mul-float", "rsub", "rtruediv",
+        "radd-bool", "sub-bool"])
 def test_foreign_operand_is_type_error(apply):
-    # the operator declines an operand that is neither an int nor an
-    # element, so Python raises its own TypeError naming both operand types,
-    # not an error from inside the operator
+    # the operator declines an operand that is neither an int (bool
+    # excluded) nor an element, so Python raises its own TypeError naming
+    # both operand types, not an error from inside the operator
     with pytest.raises(TypeError, match="'FieldElement'"):
         apply(make_field(13).element(3))
 
@@ -102,6 +104,13 @@ def test_foreign_operand_is_type_error(apply):
 def test_int_operands_in_both_orders():
     a = make_field(13).element(3)
     assert (a + 11, 11 + a, a - 5, a * 5, 5 * a, a / 2) == (1, 1, 11, 2, 2, 8)
+    assert (5 - a, 5 / a) == (2, 6)
+
+
+@pytest.mark.parametrize("value", [5.5, True, "5"])
+def test_element_refuses_a_value_that_is_not_an_int(value):
+    with pytest.raises(BadParams, match="is not an int"):
+        make_field(13).element(value)
 
 
 def test_field_mismatch():

@@ -14,7 +14,7 @@ from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
 from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                             MrCodesError, MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                             PropertyViolation, TooLarge)
-from mrcodes.family import ZeroSumFamily
+from mrcodes.family import ZeroSumFamily, _identity_subsets
 from mrcodes.field import FieldElement, make_field
 from mrcodes.mrcode import (ErasurePattern, MrCode, _build_plan, _closed_form_rows, _DecodePlan,
                             _row_reduce, MrReport, build_code, decode, encode, is_correctable,
@@ -352,12 +352,15 @@ class TestClosedFormVerify:
     def test_guard_picks_the_mode(self, code6, monkeypatch):
         # the lookup kernel's cost is C(6, 2) + C(6, 1) = 21 and the rank
         # scan's C(6, 3) = 20 subsets: auto samples past the guards,
-        # exhaustive refuses
+        # exhaustive passes on the kernel's own refusal
         monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
         monkeypatch.setattr("rank_scan.EXHAUSTIVE_SUBSET_GUARD", 19)
         report = verify_mr(code6)
         assert report.mode == "sampled" and report == rank_scan(code6)
-        with pytest.raises(TooLarge):
+        message = "^the lookup kernel's cost for n=6, r=2 = 21 exceeds its guard 20$"
+        with pytest.raises(TooLarge, match=message):
+            list(_identity_subsets(code6.family.elements, 2, code6.field.N))
+        with pytest.raises(TooLarge, match=message):
             verify_mr(code6, mode="exhaustive")
         with pytest.raises(TooLarge):
             rank_scan(code6, mode="exhaustive")
@@ -608,11 +611,17 @@ def test_code_past_the_length_bound_is_too_large(code6, monkeypatch):
 def test_bad_arguments_are_typed_errors(code6):
     with pytest.raises(BadParams):
         is_correctable(code6, [7])
+    # a hand-built pattern meets the same checks as raw indices
+    for erased, message in ((frozenset({99}), "out of range"), (frozenset({1.5}), "must be ints"),
+                            (5, "not a collection")):
+        with pytest.raises(BadParams, match=message):
+            is_correctable(code6, ErasurePattern(erased))
     with pytest.raises(LengthMismatch):
         local_repair(code6, [1, 2], 0)
 
 
-@pytest.mark.parametrize("bad", [101 + 27, -1, 2.5, True])
+@pytest.mark.parametrize("bad", [101 + 27, -1, 2.5, True, FieldElement(2.5, make_field(101)),
+                                 FieldElement(True, make_field(101))])
 def test_bad_symbols_rejected(code6, bad):
     with pytest.raises(BadSymbol):
         encode(code6, [bad, 0, 0])

@@ -79,7 +79,7 @@ def test_construct_builds_the_trimmed_family_once(monkeypatch):
     code, report = construct(2, 1601, target_n=15)
     assert len(calls) == 1 and report.ok
     params = choose_params(2, 1601)
-    full = real(params, pipeline._choose_set(params.d, 2))
+    full = real(params, progfree._choose_set(params.d, 2))
     assert code == build_code(code.field, trim_family(full, 5))
     # a target of the full length keeps every group
     assert construct(2, 1601, target_n=full.n)[0] == build_code(code.field, full)
@@ -144,7 +144,7 @@ def test_construct_checks_target_n_before_choosing_the_set(monkeypatch, target_n
     # target_n is refused before any set constructor runs
     calls = []
     for name in ("_alon_digits", "_sweep", "_finish_sweep"):
-        monkeypatch.setattr(pipeline, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(progfree, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(BadParams, match=message):
         construct(2, 4294967291, target_n=target_n)
     assert calls == []
@@ -279,7 +279,7 @@ def test_exact_failure_probability_rejects(monkeypatch):
 def test_choose_set_falls_back_when_digits_degenerate():
     # d = 25 is past the exhaustive cap, and at r = 25 the digit
     # construction's digit range is {0} only
-    assert pipeline._choose_set(25, 25) == exhaustive_best(24, 25)
+    assert progfree._choose_set(25, 25) == exhaustive_best(24, 25)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -290,7 +290,7 @@ def test_choose_set_matches_full_rule(r):
     capped = exhaustive_best(24, r)
     for d in (25, 2000, 5000, 10416, 20000):
         alon = progfree.alon_construct(d, r)
-        assert pipeline._choose_set(d, r) == (alon if len(alon) >= len(capped) else capped)
+        assert progfree._choose_set(d, r) == (alon if len(alon) >= len(capped) else capped)
 
 
 def reference_choose_set(d, r):
@@ -311,7 +311,7 @@ def reference_choose_set(d, r):
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_choose_set_matches_reference(r):
     for d in [*range(1, 25), 25, 33, 250, 2000, 5000, 10416, 20000]:
-        assert pipeline._choose_set(d, r) == reference_choose_set(d, r), d
+        assert progfree._choose_set(d, r) == reference_choose_set(d, r), d
 
 
 def _count_search_steps(monkeypatch) -> tuple[list, list]:
@@ -331,7 +331,7 @@ def test_choose_set_sweeps_each_length_once(monkeypatch):
     # and runs the oracle 3 times, building and proving a set of {1..12};
     # _choose_set runs it on none, since build_family proves the D it picks
     steps, checked = _count_search_steps(monkeypatch)
-    chosen = pipeline._choose_set(33, 2)
+    chosen = progfree._choose_set(33, 2)
     sweep = [L for L, ends in steps if ends]
     assert sorted(sweep) == list(range(1, 25))
     assert len(steps) == 24  # {1..24} grows at L = 24: no unforced search
@@ -343,7 +343,7 @@ def test_choose_set_skips_capped_search_when_digits_win(monkeypatch):
     # at d = 10416 the digit set's 12 elements reach 2 * 6: no sweep step
     # past L = 12 runs, and the oracle proves no set here
     steps, checked = _count_search_steps(monkeypatch)
-    chosen = pipeline._choose_set(10416, 2)
+    chosen = progfree._choose_set(10416, 2)
     assert chosen.method == "alon"
     assert sorted(L for L, _ in steps) == list(range(1, 13))
     assert checked == []
@@ -379,7 +379,7 @@ def test_construct_checks_the_chosen_set_once(monkeypatch, r, q):
 ])
 def test_choose_set_runs_no_oracle(monkeypatch, d, r, expected):
     calls = _spy_oracle(monkeypatch)
-    chosen = pipeline._choose_set(d, r)
+    chosen = progfree._choose_set(d, r)
     assert calls == []
     if expected is None:
         assert chosen.method == "alon" and len(chosen) == len(exhaustive_best(24, r)) == 4

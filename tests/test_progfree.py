@@ -69,7 +69,7 @@ class TestAlon:
 
     def test_tiny_m_falls_back(self):
         # h = 2 <= r: the digit range is {0}; the fallback to the exhaustive
-        # set is pipeline._choose_set's, not the constructor's
+        # set is progfree._choose_set's, not the constructor's
         with pytest.raises(ParamsTooSmall):
             alon_construct(2, 2)
 
