@@ -2,8 +2,7 @@
 locality r and dimension r+1 over prime fields."""
 
 from .codespec import code_from_dict, code_to_dict, load_code, save_code
-from .family import (FamilyParams, ZeroSumFamily, build_family, trim_family,
-                     verify_zero_sum_property)
+from .family import FamilyParams, ZeroSumFamily, build_family
 from .field import Field, FieldElement, make_field
 from .mrcode import (ErasurePattern, MrCode, MrReport, build_code, decode, encode,
                      is_correctable, local_repair, rank, verify_mr)
@@ -19,6 +18,5 @@ __all__ = [
     "code_from_dict", "code_to_dict", "construct", "decode", "encode",
     "exact_failure_probability", "exhaustive_best", "is_correctable",
     "load_code", "local_repair", "make_field", "rank", "save_code",
-    "scaling_table", "simulate", "trim_family", "verify_mr",
-    "verify_progression_free", "verify_zero_sum_property",
+    "scaling_table", "simulate", "verify_mr", "verify_progression_free",
 ]

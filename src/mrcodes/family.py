@@ -14,20 +14,18 @@ r*d <= l) the residues are distinct, the last block needs no reduction and
 every transversal sums to exactly N, and the property holds exactly when D
 satisfies the defining equation: so build_family checks its inputs only.
 verify_mr proves the property on the code (construct and `mrcodes verify`
-run it); verify_zero_sum_property, the tests' oracle for the family
-formula, checks it directly.  Both run one lookup kernel
-(_identity_subsets), which finds the subsets summing to 0 mod N by meet in
-the middle; _kernel_cost picks its split and counts its work, and the
-kernel refuses, with TooLarge, a count past _KERNEL_GUARD.
+run it) with the lookup kernel (_identity_subsets), which finds the subsets
+summing to 0 mod N by meet in the middle; _kernel_cost picks its split and
+counts its work, and the kernel refuses, with TooLarge, a count past
+_KERNEL_GUARD.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BadParams, BadSet, Mismatch, TooLarge
 from .field import _check_int
@@ -114,43 +112,6 @@ def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
     return ZeroSumFamily(params, D)
 
 
-def verify_zero_sum_property(elements, transversals, N: int, r: int) -> Optional[frozenset]:
-    """Exhaustive check: an (r+1)-subset sums to 0 mod N iff it is a transversal.
-
-    Returns None on pass, or the counterexample subset that
-    combinations(elements, r + 1) meets first.
-    """
-    _check_int("N", N)
-    _check_int("r", r)
-    if N < 1:
-        raise BadParams(f"N={N} must be >= 1")
-    if r < 2:
-        raise BadParams("r must be >= 2")
-    elements = tuple(elements)
-    transversal_sets = {frozenset(tr) for tr in transversals}
-
-    def value_set(subset):
-        return frozenset(elements[i] for i in subset)
-
-    # the witness by position: the first zero-sum non-transversal, or an
-    # earlier subset spelling a transversal whose sum is not 0
-    residues = [a % N for a in elements]
-    zero_sums = _identity_subsets(residues, r, N)
-    first = next((s for s in zero_sums if value_set(s) not in transversal_sets), None)
-    positions: dict[int, list[int]] = {}
-    for i, a in enumerate(elements):
-        positions.setdefault(a, []).append(i)
-    for tr in transversal_sets:
-        if len(tr) <= r + 1 and all(a in positions for a in tr):
-            # combinations run in lexicographic order, so this is the earliest
-            # subset spelling tr without summing to 0
-            s = next((s for s in combinations(sorted(i for a in tr for i in positions[a]), r + 1)
-                      if value_set(s) == tr and sum(residues[i] for i in s) % N), None)
-            if s is not None and (first is None or s < first):
-                first = s
-    return None if first is None else value_set(first)
-
-
 def _kernel_cost(n: int, r: int) -> tuple[int, int]:
     """(cost, t) for _identity_subsets on n values: the split t in [1, r-1]
     with the fewest C(n, r-t+1) lookups plus C(n, t) index entries (the
@@ -197,20 +158,3 @@ def _running(values: Sequence[int], indices: range, size: int,
     prefixes = _running(values, range(indices.start, indices.stop - 1), size - 1, N)
     return ((prefix + (j,), (acc + values[j]) % N)
             for prefix, acc in prefixes for j in range(prefix[-1] + 1, indices.stop))
-
-
-def trim_family(family: ZeroSumFamily, target_groups: int) -> ZeroSumFamily:
-    """Keep the target_groups smallest b in D and their transversals."""
-    _check_int("target_groups", target_groups)
-    if not 1 <= target_groups <= len(family.D.elements):
-        raise BadParams(f"target_groups={target_groups} outside [1, {len(family.D.elements)}]")
-    if target_groups == len(family.D.elements):
-        return family
-    return build_family(family.params, _smallest_b(family.D, target_groups))
-
-
-def _smallest_b(D: ProgressionFreeSet, count: int) -> ProgressionFreeSet:
-    """D's first count elements: its count smallest b when D is ascending, as
-    progfree's constructors list it.  trim_family and construct's target_n
-    both keep these."""
-    return replace(D, elements=D.elements[:count])

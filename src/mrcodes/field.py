@@ -162,6 +162,8 @@ class FieldElement:
         return FieldElement(pow(self.value, self.field.q - 2, self.field.q), self.field)
 
     def __pow__(self, e: int) -> "FieldElement":
+        if type(e) is not int:
+            return NotImplemented
         if self.value == 0:
             if e < 0:
                 raise DivisionByZero("0 to a negative power")

@@ -131,9 +131,6 @@ class MrCode:
     def group_of(self, column: int) -> int:
         return self._groups[column][0]
 
-    def columns(self, indices: Sequence[int]) -> Matrix:
-        return tuple(tuple(row[j] for j in indices) for row in self.G)
-
 
 @dataclass(frozen=True)
 class ErasurePattern:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from numbers import Real
 from typing import Optional
@@ -15,7 +15,7 @@ from typing import Optional
 from .codespec import RNG_NAME
 from .errors import (BadParams, FieldTooSmall, NotCorrectable, PropertyViolation,
                      TargetUnreachable)
-from .family import FamilyParams, _smallest_b, build_family
+from .family import FamilyParams, build_family
 from .field import Field, _check_int, make_field
 from .mrcode import MrCode, MrReport, build_code, decode, encode, verify_mr
 from .progfree import _choose_set
@@ -54,7 +54,8 @@ def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, M
         n = len(D) * (r + 1)
         if n < target_n:
             raise TargetUnreachable(f"construction reaches n={n} < target {target_n}")
-        D = _smallest_b(D, target_n // (r + 1))
+        # progfree's constructors list D ascending: these are its smallest b
+        D = replace(D, elements=D.elements[:target_n // (r + 1)])
     code = build_code(field, build_family(params, D))
     report = verify_mr(code)
     if not report.ok:

@@ -46,6 +46,11 @@ class ProgressionFreeSet:
     alon_meta: Optional[AlonMeta] = None
 
     def __post_init__(self):
+        _check_int("r", self.r)
+        if type(self.elements) is not tuple:
+            raise BadParams(f"elements={self.elements!r} is not a tuple")
+        for e in self.elements:
+            _check_int("element", e)
         if self.method not in ("alon", "exhaustive", "user_supplied"):
             raise BadParams(f"method={self.method!r} is not alon, exhaustive or user_supplied")
         if self.alon_meta is not None and not isinstance(self.alon_meta, AlonMeta):

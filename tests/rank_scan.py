@@ -4,7 +4,8 @@ rank_scan computes one Gauss-Jordan rank (the public rank) per (r+1)-column
 subset and checks every r columns inside each repair group.  It trusts no
 structure of G: it reads only code.G and code.repair_groups, so it also
 judges a matrix no MrCode has (see raw).  Its reports, modes and errors are
-the ones verify_mr gives for every MrCode.
+the ones verify_mr gives for every MrCode.  columns(code, indices) is the
+tests' slice of G.
 """
 
 import math
@@ -17,6 +18,10 @@ from mrcodes.mrcode import _SAMPLED_SUBSETS, MrReport, rank
 
 # exhaustive while its C(n, r+1) rank computations fit this
 EXHAUSTIVE_SUBSET_GUARD = 10**7
+
+
+def columns(code, indices):
+    return tuple(tuple(row[j] for j in indices) for row in code.G)
 
 
 def raw(G, repair_groups):
@@ -32,9 +37,6 @@ def rank_scan(code, seed: int = 0, mode: str = "auto") -> MrReport:
     G, groups = code.G, code.repair_groups
     k, n = len(G), len(G[0])
     r = k - 1
-
-    def columns(subset):
-        return [[row[j] for j in subset] for row in G]
 
     if mode not in ("auto", "exhaustive", "sampled"):
         raise BadParams(f"unknown verifier mode {mode!r}")
@@ -53,7 +55,7 @@ def rank_scan(code, seed: int = 0, mode: str = "auto") -> MrReport:
         subsets = iter(sampled)
     report = MrReport(mode="exhaustive" if exhaustive else "sampled")
     for subset in subsets:
-        rk = rank(columns(subset))
+        rk = rank(columns(code, subset))
         expected = r if frozenset(subset) in group_sets else k
         report.mds_subsets_checked += 1
         if rk == r:
@@ -62,7 +64,7 @@ def rank_scan(code, seed: int = 0, mode: str = "auto") -> MrReport:
             report.violations.append((tuple(subset), rk, expected))
     for group in groups:
         for subset in combinations(group, r):
-            if rank(columns(subset)) != r:
+            if rank(columns(code, subset)) != r:
                 report.local_distance_ok = False
-                report.violations.append((tuple(subset), rank(columns(subset)), r))
+                report.violations.append((tuple(subset), rank(columns(code, subset)), r))
     return report

@@ -9,10 +9,11 @@ import pytest
 
 from mrcodes.codespec import code_from_dict, code_to_dict
 from mrcodes.errors import PropertyViolation
-from mrcodes.family import verify_zero_sum_property
 from mrcodes.mrcode import decode, encode, is_correctable, local_repair, rank, verify_mr
 from mrcodes.pipeline import construct, exact_failure_probability, simulate
 from mrcodes.progfree import alon_construct, verify_progression_free
+from rank_scan import columns
+from zero_sum import zero_sum_witness
 
 import random
 
@@ -43,7 +44,7 @@ def test_criterion_1_exhaustive_mr_r2(code6):
     # every 2-column subset inside a group has rank 2
     for group in code6.repair_groups:
         for pair in combinations(group, 2):
-            ok = ok and rank(code6.columns(pair)) == 2
+            ok = ok and rank(columns(code6, pair)) == 2
     elapsed = time.perf_counter() - start
     _report("criterion 1 (exhaustive MR, r=2, q=101)", ok and elapsed < 1.0,
             f"20 subsets, 2 deficient, {elapsed:.3f}s")
@@ -66,9 +67,9 @@ def test_criterion_3_zero_sum_characterization(code6, code8):
     ok = True
     for code in (code6, code8):
         fam = code.family
-        ok = ok and verify_zero_sum_property(fam.elements, fam.transversals,
-                                             code.field.N, code.r) is None
-    planted = verify_zero_sum_property(
+        ok = ok and zero_sum_witness(fam.elements, fam.transversals,
+                                     code.field.N, code.r) is None
+    planted = zero_sum_witness(
         (10, 40, 50, 20, 35, 45, 70, 12, 18),
         ((10, 40, 50), (20, 35, 45), (70, 12, 18)), 100, 2)
     ok = ok and planted == frozenset({10, 20, 70})
@@ -100,7 +101,7 @@ def test_criterion_5_decoder_completeness(code6):
     for size in range(7):
         for pattern in combinations(range(6), size):
             survivors = [j for j in range(6) if j not in pattern]
-            expected = rank(code6.columns(survivors)) == 3
+            expected = rank(columns(code6, survivors)) == 3
             assert is_correctable(code6, pattern) == expected
             per_group = [sum(1 for j in pattern if j in g)
                          for g in code6.repair_groups]
@@ -190,8 +191,8 @@ def test_criterion_8_mutation_detection(code6, code8):
             transversals = [list(t) for t in code.family.transversals]
             transversals[g][j % code.k] = elements[j]
             distinct = len(set(elements)) == len(elements)
-            if distinct and verify_zero_sum_property(elements, transversals,
-                                                     N, code.r) is None:
+            if distinct and zero_sum_witness(elements, transversals,
+                                             N, code.r) is None:
                 ok = False
     _report("criterion 8 (every single-entry mutation detected)", ok,
             "G entries and exponents, both fixtures")

@@ -12,7 +12,7 @@ from mrcodes.cli import decode_file, encode_file, main, repair_file
 from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
 from mrcodes.errors import (MultipleErasuresInGroup, NotCorrectable, ParseError,
                             PropertyViolation, TooLarge)
-from mrcodes.family import build_family, trim_family
+from mrcodes.family import build_family
 from mrcodes.field import make_field
 from mrcodes.mrcode import build_code
 from mrcodes.pipeline import choose_params, construct
@@ -380,7 +380,8 @@ def test_verify_output_matches_rank_scan(tmp_path, capsys, spec, mode):
 
 def test_the_kernel_runs_once_per_proof(tmp_path, monkeypatch):
     # construct and `mrcodes verify` prove a code with one kernel run, in
-    # verify_mr; building, trimming and loading check inputs only
+    # verify_mr, with or without a target length; building and loading check
+    # inputs only
     runs = []
     real = mrcodes.family._identity_subsets
     for module in (mrcodes.family, mrcodes.mrcode):
@@ -397,7 +398,7 @@ def test_the_kernel_runs_once_per_proof(tmp_path, monkeypatch):
     save_code(code, path)
     assert kernel_runs(lambda: construct(2, 1601)) == 1
     assert kernel_runs(lambda: build_family(code.family.params, code.family.D)) == 0
-    assert kernel_runs(lambda: trim_family(code.family, 2)) == 0
+    assert kernel_runs(lambda: construct(2, 1601, target_n=15)) == 1
     assert kernel_runs(lambda: code_from_dict(code_to_dict(code))) == 0
     assert kernel_runs(lambda: load_code(path)) == 0
     assert kernel_runs(lambda: main(["verify", str(path)])) == 1

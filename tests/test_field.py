@@ -91,8 +91,9 @@ def test_add_mul_examples():
     lambda a: a + 1.5, lambda a: 1.5 + a, lambda a: a * "x", lambda a: None * a,
     lambda a: a - None, lambda a: a / 2.0, lambda a: a * 2.0, lambda a: 1.5 - a,
     lambda a: 2.0 / a, lambda a: True + a, lambda a: a - True,
+    lambda a: a ** True, lambda a: a ** 0.5, lambda a: (a - a) ** 0.5, lambda a: a ** "2",
 ], ids=["add", "radd", "mul", "rmul", "sub", "truediv", "mul-float", "rsub", "rtruediv",
-        "radd-bool", "sub-bool"])
+        "radd-bool", "sub-bool", "pow-bool", "pow-float", "zero-pow-float", "pow-str"])
 def test_foreign_operand_is_type_error(apply):
     # the operator declines an operand that is neither an int (bool
     # excluded) nor an element, so Python raises its own TypeError naming

@@ -5,10 +5,10 @@ get, only MrCodesError subclasses escape, an index that is not an int
 None, a mapping or an iterator where the codec wants a sequence of symbols,
 or a number or None where a collection of indices belongs; on a real codeword,
 a correctable erasure set decodes to the message and `local_repair` returns
-the erased symbol.  A q, r, target_n, trial count, seed or group count that
-is not an int, or a p that is not a real number (bools refused for both), is
+the erased symbol.  A q, r, target_n, trial count or seed that is not an
+int, or a p that is not a real number (bools refused for both), is
 BadParams where it enters `make_field`, `construct`, `choose_params`,
-`simulate`, `verify_mr`, `trim_family` or `exact_failure_probability`.
+`simulate`, `verify_mr` or `exact_failure_probability`.
 Whatever JSON values replace keys of a valid spec, `code_from_dict` raises
 only MrCodesError subclasses (the unmodified spec's round trip is
 `tests/test_cli.py::test_spec_round_trip[r2-q101]`)."""
@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from mrcodes.codespec import code_from_dict, code_to_dict
 from mrcodes.errors import BadParams, MrCodesError, MultipleErasuresInGroup, NotCorrectable
-from mrcodes.family import trim_family
 from mrcodes.field import make_field
 from mrcodes.mrcode import (ErasurePattern, decode, encode, is_correctable, local_repair,
                             verify_mr)
@@ -94,7 +93,7 @@ def test_wrong_typed_parameters_are_bad_params(codes, bad, p):
     calls = [lambda: make_field(bad), lambda: construct(2, bad), lambda: construct(bad, 101),
              lambda: choose_params(bad, 101), lambda: simulate(code, p, 10, 0), lambda: simulate(code, 0.1, bad, 0),
              lambda: exact_failure_probability(code, p), lambda: simulate(code, 0.1, 10, bad),
-             lambda: verify_mr(code, seed=bad, mode="sampled"), lambda: trim_family(code.family, bad)]
+             lambda: verify_mr(code, seed=bad, mode="sampled")]
     if bad is not None:  # target_n=None asks for no target
         calls.append(lambda: construct(2, 101, target_n=bad))
     for call in calls:

@@ -273,8 +273,13 @@ def test_flat_search_matches_recursive_search(monkeypatch, r):
     lambda: AlonMeta(4, 1, True, 0.5),
     lambda: AlonMeta(4, 1, 1, 1),
     lambda: ProgressionFreeSet(2, (1, 2), "alon", {"h": 4}),
+    lambda: ProgressionFreeSet("2", (1, 2), "user_supplied"),
+    lambda: ProgressionFreeSet(2, (1, "a"), "user_supplied"),
+    lambda: ProgressionFreeSet(2, (1, True), "user_supplied"),
+    lambda: ProgressionFreeSet(2, 5, "user_supplied"),
 ], ids=["method-bogus", "method-int", "meta-on-exhaustive", "meta-on-user-supplied",
-        "h-str", "t-none", "B-list", "B-bool", "size-bound-int", "meta-dict"])
+        "h-str", "t-none", "B-list", "B-bool", "size-bound-int", "meta-dict",
+        "r-str", "element-str", "element-bool", "elements-int"])
 def test_set_labels_are_typed(make):
     with pytest.raises(BadParams):
         make()

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import mrcodes
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "mrcodes"
 
 # the library raises its own typed errors (mrcodes.errors), never these
@@ -23,3 +25,15 @@ def test_no_assert_and_no_bare_builtin_raise(path):
             if isinstance(exc, ast.Name) and exc.id in BARE:
                 found.append((node.lineno, f"raise {exc.id}"))
     assert found == []
+
+
+def test_all_lists_exactly_the_public_imports():
+    # every exported name is bound, and every public class or function that
+    # the package imports from its modules is exported
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for name in imported
+              if not name.startswith("_") and callable(getattr(mrcodes, name))}
+    assert [name for name in mrcodes.__all__ if not hasattr(mrcodes, name)] == []
+    assert sorted(public - set(mrcodes.__all__)) == []
