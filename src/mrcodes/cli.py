@@ -80,12 +80,12 @@ def _blocks(stream: TextIO, size: int, q: int, allow_erasures: bool) -> Iterator
                          last[0], [*_TOKEN.finditer(last[1])][-1].start() + 1)
 
 
-def _apply_erasures(block: list, erasures: Sequence[int], n: int) -> list:
+def _check_erasures(erasures: Sequence[int], n: int) -> None:
+    """ParseError unless every index is in [0, n): checked once, before any
+    block is read, so an empty stream is refused too."""
     for idx in erasures:
         if not 0 <= idx < n:
             raise ParseError(f"--erasures: index {idx} outside [0, {n})")
-        block[idx] = None
-    return block
 
 
 def encode_file(code: MrCode, instream: TextIO, outstream: TextIO) -> None:
@@ -95,9 +95,11 @@ def encode_file(code: MrCode, instream: TextIO, outstream: TextIO) -> None:
 
 def decode_file(code: MrCode, instream: TextIO, outstream: TextIO,
                 erasures: Sequence[int] = ()) -> None:
+    _check_erasures(erasures, code.n)
     for index, block in enumerate(_blocks(instream, code.n, code.field.q,
                                           allow_erasures=True)):
-        _apply_erasures(block, erasures, code.n)
+        for idx in erasures:
+            block[idx] = None
         try:
             message = decode(code, block)
         except (NotCorrectable, Inconsistent) as exc:
@@ -108,9 +110,11 @@ def decode_file(code: MrCode, instream: TextIO, outstream: TextIO,
 def repair_file(code: MrCode, instream: TextIO, outstream: TextIO,
                 erasures: Sequence[int] = ()) -> None:
     """Fill erased positions by local repair only (one erasure per group)."""
+    _check_erasures(erasures, code.n)
     for index, block in enumerate(_blocks(instream, code.n, code.field.q,
                                           allow_erasures=True)):
-        _apply_erasures(block, erasures, code.n)
+        for idx in erasures:
+            block[idx] = None
         try:
             for pos in [j for j, s in enumerate(block) if s is None]:
                 block[pos] = local_repair(code, block, pos).value

@@ -3,10 +3,17 @@
 A spec's inputs are schema_version, q, r, lambda, delta, D, D_method and
 D_alon_meta (digit-built D only); every other key, gamma among them (make_field
 picks it), is derived data, stored so that files are human-diffable fixtures.
-A spec is valid exactly when save_code would write it for the rebuilt code.
+A spec is valid exactly when save_code would write it for the rebuilt code
+and, when D_method is "alon", D is a prefix (construct's target_n trims D)
+of the set _alon_digits(d, r) builds and D_alon_meta is that set's.  An
+"exhaustive" label is not re-derived: the size sweep costs about 1 ms per
+load, against about 0.2 ms for the rest of load_code.
 
-Integers larger than 2^53 are written as decimal strings to keep the
-format safe for JSON readers with double-precision number parsing.
+Field refuses q > 2^32, so the only ints a spec can hold past 2^53 are the
+numerators and denominators of lambda and delta in a hand-built
+FamilyParams; those four are written as decimal strings when they pass it,
+to keep the format safe for JSON readers with double-precision number
+parsing.  Every other int is written as it is.
 """
 
 from __future__ import annotations
@@ -15,11 +22,11 @@ import json
 from dataclasses import asdict
 from fractions import Fraction
 
-from .errors import BadParams, Mismatch, PropertyViolation
+from .errors import BadParams, Mismatch, ParamsTooSmall, PropertyViolation
 from .family import FamilyParams, build_family
 from .field import make_field
 from .mrcode import MrCode, build_code
-from .progfree import AlonMeta, ProgressionFreeSet
+from .progfree import AlonMeta, ProgressionFreeSet, _alon_digits
 
 SCHEMA_VERSION = 1
 
@@ -34,30 +41,26 @@ def _enc(v: int):
     return str(v) if abs(v) > _SAFE_INT else v
 
 
-def _enc_list(xs):
-    return [_enc(x) for x in xs]
-
-
 def code_to_dict(code: MrCode) -> dict:
     fam = code.family
     params = fam.params
     doc = {
         "schema_version": SCHEMA_VERSION,
         "rng": RNG_NAME,
-        "q": _enc(code.field.q),
-        "gamma": _enc(code.field.gamma),
+        "q": code.field.q,
+        "gamma": code.field.gamma,
         "r": code.r,
-        "N": _enc(code.field.N),
+        "N": code.field.N,
         "lambda": {"num": _enc(params.lam.numerator), "den": _enc(params.lam.denominator)},
         "delta": {"num": _enc(params.delta.numerator), "den": _enc(params.delta.denominator)},
-        "l": _enc(params.l),
-        "d": _enc(params.d),
-        "D": _enc_list(fam.D.elements),
+        "l": params.l,
+        "d": params.d,
+        "D": list(fam.D.elements),
         "D_method": fam.D.method,
-        "blocks": [_enc_list(b) for b in fam.blocks],
-        "transversals": [_enc_list(t) for t in fam.transversals],
-        "exponents": _enc_list(fam.elements),
-        "G": [_enc_list(row) for row in code._rows],
+        "blocks": [list(b) for b in fam.blocks],
+        "transversals": [list(t) for t in fam.transversals],
+        "exponents": list(fam.elements),
+        "G": [list(row) for row in code._rows],
         "repair_groups": [list(g) for g in code.repair_groups],
         "derived": {"n": code.n, "k": code.k, "h": code.h},
     }
@@ -96,6 +99,8 @@ def _code_from_doc(doc: dict) -> MrCode:
         meta = AlonMeta(h=m["h"], t=m["t"], B=m["B"], size_bound=m["size_bound"])
     D = ProgressionFreeSet(r=r, elements=tuple(map(int, doc["D"])),
                            method=doc["D_method"], alon_meta=meta)
+    if D.method == "alon":
+        _check_digit_set(D, params.d)
     code = build_code(field, build_family(params, D))
     rebuilt = code_to_dict(code)
     differ = sorted(key for key in doc.keys() | rebuilt.keys()
@@ -104,6 +109,21 @@ def _code_from_doc(doc: dict) -> MrCode:
         raise PropertyViolation(f"spec keys {differ} do not match the code rebuilt "
                                 f"from its inputs")
     return code
+
+
+def _check_digit_set(D: ProgressionFreeSet, d: int) -> None:
+    """PropertyViolation, naming the key, unless D_alon_meta is the meta of
+    _alon_digits(d, r) and D a prefix of its set."""
+    try:
+        derived = _alon_digits(d, D.r)
+    except (BadParams, ParamsTooSmall):  # no digit set for this d
+        derived = None
+    if derived is None or D.alon_meta != derived.alon_meta:
+        raise PropertyViolation(f"spec key 'D_alon_meta' is not the digit construction's "
+                                f"for d={d}, r={D.r}")
+    if D.elements != derived.elements[:len(D)]:
+        raise PropertyViolation(f"spec key 'D' is not a prefix of the digit set "
+                                f"for d={d}, r={D.r}")
 
 
 def save_code(code: MrCode, path) -> None:

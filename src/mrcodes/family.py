@@ -100,13 +100,16 @@ def _check_length(n: int) -> None:
 
 def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
     """The family of (params, D), after its inputs are checked: n within
-    _MAX_N first, then D's r, D in [1, d] and the set oracle, so an
-    oversized D is refused before the oracle's enumeration."""
+    _MAX_N first, then D's r, D in [1, d] and strictly increasing, and the
+    set oracle, so an oversized D is refused before the oracle's
+    enumeration."""
     _check_length(len(D.elements) * (params.r + 1))
     if D.r != params.r:
         raise Mismatch(f"D was checked for r={D.r}, the family has r={params.r}")
     if not D.elements or min(D.elements) < 1 or max(D.elements) > params.d:
         raise BadParams(f"D={D.elements} is not a nonempty subset of [1, d={params.d}]")
+    if any(a >= b for a, b in zip(D.elements, D.elements[1:])):
+        raise BadParams(f"D={D.elements} is not strictly increasing")
     if verify_progression_free(D.elements, params.r) is not None:
         raise BadSet(f"D={D.elements} fails the defining equation for r={params.r}")
     return ZeroSumFamily(params, D)

@@ -18,10 +18,11 @@ deficient (rank r) exactly when it is a repair group.  By the closed form,
 r+1 columns are deficient exactly when their x multiply to 1 mod q, that
 is (gamma being primitive) when their exponents sum to 0 mod N, which is
 all verify_mr reads; every r columns are independent.  Local repair reads
-only the x (one Lagrange interpolation, the last row checked).  Decode
-plans and rank use one Gauss-Jordan (_row_reduce): a plan is one reduction
-of the present columns beside I_k, which gives the verdict, the pivot
-columns and their inverse together.
+only the x (one Lagrange interpolation, the last row checked).  A decode
+plan is one Gauss-Jordan (_row_reduce) of the present columns beside I_k,
+which gives the verdict, the pivot columns and their inverse together;
+is_correctable returns the verdict for an erasure set given as a plain
+collection of column indices.
 
 verify_mr is exhaustive unless the lookup kernel refuses the work, and then
 samples.
@@ -128,46 +129,6 @@ class MrCode:
         """Global erasures correctable beyond one per group."""
         return self.n * self.r // (self.r + 1) - self.k
 
-    def group_of(self, column: int) -> int:
-        return self._groups[column][0]
-
-
-@dataclass(frozen=True)
-class ErasurePattern:
-    erased: frozenset[int]
-
-    @classmethod
-    def from_indices(cls, indices, n: int) -> "ErasurePattern":
-        if not isinstance(indices, Iterable):
-            raise BadParams(f"erasure indices {indices!r} are not a collection")
-        indices = list(indices)
-        if any(type(i) is not int for i in indices):
-            raise BadParams(f"erasure indices must be ints: {indices!r}")
-        if len(indices) != len(set(indices)):
-            raise BadParams("duplicate erasure indices")
-        if any(not 0 <= i < n for i in indices):
-            raise BadParams(f"erasure index out of range [0, {n})")
-        return cls(frozenset(indices))
-
-    @classmethod
-    def from_group_positions(cls, pairs, code: MrCode) -> "ErasurePattern":
-        """pairs of (group_index, position_in_group), zero-based, naming
-        column code.repair_groups[group_index][position_in_group]."""
-        try:
-            pairs = [(g, p) for g, p in pairs]
-        except (TypeError, ValueError):
-            raise BadParams(f"group positions {pairs!r} are not a collection of pairs") from None
-        groups = code.repair_groups
-        indices = []
-        for g, p in pairs:
-            if type(g) is not int or type(p) is not int:
-                raise BadParams(f"group position ({g!r}, {p!r}) is not a pair of ints")
-            if not (0 <= g < len(groups) and 0 <= p < code.k):
-                raise BadParams(f"group position ({g}, {p}) out of range: "
-                                f"{len(groups)} groups of {code.k}")
-            indices.append(groups[g][p])
-        return cls.from_indices(indices, code.n)
-
 
 def _closed_form_rows(xs: Sequence[int], r: int, q: int) -> list[list[int]]:
     """The r+1 rows of G whose first row is xs (residues mod q): the column
@@ -210,16 +171,6 @@ def _row_reduce(rows: list[list[FieldElement]], ncols: int) -> list[int]:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
         pivots.append(col)
     return pivots
-
-
-def rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
-    """Row-echelon rank, exact field arithmetic, first-nonzero pivot.
-    Mismatch unless the rows are of one length and hold FieldElements."""
-    rows = [list(row) for row in matrix]
-    width = len(rows[0]) if rows else 0
-    if any(len(row) != width or any(type(e) is not FieldElement for e in row) for row in rows):
-        raise Mismatch("rank needs equal-length rows of FieldElements")
-    return len(_row_reduce(rows, width))
 
 
 @dataclass
@@ -367,12 +318,6 @@ def local_repair(code: MrCode, received: Sequence, erased_index: int) -> FieldEl
     return FieldElement(sum(map(mul, coeffs, symbols)) % code.field.q, code.field)
 
 
-def _erased_indices(code: MrCode, pattern) -> frozenset[int]:
-    if isinstance(pattern, ErasurePattern):
-        pattern = pattern.erased  # a hand-built pattern is checked too
-    return ErasurePattern.from_indices(pattern, code.n).erased
-
-
 def _build_plan(code: MrCode, erased: frozenset[int]) -> _DecodePlan:
     """One reduction of [G_S | I_k], S the present columns in order: fewer
     than k pivots means not correctable; otherwise the pivots are the k
@@ -391,10 +336,20 @@ def _build_plan(code: MrCode, erased: frozenset[int]) -> _DecodePlan:
                        pivots=tuple(present[c] for c in pivots), inverse=inverse)
 
 
-def is_correctable(code: MrCode, pattern) -> bool:
+def is_correctable(code: MrCode, erased) -> bool:
     """True iff the surviving columns span the full message space: the
-    verdict of the decode plan for this erasure set."""
-    return _build_plan(code, _erased_indices(code, pattern)).correctable
+    verdict of the decode plan for this erasure set.  erased is any
+    collection of distinct int column indices in [0, n); BadParams if not."""
+    if not isinstance(erased, Iterable):
+        raise BadParams(f"erasure indices {erased!r} are not a collection")
+    indices = list(erased)
+    if any(type(i) is not int for i in indices):
+        raise BadParams(f"erasure indices must be ints: {indices!r}")
+    if len(indices) != len(set(indices)):
+        raise BadParams("duplicate erasure indices")
+    if any(not 0 <= i < code.n for i in indices):
+        raise BadParams(f"erasure index out of range [0, {code.n})")
+    return _build_plan(code, frozenset(indices)).correctable
 
 
 def decode(code: MrCode, received: Sequence) -> list[FieldElement]:

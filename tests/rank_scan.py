@@ -1,23 +1,35 @@
 """The brute-force MR check, the tests' oracle for verify_mr.
 
-rank_scan computes one Gauss-Jordan rank (the public rank) per (r+1)-column
-subset and checks every r columns inside each repair group.  It trusts no
-structure of G: it reads only code.G and code.repair_groups, so it also
-judges a matrix no MrCode has (see raw).  Its reports, modes and errors are
-the ones verify_mr gives for every MrCode.  columns(code, indices) is the
-tests' slice of G.
+rank_scan computes one Gauss-Jordan rank (rank, over the library's
+_row_reduce) per (r+1)-column subset and checks every r columns inside each
+repair group.  It trusts no structure of G: it reads only code.G and
+code.repair_groups, so it also judges a matrix no MrCode has (see raw).
+Its reports, modes and errors are the ones verify_mr gives for every
+MrCode.  columns(code, indices) is the tests' slice of G.
 """
 
 import math
 import random
 from itertools import combinations
 from types import SimpleNamespace
+from typing import Sequence
 
-from mrcodes.errors import BadParams, TooLarge
-from mrcodes.mrcode import _SAMPLED_SUBSETS, MrReport, rank
+from mrcodes.errors import BadParams, Mismatch, TooLarge
+from mrcodes.field import FieldElement
+from mrcodes.mrcode import _SAMPLED_SUBSETS, MrReport, _row_reduce
 
 # exhaustive while its C(n, r+1) rank computations fit this
 EXHAUSTIVE_SUBSET_GUARD = 10**7
+
+
+def rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
+    """Row-echelon rank, exact field arithmetic, first-nonzero pivot.
+    Mismatch unless the rows are of one length and hold FieldElements."""
+    rows = [list(row) for row in matrix]
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width or any(type(e) is not FieldElement for e in row) for row in rows):
+        raise Mismatch("rank needs equal-length rows of FieldElements")
+    return len(_row_reduce(rows, width))
 
 
 def columns(code, indices):

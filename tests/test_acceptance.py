@@ -9,10 +9,10 @@ import pytest
 
 from mrcodes.codespec import code_from_dict, code_to_dict
 from mrcodes.errors import PropertyViolation
-from mrcodes.mrcode import decode, encode, is_correctable, local_repair, rank, verify_mr
+from mrcodes.mrcode import decode, encode, is_correctable, local_repair, verify_mr
 from mrcodes.pipeline import construct, exact_failure_probability, simulate
 from mrcodes.progfree import alon_construct, verify_progression_free
-from rank_scan import columns
+from rank_scan import columns, rank
 from zero_sum import zero_sum_witness
 
 import random

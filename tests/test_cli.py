@@ -1,6 +1,9 @@
 import argparse
+import dataclasses
 import io
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,9 +13,9 @@ import mrcodes.family
 import mrcodes.mrcode
 from mrcodes.cli import decode_file, encode_file, main, repair_file
 from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
-from mrcodes.errors import (MultipleErasuresInGroup, NotCorrectable, ParseError,
+from mrcodes.errors import (BadParams, MultipleErasuresInGroup, NotCorrectable, ParseError,
                             PropertyViolation, TooLarge)
-from mrcodes.family import build_family
+from mrcodes.family import FamilyParams, build_family
 from mrcodes.field import make_field
 from mrcodes.mrcode import build_code
 from mrcodes.pipeline import choose_params, construct
@@ -64,6 +67,19 @@ class TestCodeSpec:
         assert doc["derived"] == {"n": 6, "k": 3, "h": 1}
         assert doc["lambda"] == {"num": 1, "den": 16}
         assert doc["rng"].startswith("mt19937")
+
+    def test_fractions_past_2_to_53_are_strings(self):
+        # only a hand-built FamilyParams reaches such ints; q, G and the rest
+        # stay below 2^32 and are written as numbers
+        lam, delta = Fraction(2**54 + 1, 2**58), Fraction(2**54 + 1, 2**60)
+        params = FamilyParams(N=1600, r=2, lam=lam, delta=delta)
+        code = build_code(make_field(1601),
+                          build_family(params, ProgressionFreeSet(2, (1, 2), "user_supplied")))
+        doc = code_to_dict(code)
+        assert doc["lambda"] == {"num": str(2**54 + 1), "den": str(2**58)}
+        assert doc["delta"] == {"num": str(2**54 + 1), "den": str(2**60)}
+        assert (doc["q"], doc["l"], doc["d"], doc["D"]) == (1601, 100, 25, [1, 2])
+        assert code_from_dict(json.loads(json.dumps(doc))) == code
 
 
 class TestStreams:
@@ -173,6 +189,12 @@ class TestFlagErrors:
         assert main([command, "--spec", str(spec_path), "--erasures", flag]) == 2
         assert capsys.readouterr().err == f"error: {msg}\n"
 
+    @pytest.mark.parametrize("command", ["decode", "repair"])
+    def test_erasures_checked_on_an_empty_stream(self, spec_path, capsys, monkeypatch, command):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main([command, "--spec", str(spec_path), "--erasures", "9"]) == 2
+        assert capsys.readouterr() == ("", "error: --erasures: index 9 outside [0, 6)\n")
+
     def test_erasures_error_has_no_position(self, code6):
         with pytest.raises(ParseError, match="^--erasures: index 6 ") as err:
             decode_file(code6, io.StringIO("2 27 58 4 54 65\n"), io.StringIO(),
@@ -247,6 +269,47 @@ def test_oversized_D_is_refused_before_the_set_oracle(code6, tmp_path, capsys, m
     assert calls == []
 
 
+@pytest.mark.parametrize("D", [(1, 1), (2, 1)], ids=["repeated", "unsorted"])
+def test_D_not_strictly_increasing_is_refused_before_the_set_oracle(code6, tmp_path, capsys,
+                                                                    monkeypatch, D):
+    # both lie in [1, d = 2]: (1, 1) would collide only in build_code, and
+    # (2, 1) would list its transversals out of order
+    calls = []
+    monkeypatch.setattr(mrcodes.family, "verify_progression_free",
+                        lambda *args: calls.append(args))
+    message = f"D={D} is not strictly increasing"
+    with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+        build_family(code6.family.params, ProgressionFreeSet(2, D, "user_supplied"))
+    path = tmp_path / "unsorted.json"
+    path.write_text(json.dumps(code_to_dict(code6) | {"D": list(D)}))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("q,edit,key", [
+    (500009, lambda D: dataclasses.replace(D, alon_meta=dataclasses.replace(
+        D.alon_meta, h=99, B=7, size_bound=123.0)), "D_alon_meta"),
+    (500009, lambda D: dataclasses.replace(D, alon_meta=None), "D_alon_meta"),
+    (500009, lambda D: dataclasses.replace(D, elements=D.elements[1:]), "D"),
+    (101, lambda D: dataclasses.replace(D, method="alon"), "D_alon_meta"),
+    (53, lambda D: dataclasses.replace(D, method="alon"), "D_alon_meta"),
+], ids=["meta-edited", "meta-missing", "D-not-a-prefix", "digit-0-only", "d-1"])
+def test_digit_set_spec_is_rederived(tmp_path, capsys, q, edit, key):
+    # a spec saved from a code built on the edited set agrees with itself
+    # key for key; only re-deriving the digit set refuses it (d = 2 at
+    # q = 101 leaves the digit construction only the digit 0, and it
+    # refuses d = 1 at q = 53)
+    code = construct(2, q)[0]
+    edited = build_code(code.field, build_family(code.family.params, edit(code.family.D)))
+    path = tmp_path / "digits.json"
+    save_code(edited, path)
+    with pytest.raises(PropertyViolation, match=f"^spec key {key!r} "):
+        load_code(path)
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: spec key {key!r} ")
+
+
 @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
 def test_unreadable_spec_is_typed_error(tmp_path, capsys, name):
     assert main(["verify", str(tmp_path / name)]) == 1
@@ -306,9 +369,9 @@ def test_spec_key_disagreeing_with_rebuilt_code(code6, tmp_path, capsys, key, va
 
 
 @pytest.mark.parametrize("source", ["bench", (2, 101), (3, 653), (2, 1601), (2, 500009),
-                                    (4, 1283), (3, 5003)],
+                                    (2, 500009, 9), (4, 1283), (3, 5003)],
                          ids=["bench-r2-q1601", "r2-q101", "r3-q653", "r2-q1601",
-                              "r2-q500009", "r4-q1283", "r3-q5003"])
+                              "r2-q500009", "r2-q500009-trimmed", "r4-q1283", "r3-q5003"])
 def test_spec_round_trip(source):
     if source == "bench":
         doc = json.loads(BENCH_SPEC.read_text())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mrcodes.cli
-from mrcodes.cli import _apply_erasures, decode_file, encode_file, repair_file
+from mrcodes.cli import _check_erasures, decode_file, encode_file, repair_file
 from mrcodes.errors import (Inconsistent, MrCodesError, MultipleErasuresInGroup,
                             NotCorrectable, ParseError)
 from mrcodes.mrcode import MrCode, decode, encode, local_repair
@@ -62,9 +62,11 @@ def _reference_encode_file(code: MrCode, instream: TextIO, outstream: TextIO) ->
 
 def _reference_decode_file(code: MrCode, instream: TextIO, outstream: TextIO,
                            erasures: Sequence[int] = ()) -> None:
+    _check_erasures(erasures, code.n)
     for index, block in enumerate(_blocks(instream, code.n, code.field.q,
                                           allow_erasures=True)):
-        _apply_erasures(block, erasures, code.n)
+        for idx in erasures:
+            block[idx] = None
         try:
             message = decode(code, block)
         except (NotCorrectable, Inconsistent) as exc:
@@ -74,9 +76,11 @@ def _reference_decode_file(code: MrCode, instream: TextIO, outstream: TextIO,
 
 def _reference_repair_file(code: MrCode, instream: TextIO, outstream: TextIO,
                            erasures: Sequence[int] = ()) -> None:
+    _check_erasures(erasures, code.n)
     for index, block in enumerate(_blocks(instream, code.n, code.field.q,
                                           allow_erasures=True)):
-        _apply_erasures(block, erasures, code.n)
+        for idx in erasures:
+            block[idx] = None
         try:
             for pos, symbol in enumerate(block):
                 if symbol is None:

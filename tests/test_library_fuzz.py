@@ -1,11 +1,12 @@
 """Property, below the CLI: whatever containers, symbols and indices `decode`,
-`local_repair`, `is_correctable` and `ErasurePattern.from_group_positions`
-get, only MrCodesError subclasses escape, an index that is not an int
-(bools and floats included) is refused with BadParams, and so is a number,
-None, a mapping or an iterator where the codec wants a sequence of symbols,
-or a number or None where a collection of indices belongs; on a real codeword,
-a correctable erasure set decodes to the message and `local_repair` returns
-the erased symbol.  A q, r, target_n, trial count or seed that is not an
+`local_repair` and `is_correctable` get, only MrCodesError subclasses
+escape, an index that is not an int (bools and floats included) is refused
+with BadParams, and so is a number, None, a mapping or an iterator where
+the codec wants a sequence of symbols, or a number or None where a
+collection of indices belongs; on a real codeword, a correctable erasure
+set (drawn as (group, position) pairs mapped through the code's repair
+groups) decodes to the message and `local_repair` returns the erased
+symbol.  A q, r, target_n, trial count or seed that is not an
 int, or a p that is not a real number (bools refused for both), is
 BadParams where it enters `make_field`, `construct`, `choose_params`,
 `simulate`, `verify_mr` or `exact_failure_probability`.
@@ -23,8 +24,7 @@ from hypothesis import given, settings, strategies as st
 from mrcodes.codespec import code_from_dict, code_to_dict
 from mrcodes.errors import BadParams, MrCodesError, MultipleErasuresInGroup, NotCorrectable
 from mrcodes.field import make_field
-from mrcodes.mrcode import (ErasurePattern, decode, encode, is_correctable, local_repair,
-                            verify_mr)
+from mrcodes.mrcode import decode, encode, is_correctable, local_repair, verify_mr
 from mrcodes.pipeline import choose_params, construct, exact_failure_probability, simulate
 
 _FUZZ = settings(deadline=None, max_examples=150, derandomize=True)
@@ -56,17 +56,12 @@ _not_real = st.one_of(st.booleans(), st.none(), st.text(max_size=3), st.complex_
 
 @_FUZZ
 @given(which=st.integers(0, 1), received=_received, index=_index,
-       indices=st.one_of(st.lists(_index, max_size=8), _not_a_sequence),
-       pairs=st.one_of(st.lists(st.tuples(_index, _index), max_size=4),
-                       st.lists(st.one_of(_index, st.tuples(_index), st.tuples(_index, _index, _index),
-                                          _not_a_sequence), max_size=4),
-                       _not_a_sequence))
-def test_only_typed_errors_escape(codes, which, received, index, indices, pairs):
+       indices=st.one_of(st.lists(_index, max_size=8), _not_a_sequence))
+def test_only_typed_errors_escape(codes, which, received, index, indices):
     code = codes[which]
     for call in (lambda: decode(code, received),
                  lambda: local_repair(code, received, index),
-                 lambda: is_correctable(code, indices),
-                 lambda: is_correctable(code, ErasurePattern.from_group_positions(pairs, code))):
+                 lambda: is_correctable(code, indices)):
         try:
             call()
         except MrCodesError:
@@ -79,9 +74,7 @@ def test_non_int_indices_are_bad_params(codes, which, bad):
     code = codes[which]
     codeword = [s.value for s in encode(code, [1, 2, 3])]
     for call in (lambda: local_repair(code, codeword, bad),
-                 lambda: is_correctable(code, [bad]),
-                 lambda: ErasurePattern.from_group_positions([(bad, 0)], code),
-                 lambda: ErasurePattern.from_group_positions([(0, bad)], code)):
+                 lambda: is_correctable(code, [bad])):
         with pytest.raises(BadParams):
             call()
 
@@ -102,17 +95,13 @@ def test_wrong_typed_parameters_are_bad_params(codes, bad, p):
 
 
 @_FUZZ
-@given(which=st.integers(0, 1), bad=_not_a_sequence,
-       pair=st.one_of(st.integers(), st.none(), st.tuples(st.integers(0, 1)),
-                      st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2))))
-def test_wrong_containers_are_bad_params(codes, which, bad, pair):
+@given(which=st.integers(0, 1), bad=_not_a_sequence)
+def test_wrong_containers_are_bad_params(codes, which, bad):
     code = codes[which]
     calls = [lambda: encode(code, bad), lambda: decode(code, bad),
-             lambda: local_repair(code, bad, 0),
-             lambda: ErasurePattern.from_group_positions([pair], code)]
+             lambda: local_repair(code, bad, 0)]
     if bad is None or type(bad) is int:  # any other container may iterate indices
-        calls += [lambda: is_correctable(code, bad),
-                  lambda: ErasurePattern.from_group_positions(bad, code)]
+        calls.append(lambda: is_correctable(code, bad))
     for call in calls:
         with pytest.raises(BadParams):
             call()
@@ -123,12 +112,13 @@ def test_wrong_containers_are_bad_params(codes, which, bad, pair):
        pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), unique=True, max_size=6))
 def test_real_codewords_decode_and_repair(codes, which, message, pairs):
     code = codes[which]
-    erased = ErasurePattern.from_group_positions(pairs, code).erased
-    assert erased == {code.repair_groups[g][p] for g, p in pairs}
+    erased = frozenset(code.repair_groups[g][p] for g, p in pairs)
+    assert len(erased) == len(pairs)  # the groups split the columns
     codeword = [s.value for s in encode(code, message)]
     received = [None if j in erased else s for j, s in enumerate(codeword)]
-    for j in erased:
-        if len(erased.intersection(code.repair_groups[code.group_of(j)])) == 1:
+    for g, p in pairs:
+        j = code.repair_groups[g][p]
+        if len(erased.intersection(code.repair_groups[g])) == 1:
             assert local_repair(code, received, j).value == codeword[j]
         else:
             with pytest.raises(MultipleErasuresInGroup):

@@ -16,12 +16,12 @@ from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, 
                             PropertyViolation, TooLarge)
 from mrcodes.family import ZeroSumFamily, _identity_subsets
 from mrcodes.field import FieldElement, make_field
-from mrcodes.mrcode import (ErasurePattern, MrCode, _build_plan, _closed_form_rows, _DecodePlan,
-                            _row_reduce, MrReport, build_code, decode, encode, is_correctable,
-                            local_repair, rank, verify_mr)
+from mrcodes.mrcode import (MrCode, _build_plan, _closed_form_rows, _DecodePlan, _row_reduce,
+                            MrReport, build_code, decode, encode, is_correctable, local_repair,
+                            verify_mr)
 from mrcodes.pipeline import choose_params, construct
 from mrcodes.progfree import ProgressionFreeSet
-from rank_scan import columns, rank_scan, raw
+from rank_scan import columns, rank, rank_scan, raw
 
 
 @pytest.fixture(scope="module")
@@ -223,19 +223,9 @@ class TestCorrectable:
 
     def test_erasure_pattern_validation(self, code6):
         with pytest.raises(ValueError):
-            ErasurePattern.from_indices([0, 0], 6)
+            is_correctable(code6, [0, 0])
         with pytest.raises(ValueError):
-            ErasurePattern.from_indices([6], 6)
-        p = ErasurePattern.from_group_positions([(1, 2)], code6)
-        assert p.erased == frozenset({5})
-
-    def test_group_positions_read_the_code_groups(self, code6):
-        permuted = dataclasses.replace(code6, repair_groups=((2, 1, 0), (5, 3, 4)))
-        p = ErasurePattern.from_group_positions([(0, 0), (1, 2)], permuted)
-        assert p.erased == frozenset({2, 4})
-        for pairs in ([(0, 3)], [(2, 0)], [(-1, 0)], [(0, -1)]):
-            with pytest.raises(BadParams):
-                ErasurePattern.from_group_positions(pairs, code6)
+            is_correctable(code6, [6])
 
 
 class TestDecode:
@@ -611,11 +601,10 @@ def test_code_past_the_length_bound_is_too_large(code6, monkeypatch):
 def test_bad_arguments_are_typed_errors(code6):
     with pytest.raises(BadParams):
         is_correctable(code6, [7])
-    # a hand-built pattern meets the same checks as raw indices
     for erased, message in ((frozenset({99}), "out of range"), (frozenset({1.5}), "must be ints"),
                             (5, "not a collection")):
         with pytest.raises(BadParams, match=message):
-            is_correctable(code6, ErasurePattern(erased))
+            is_correctable(code6, erased)
     with pytest.raises(LengthMismatch):
         local_repair(code6, [1, 2], 0)
 

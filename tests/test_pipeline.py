@@ -13,11 +13,11 @@ from mrcodes import pipeline, progfree
 from mrcodes.codespec import code_from_dict, code_to_dict
 from mrcodes.errors import (BadParams, BadSet, FieldTooSmall, Mismatch, ParamsTooSmall,
                             PropertyViolation, TargetUnreachable, TooLarge)
-from mrcodes.mrcode import build_code, is_correctable, rank
+from mrcodes.mrcode import build_code, is_correctable
 from mrcodes.pipeline import (choose_params, construct, exact_failure_probability,
                               scaling_table, simulate)
 from mrcodes.progfree import exhaustive_best
-from rank_scan import columns
+from rank_scan import columns, rank
 
 
 def test_choose_params_r2_q101():
