@@ -5,7 +5,8 @@ D_alon_meta (digit-built D only); every other key, gamma among them (make_field
 picks it), is derived data, stored so that files are human-diffable fixtures.
 A spec is valid exactly when save_code would write it for the rebuilt code
 and, when D_method is "alon", D is a prefix (construct's target_n trims D)
-of the set _alon_digits(d, r) builds and D_alon_meta is that set's.  An
+of the set _alon_digits(d, r) builds and D_alon_meta is that set's;
+save_code checks that rule too, so it writes no spec load_code refuses.  An
 "exhaustive" label is not re-derived: the size sweep costs about 1 ms per
 load, against about 0.2 ms for the rest of load_code.
 
@@ -127,6 +128,8 @@ def _check_digit_set(D: ProgressionFreeSet, d: int) -> None:
 
 
 def save_code(code: MrCode, path) -> None:
+    if code.family.D.method == "alon":
+        _check_digit_set(code.family.D, code.family.params.d)
     try:
         with open(path, "w") as fh:
             json.dump(code_to_dict(code), fh, indent=2)

@@ -17,7 +17,7 @@ verify_mr proves the property on the code (construct and `mrcodes verify`
 run it) with the lookup kernel (_identity_subsets), which finds the subsets
 summing to 0 mod N by meet in the middle; _kernel_cost picks its split and
 counts its work, and the kernel refuses, with TooLarge, a count past
-_KERNEL_GUARD.
+_KERNEL_GUARD; past it verify_mr certifies the property by this lemma.
 """
 
 from __future__ import annotations

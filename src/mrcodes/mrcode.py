@@ -25,13 +25,12 @@ is_correctable returns the verdict for an erasure set given as a plain
 collection of column indices.
 
 verify_mr is exhaustive unless the lookup kernel refuses the work, and then
-samples.
+certifies the code by the family lemma, exactly, from one set-oracle run.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -44,9 +43,8 @@ from .errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatc
                      MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                      PropertyViolation, TooLarge)
 from .family import ZeroSumFamily, _check_length, _identity_subsets
-from .field import Field, FieldElement, _check_int
-
-_SAMPLED_SUBSETS = 10**5
+from .field import Field, FieldElement
+from .progfree import verify_progression_free
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
 
@@ -175,7 +173,7 @@ def _row_reduce(rows: list[list[FieldElement]], ncols: int) -> list[int]:
 
 @dataclass
 class MrReport:
-    mode: str  # "exhaustive" | "sampled"
+    mode: str  # "exhaustive" | "certificate"
     mds_subsets_checked: int = 0
     deficient_subsets: list = dc_field(default_factory=list)
     violations: list = dc_field(default_factory=list)
@@ -188,31 +186,7 @@ class MrReport:
         return not self.violations and self.local_distance_ok
 
 
-def _scan_subsets(code: MrCode, seed: int) -> MrReport:
-    """The sampled report: every repair group plus uniformly sampled
-    (r+1)-column subsets, each deficient exactly when its exponents sum to 0
-    mod N, against the expected rank (r for a repair group, r+1 otherwise).
-    The draws stop early once every subset has been drawn."""
-    r, k, N, a = code.r, code.k, code.field.N, code.family.elements
-    group_sets = {frozenset(g) for g in code.repair_groups}
-    rng, total, sampled = random.Random(seed), math.comb(code.n, k), set()
-    for _ in range(_SAMPLED_SUBSETS):
-        sampled.add(tuple(sorted(rng.sample(range(code.n), k))))
-        if len(sampled) == total:
-            break
-    sampled.update(tuple(sorted(g)) for g in code.repair_groups)
-    report = MrReport(mode="sampled", mds_subsets_checked=len(sampled))
-    for subset in sampled:
-        rk = r if sum(a[j] for j in subset) % N == 0 else k
-        expected = r if frozenset(subset) in group_sets else k
-        if rk == r:
-            report.deficient_subsets.append(subset)
-        if rk != expected:
-            report.violations.append((subset, rk, expected))
-    return report
-
-
-def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
+def verify_mr(code: MrCode, mode: str = "auto") -> MrReport:
     """Check that the deficient (r+1)-column subsets are the repair groups.
 
     G has the closed form (MrCode derives its rows when the code is made),
@@ -221,30 +195,55 @@ def verify_mr(code: MrCode, seed: int = 0, mode: str = "auto") -> MrReport:
     deficient (rank r) exactly when its x multiply to 1 mod q, and otherwise
     has rank r+1.  The x are gamma^a for the family's exponents a, and gamma
     is primitive (of order N), so prod gamma^a = 1 exactly when sum a = 0
-    mod N: this check reads only the exponents and N, never G.  "auto" runs
-    the lookup kernel (_identity_subsets) over every subset and samples when
-    the kernel refuses the work (see _scan_subsets; the report's mode says
-    which); "exhaustive" passes that TooLarge on; "sampled" always samples.
+    mod N: this check reads only the exponents and N, never G.  Both modes
+    run the lookup kernel (_identity_subsets) over every subset; "exhaustive"
+    passes its TooLarge on, and "auto" answers it with mode "certificate",
+    which lists every transversal's columns (column p*(r+1) + i holds block
+    i's a_{i,b}, b = D[p]), the witness of D's set oracle if it has one,
+    and every repair group whose exponents sum to 0 mod N.
+
+    The family lemma makes that list exact when D passes the oracle.
+    FamilyParams gives r^3*l < N and r*d <= l, and D is strictly increasing
+    in [1, d] (else the kernel's TooLarge passes on).  Take r+1 columns, c_i
+    of them in block i, beta the sum of their b in blocks below r and
+    beta_r in block r.  Their exponents sum to l*E + beta - r*beta_r + c_r*N,
+    E = sum_{i<r} i*c_i - C(r,2)*c_r, with |l*E| <= l*(r^3 - r)/2 < N/2 and
+    |beta - r*beta_r| <= r*(r+1)*d < 3N/8, so to 0 mod N exactly when
+    l*E = r*beta_r - beta.  c_r = 0 gives l*E >= 0 > -beta = r*beta_r - beta,
+    and c_r >= 2 gives E <= 1-r, l*E < (1-r)*d <= -beta.  So c_r = 1, and
+    |r*beta_r - beta| <= r*(d-1) < l forces E = 0 and beta = r*b_r: r
+    members of D summing to r times a member, so all equal to b_r, and the
+    r distinct columns in blocks below r sit one in each: a transversal.  A
+    witness (d_0, ..., d_r) of the oracle gives the columns of the a_{i,d_i},
+    which sum to N and are no transversal; with the transversals they make
+    more than n/(r+1) deficient subsets, so that report fails and lists the
+    one witness, not every deficient subset of the failing D.
     """
-    _check_int("seed", seed)
-    if mode not in ("auto", "exhaustive", "sampled"):
+    if mode not in ("auto", "exhaustive"):
         raise BadParams(f"unknown verifier mode {mode!r}")
-    if mode == "sampled":
-        return _scan_subsets(code, seed)
-    n, r, k = code.n, code.r, code.k
+    n, r, k, N = code.n, code.r, code.k, code.field.N
+    a, D = code.family.elements, code.family.D.elements
     try:
-        deficient = list(_identity_subsets(code.family.elements, r, code.field.N))
+        deficient, how = list(_identity_subsets(a, r, N)), "exhaustive"
     except TooLarge:
-        if mode == "exhaustive":
+        if mode == "exhaustive" or not all(
+                x < y for x, y in zip((0, *D), (*D, code.family.params.d + 1))):
             raise
-        return _scan_subsets(code, seed)
+        certified = {tuple(range(p * k, p * k + k)) for p in range(len(D))}
+        certified.update(tuple(sorted(g)) for g in code.repair_groups
+                         if sum(a[j] for j in g) % N == 0)
+        witness = verify_progression_free(D, r)  # its TooLarge passes on
+        if witness is not None:
+            pos = {b: p for p, b in enumerate(D)}
+            certified.add(tuple(sorted(pos[b] * k + i for i, b in enumerate(witness))))
+        deficient, how = sorted(certified), "certificate"
     # the violations in lexicographic order: the symmetric difference of the
     # deficient subsets and the groups
     deficient_sets = set(map(frozenset, deficient))
     odd = deficient_sets.symmetric_difference(map(frozenset, code.repair_groups))
     violations = sorted((tuple(sorted(s)),) + ((r, k) if s in deficient_sets else (k, r))
                         for s in odd)
-    return MrReport(mode="exhaustive", mds_subsets_checked=math.comb(n, k),
+    return MrReport(mode=how, mds_subsets_checked=math.comb(n, k),
                     deficient_subsets=deficient, violations=violations)
 
 

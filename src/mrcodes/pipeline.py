@@ -129,13 +129,14 @@ def exact_failure_probability(code: MrCode, p: float) -> float:
     """Sum of p^|E| (1-p)^(n-|E|) over the incorrectable erasure patterns E,
     in closed form.  Exact reference for simulate().
 
-    Needs a passing exhaustive verify_mr report, whose D deficient k-subsets
-    are then the disjoint repair groups.  So k+1 survivors hold k independent
-    columns (swap one of a deficient subset for the outside one), and E fails
-    exactly when under k symbols survive or the k survivors are deficient.
+    Needs a passing verify_mr report (in either mode), whose D deficient
+    k-subsets are then the disjoint repair groups.  So k+1 survivors hold k
+    independent columns (swap one of a deficient subset for the outside one),
+    and E fails exactly when under k symbols survive or the k survivors are
+    deficient.
     """
     _check_p(p)
-    report = verify_mr(code, mode="exhaustive")
+    report = verify_mr(code)
     if not report.ok:
         raise PropertyViolation("code not verified")
     n, k = code.n, code.k

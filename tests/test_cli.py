@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -140,6 +141,23 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] and report["mode"] == "exhaustive"
         assert report["mds_subsets_checked"] == 20
+
+    def test_verify_past_the_kernel_guard(self, tmp_path, capsys):
+        # n = 60 at r = 14: auto certifies by the family lemma, --exhaustive
+        # passes on the kernel's refusal, and there is no sampled mode
+        out = tmp_path / "r14.json"
+        assert main(["construct", "--r", "14", "--q", "4294967291", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] and report["mode"] == "certificate"
+        assert report["mds_subsets_checked"] == math.comb(60, 15)
+        assert main(["verify", str(out), "--exhaustive"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: the lookup kernel's cost for n=60, r=14 ")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(out), "--sampled"])
+        assert exc.value.code == 2
 
     def test_encode_decode_pipe(self, spec_path, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 0 0\n"))
@@ -296,14 +314,19 @@ def test_D_not_strictly_increasing_is_refused_before_the_set_oracle(code6, tmp_p
     (53, lambda D: dataclasses.replace(D, method="alon"), "D_alon_meta"),
 ], ids=["meta-edited", "meta-missing", "D-not-a-prefix", "digit-0-only", "d-1"])
 def test_digit_set_spec_is_rederived(tmp_path, capsys, q, edit, key):
-    # a spec saved from a code built on the edited set agrees with itself
-    # key for key; only re-deriving the digit set refuses it (d = 2 at
-    # q = 101 leaves the digit construction only the digit 0, and it
-    # refuses d = 1 at q = 53)
+    # a code built on the edited set passes build_family and build_code, and
+    # its spec agrees with itself key for key; only re-deriving the digit
+    # set refuses it, in save_code before the file is opened and in the
+    # reader (d = 2 at q = 101 leaves the digit construction only the digit
+    # 0, and it refuses d = 1 at q = 53)
     code = construct(2, q)[0]
     edited = build_code(code.field, build_family(code.family.params, edit(code.family.D)))
     path = tmp_path / "digits.json"
-    save_code(edited, path)
+    path.write_text("kept")
+    with pytest.raises(PropertyViolation, match=f"^spec key {key!r} "):
+        save_code(edited, path)
+    assert path.read_text() == "kept"
+    path.write_text(json.dumps(code_to_dict(edited)))
     with pytest.raises(PropertyViolation, match=f"^spec key {key!r} "):
         load_code(path)
     assert main(["verify", str(path)]) == 1
@@ -383,6 +406,16 @@ def test_spec_round_trip(source):
     assert code_from_dict(code_to_dict(code)) == code
 
 
+@pytest.mark.parametrize("target_n", [None, 15])
+def test_digit_built_code_saves_and_loads(tmp_path, target_n):
+    # save_code's digit-set check passes the sets construct builds, trimmed or not
+    code = construct(2, 500009, target_n=target_n)[0]
+    assert code.family.D.method == "alon"
+    path = tmp_path / "digits.json"
+    save_code(code, path)
+    assert load_code(path) == code
+
+
 def test_spec_with_another_primitive_gamma_is_refused(code6, tmp_path, capsys):
     # 3 is primitive mod 101 but make_field picks 2: a spec written for
     # gamma = 3, G included, is not the code its inputs rebuild
@@ -423,7 +456,7 @@ def test_spec_D_outside_1_to_d_is_named(code6, tmp_path, capsys, D, line):
     assert capsys.readouterr().err == line
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("mode", ["exhaustive"])
 @pytest.mark.parametrize("spec", ["bench-r2-q1601", "r3-q653", "hand-picked-D"])
 def test_verify_output_matches_rank_scan(tmp_path, capsys, spec, mode):
     if spec == "bench-r2-q1601":

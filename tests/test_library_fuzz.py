@@ -86,7 +86,7 @@ def test_wrong_typed_parameters_are_bad_params(codes, bad, p):
     calls = [lambda: make_field(bad), lambda: construct(2, bad), lambda: construct(bad, 101),
              lambda: choose_params(bad, 101), lambda: simulate(code, p, 10, 0), lambda: simulate(code, 0.1, bad, 0),
              lambda: exact_failure_probability(code, p), lambda: simulate(code, 0.1, 10, bad),
-             lambda: verify_mr(code, seed=bad, mode="sampled")]
+             lambda: verify_mr(code, mode=bad)]
     if bad is not None:  # target_n=None asks for no target
         calls.append(lambda: construct(2, 101, target_n=bad))
     for call in calls:

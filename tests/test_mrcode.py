@@ -1,26 +1,28 @@
 import dataclasses
-import math
 import random
 import re
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mrcodes.family
 import mrcodes.mrcode
+import mrcodes.progfree
 from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
 from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                             MrCodesError, MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                             PropertyViolation, TooLarge)
-from mrcodes.family import ZeroSumFamily, _identity_subsets
+from mrcodes.family import FamilyParams, ZeroSumFamily, _identity_subsets
 from mrcodes.field import FieldElement, make_field
 from mrcodes.mrcode import (MrCode, _build_plan, _closed_form_rows, _DecodePlan, _row_reduce,
-                            MrReport, build_code, decode, encode, is_correctable, local_repair,
+                            build_code, decode, encode, is_correctable, local_repair,
                             verify_mr)
 from mrcodes.pipeline import choose_params, construct
-from mrcodes.progfree import ProgressionFreeSet
+from mrcodes.progfree import ProgressionFreeSet, verify_progression_free
 from rank_scan import columns, rank, rank_scan, raw
 
 
@@ -286,7 +288,7 @@ class TestClosedFormVerify:
     """verify_mr's determinant shortcut against the brute-force rank scan."""
 
     @pytest.mark.parametrize("r,q", [(2, 101), (3, 653), (2, 1601), (4, 1283), (2, 257)])
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("mode", ["exhaustive"])
     def test_matches_rank_scan(self, r, q, mode):
         code = construct(r, q)[0]
         report = verify_mr(code, mode=mode)
@@ -303,10 +305,6 @@ class TestClosedFormVerify:
             powers = [pow(x, ell, q) for ell in range(1, r + 2)]
             powers[r] = (powers[r] + (-1) ** (r + 1)) % q
             assert col == tuple(powers), x
-
-    def test_sampled_seed(self, code8):
-        assert verify_mr(code8, seed=5, mode="sampled") == rank_scan(code8, seed=5,
-                                                                     mode="sampled")
 
     def test_mutations_are_caught_and_not_mr(self, code6):
         # every single-entry mutation is caught, and the rank scan over the
@@ -341,12 +339,15 @@ class TestClosedFormVerify:
 
     def test_guard_picks_the_mode(self, code6, monkeypatch):
         # the lookup kernel's cost is C(6, 2) + C(6, 1) = 21 and the rank
-        # scan's C(6, 3) = 20 subsets: auto samples past the guards,
-        # exhaustive passes on the kernel's own refusal
+        # scan's C(6, 3) = 20 subsets: past the kernel's guard auto certifies,
+        # with the rank scan's report, and exhaustive passes on the kernel's
+        # own refusal
+        expected = rank_scan(code6)
         monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
         monkeypatch.setattr("rank_scan.EXHAUSTIVE_SUBSET_GUARD", 19)
         report = verify_mr(code6)
-        assert report.mode == "sampled" and report == rank_scan(code6)
+        assert report.mode == "certificate"
+        assert dataclasses.replace(report, mode="exhaustive") == expected
         message = "^the lookup kernel's cost for n=6, r=2 = 21 exceeds its guard 20$"
         with pytest.raises(TooLarge, match=message):
             list(_identity_subsets(code6.family.elements, 2, code6.field.N))
@@ -354,6 +355,10 @@ class TestClosedFormVerify:
             verify_mr(code6, mode="exhaustive")
         with pytest.raises(TooLarge):
             rank_scan(code6, mode="exhaustive")
+        # the certificate's set oracle refuses with its own guard's TooLarge
+        monkeypatch.setattr(mrcodes.progfree, "_VERIFY_GUARD", 2)
+        with pytest.raises(TooLarge, match=r"^C\(\|D\|\+r-1, r\) = 3 multisets "):
+            verify_mr(code6)
         monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 21)
         assert verify_mr(code6).mode == "exhaustive"
 
@@ -387,77 +392,111 @@ class TestClosedFormVerify:
         with pytest.raises(BadParams):
             rank_scan(code6, mode="exhaustve")
 
-    def test_sampled_counts_a_permuted_group_once(self, code6):
+    def test_certificate_counts_a_permuted_group_once(self, code6, monkeypatch):
+        # a permuted group is its transversal, summing to 0 mod N: one entry
         code = dataclasses.replace(code6, repair_groups=((2, 1, 0), (5, 3, 4)))
-        report = verify_mr(code, mode="sampled")
+        monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 0)
+        report = verify_mr(code)
+        assert report.mode == "certificate" and report.ok
         assert report.mds_subsets_checked == 20
-        assert set(report.deficient_subsets) == {(0, 1, 2), (3, 4, 5)}
+        assert report.deficient_subsets == [(0, 1, 2), (3, 4, 5)]
 
 
-def _reference_scan(code, seed):
-    """The sampled report as it was built before the draws could stop: all
-    _SAMPLED_SUBSETS draws in one set comprehension.  Also returns how many
-    draws it took to hold every subset (all of them if it never did)."""
-    r, k, N, a = code.r, code.k, code.field.N, code.family.elements
-    group_sets = {frozenset(g) for g in code.repair_groups}
-    rng = random.Random(seed)
-    draws = [tuple(sorted(rng.sample(range(code.n), k)))
-             for _ in range(mrcodes.mrcode._SAMPLED_SUBSETS)]
-    sampled = {subset for subset in draws}
-    total, seen, needed = math.comb(code.n, k), set(), len(draws)
-    for i, subset in enumerate(draws, 1):
-        seen.add(subset)
-        if len(seen) == total:
-            needed = i
-            break
-    sampled.update(tuple(sorted(g)) for g in code.repair_groups)
-    report = MrReport(mode="sampled", mds_subsets_checked=len(sampled))
-    for subset in sampled:
-        rk = r if sum(a[j] for j in subset) % N == 0 else k
-        expected = r if frozenset(subset) in group_sets else k
-        if rk == r:
-            report.deficient_subsets.append(subset)
-        if rk != expected:
-            report.violations.append((subset, rk, expected))
-    return report, needed
+def _user_code(code, D):
+    """code with its family rebuilt on D, without build_family's checks."""
+    return dataclasses.replace(code, family=ZeroSumFamily(
+        code.family.params, ProgressionFreeSet(code.r, D, "user_supplied")))
 
 
-def _sampled_codes():
+def _suite_codes():
     code6 = construct(2, 101)[0]
+    code12 = construct(2, 401)[0]
     yield "r2_q101", code6
     yield "r3_q653", construct(3, 653)[0]
-    yield "r2_q401", construct(2, 401)[0]
+    yield "r2_q401", code12
     yield "r4_q1283", construct(4, 1283)[0]
     yield "permuted-groups", dataclasses.replace(code6, repair_groups=((2, 1, 0), (5, 3, 4)))
     yield "odd-groups", dataclasses.replace(code6, repair_groups=((0, 1, 3), (2, 4, 5)))
     yield "not-progression-free", build_code(code6.field, _user_family(2, 101, (1, 2, 3)))
     yield "bench-spec", load_code(BENCH_SPEC)
+    # family mutants of (2, 401), d = 8: valid; failing the set oracle with
+    # the witness (1, 3, 2), at columns (0, 7, 5), outside the groups and as
+    # a group; out of order; past d
+    yield "family-valid", _user_code(code12, (1, 2, 4, 8))
+    yield "family-ap", _user_code(code12, (1, 2, 3, 4))
+    yield "family-ap-groups", dataclasses.replace(
+        _user_code(code12, (1, 2, 3, 4)),
+        repair_groups=((0, 5, 7), (1, 2, 3), (4, 6, 8), (9, 10, 11)))
+    yield "family-unsorted", _user_code(code12, (2, 1, 4, 5))
+    yield "family-past-d", _user_code(code12, (1, 2, 4, 9))
 
 
-@pytest.mark.parametrize("cap", [None, 5000, 50])
-def test_sampled_report_stops_drawing_once_every_subset_is_drawn(monkeypatch, cap):
-    # the report is the one all the draws give, element for element; only
-    # the draws after the last new subset are skipped.  The default cap runs
-    # on the first code only, to keep the reference's 10^5 draws few; 5000
-    # draws hold every subset of the codes with n <= 12 but not the bench
-    # spec's C(30, 3) = 4060, and 50 draws hold no code's
-    codes = list(_sampled_codes())
-    if cap is None:
-        codes = codes[:1]
+def _check_certificate(code):
+    """The certificate, the kernel refused everywhere, against the kernel's
+    report: equal where D passes the set oracle, a sound part of it where D
+    fails, and the kernel's TooLarge where D is not strictly increasing in
+    [1, d]."""
+    expected = verify_mr(code)
+    N, a, D = code.field.N, code.family.elements, code.family.D.elements
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mrcodes.family, "_KERNEL_GUARD", 0)
+        if list(D) != sorted(set(D)) or not 1 <= D[0] <= D[-1] <= code.family.params.d:
+            with pytest.raises(TooLarge, match="^the lookup kernel's cost .* its guard 0$"):
+                verify_mr(code)
+            return None
+        report = verify_mr(code)
+    assert report.mode == "certificate" and report.ok == expected.ok
+    assert report.mds_subsets_checked == expected.mds_subsets_checked
+    if verify_progression_free(D, code.r) is None:
+        assert dataclasses.replace(report, mode="exhaustive") == expected
     else:
-        monkeypatch.setattr(mrcodes.mrcode, "_SAMPLED_SUBSETS", cap)
-    draws, sample = [], random.Random.sample
-    monkeypatch.setattr(random.Random, "sample",
-                        lambda self, *args: draws.append(1) or sample(self, *args))
-    for name, code in codes:
-        for seed in (0, 7):
-            expected, needed = _reference_scan(code, seed)
-            draws.clear()
-            report = verify_mr(code, seed=seed, mode="sampled")
-            assert repr(report) == repr(expected), (name, seed)
-            assert len(draws) == needed, (name, seed)
-            cap_now = mrcodes.mrcode._SAMPLED_SUBSETS
-            assert (needed < cap_now) == (cap_now > 50 and code.n <= 12), (name, seed)
+        assert set(report.deficient_subsets) <= set(expected.deficient_subsets)
+        assert set(report.violations) <= set(expected.violations)
+        assert all(sum(a[j] for j in s) % N == 0 for s in report.deficient_subsets)
+    return report
+
+
+def test_certificate_matches_the_kernel():
+    # one report per code; the failing families list their witness, one
+    # subset beyond the transversals, and so are not ok
+    reports = {name: _check_certificate(code) for name, code in _suite_codes()}
+    assert {name for name, report in reports.items() if report is None} == {
+        "not-progression-free", "family-unsorted", "family-past-d"}
+    assert [name for name, report in reports.items() if report and not report.ok] == [
+        "odd-groups", "family-ap", "family-ap-groups"]
+    assert reports["family-ap"].violations == [((0, 5, 7), 2, 3)]
+
+
+_PRIMES = (101, 401, 653, 1283, 1601, 5003, 20011)
+
+
+@st.composite
+def _top_of_range_codes(draw):
+    """A code with l within 2r of its largest value, d within 1 of l // r
+    (r*d = l when r divides l), lambda and delta strictly inside the
+    integers' windows, and up to 5 distinct elements of [1, d] in any
+    order: valid, failing the set oracle, or out of order."""
+    r = draw(st.integers(2, 4))
+    q = draw(st.sampled_from([p for p in _PRIMES if p - 1 > r**4]))  # so l can reach r
+    N = q - 1
+    top = -(-N // r**3) - 1  # the largest l with r^3*l < N
+    l = draw(st.integers(max(r, top - 2 * r), top))
+    d = draw(st.integers(max(1, l // r - 1), l // r))
+    lam = (Fraction(l, N) + min(Fraction(l + 1, N), Fraction(1, r**3))) / 2
+    delta = (Fraction(d, N) + min(Fraction(d + 1, N), lam / r)) / 2
+    params = FamilyParams(N=N, r=r, lam=lam, delta=delta)
+    assert (params.l, params.d) == (l, d)
+    D = draw(st.lists(st.integers(1, d), min_size=1, max_size=5, unique=True))
+    if draw(st.booleans()):
+        D.sort()
+    return build_code(make_field(q), ZeroSumFamily(
+        params, ProgressionFreeSet(r, tuple(D), "user_supplied")))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(code=_top_of_range_codes())
+def test_certificate_matches_the_kernel_at_the_top_of_the_ranges(code):
+    _check_certificate(code)
 
 
 def _caught(code, i, j, value) -> bool:
@@ -548,7 +587,7 @@ def test_codec_state_is_built_on_first_use(tmp_path):
     # and, reading only the x, never builds G
     lazy = {"G", "_packed", "_groups"}
     code, _ = construct(3, 5003)
-    for mode in ("auto", "exhaustive", "sampled"):
+    for mode in ("auto", "exhaustive"):
         verify_mr(code, mode=mode)
     path = tmp_path / "spec.json"
     save_code(code, path)

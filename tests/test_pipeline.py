@@ -260,6 +260,16 @@ def test_exact_failure_probability_past_n24():
     assert exact_failure_probability(code, 0.5) == pytest.approx(476 / 2**30, rel=1e-12)
 
 
+def test_exact_failure_probability_past_the_kernel_guard():
+    # n = 60, k = 15: the kernel refuses C(60, 8) + C(60, 7) lookups and
+    # entries, the certificate lists the 4 groups; at p = 1/2 the patterns
+    # with at most 14 survivors plus the 4 groups surviving alone
+    code, report = construct(14, 4294967291)
+    assert (code.n, report.mode) == (60, "certificate")
+    failing = sum(math.comb(60, s) for s in range(15)) + 4
+    assert exact_failure_probability(code, 0.5) == pytest.approx(failing / 2**60, rel=1e-12)
+
+
 def test_exact_failure_probability_rejects(monkeypatch):
     code = construct(2, 101)[0]
     # overlapping groups are refused when the code is made
@@ -271,10 +281,11 @@ def test_exact_failure_probability_rejects(monkeypatch):
     for p in (1.5, -0.1, float("nan")):
         with pytest.raises(BadParams):
             exact_failure_probability(code, p)
-    # the lookup kernel's cost at n = 6, r = 2 is C(6, 2) + C(6, 1) = 21
+    # the lookup kernel's cost at n = 6, r = 2 is C(6, 2) + C(6, 1) = 21:
+    # past it the certificate gives the same value
+    expected = exact_failure_probability(code, 0.1)
     monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
-    with pytest.raises(TooLarge):
-        exact_failure_probability(code, 0.1)
+    assert exact_failure_probability(code, 0.1) == expected
 
 
 def test_choose_set_falls_back_when_digits_degenerate():
