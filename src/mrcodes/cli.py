@@ -170,13 +170,14 @@ def _run(args) -> int:
     if args.command == "construct":
         code, report = construct(args.r, args.q, target_n=args.target_n)
         save_code(code, args.out)
+        checked = (f"{report.mds_subsets_checked} subsets" if report.mode == "exhaustive"
+                   else "the transversals and the zero-sum repair groups")
         print(f"wrote {args.out}: n={code.n} k={code.k} r={code.r} q={code.field.q}; "
-              f"verification {report.mode}, {report.mds_subsets_checked} subsets",
-              file=sys.stderr)
+              f"verification {report.mode}, {checked}", file=sys.stderr)
         return 0
 
     if args.command == "verify":
-        code = load_code(args.spec)  # checks the inputs, re-derives G's rows; verify_mr proves
+        code = load_code(args.spec)  # proves D, re-derives G's rows; verify_mr checks the code
         report = verify_mr(code, mode="exhaustive" if args.exhaustive else "auto")
         json.dump({"ok": report.ok} | asdict(report), sys.stdout, indent=2)
         print()

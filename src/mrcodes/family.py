@@ -12,12 +12,13 @@ property: an (r+1)-subset of the family sums to 0 mod N exactly when it is
 one of the transversals.  With lambda and delta in range (r^3*l < N and
 r*d <= l) the residues are distinct, the last block needs no reduction and
 every transversal sums to exactly N, and the property holds exactly when D
-satisfies the defining equation: so build_family checks its inputs only.
-verify_mr proves the property on the code (construct and `mrcodes verify`
-run it) with the lookup kernel (_identity_subsets), which finds the subsets
-summing to 0 mod N by meet in the middle; _kernel_cost picks its split and
-counts its work, and the kernel refuses, with TooLarge, a count past
-_KERNEL_GUARD; past it verify_mr certifies the property by this lemma.
+satisfies the defining equation: so ZeroSumFamily proves D when it is made,
+and no family holds an unproved D.  verify_mr checks the property on the
+code (construct and `mrcodes verify` run it) with the lookup kernel
+(_identity_subsets), which finds the subsets summing to 0 mod N by meet in
+the middle; _kernel_cost picks its split and counts its work, and the
+kernel refuses, with TooLarge, a count past _KERNEL_GUARD; past it
+verify_mr certifies the property by this lemma.
 """
 
 from __future__ import annotations
@@ -75,10 +76,24 @@ class ZeroSumFamily:
     elements: tuple[int, ...] = dc_field(init=False)  # canonical flat order: by b, then i
 
     def __post_init__(self):
-        N, r, l = self.params.N, self.params.r, self.params.l
+        """Proves D before the residues are made: n within _MAX_N first, so
+        an oversized D never meets the set oracle, then D's r, D strictly
+        increasing in [1, d], and the set oracle."""
+        N, r, l, d = self.params.N, self.params.r, self.params.l, self.params.d
+        D = self.D.elements
+        if len(D) * (r + 1) > _MAX_N:
+            raise TooLarge(f"n={len(D) * (r + 1)} exceeds the desk-scale bound {_MAX_N}")
+        if self.D.r != r:
+            raise Mismatch(f"D was checked for r={self.D.r}, the family has r={r}")
+        if not D or min(D) < 1 or max(D) > d:
+            raise BadParams(f"D={D} is not a nonempty subset of [1, d={d}]")
+        if any(a >= b for a, b in zip(D, D[1:])):
+            raise BadParams(f"D={D} is not strictly increasing")
+        if verify_progression_free(D, r) is not None:
+            raise BadSet(f"D={D} fails the defining equation for r={r}")
         offset = N - math.comb(r, 2) * l
         transversals = tuple(tuple(i * l + b for i in range(r)) + ((offset - r * b) % N,)
-                             for b in self.D.elements)
+                             for b in D)
         blocks = tuple(tuple(tr[i] for tr in transversals) for i in range(r + 1))
         for name, value in (("blocks", blocks), ("transversals", transversals),
                             ("elements", tuple(a for tr in transversals for a in tr))):
@@ -93,25 +108,8 @@ class ZeroSumFamily:
         return self.params.r
 
 
-def _check_length(n: int) -> None:
-    if n > _MAX_N:
-        raise TooLarge(f"n={n} exceeds the desk-scale bound {_MAX_N}")
-
-
 def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
-    """The family of (params, D), after its inputs are checked: n within
-    _MAX_N first, then D's r, D in [1, d] and strictly increasing, and the
-    set oracle, so an oversized D is refused before the oracle's
-    enumeration."""
-    _check_length(len(D.elements) * (params.r + 1))
-    if D.r != params.r:
-        raise Mismatch(f"D was checked for r={D.r}, the family has r={params.r}")
-    if not D.elements or min(D.elements) < 1 or max(D.elements) > params.d:
-        raise BadParams(f"D={D.elements} is not a nonempty subset of [1, d={params.d}]")
-    if any(a >= b for a, b in zip(D.elements, D.elements[1:])):
-        raise BadParams(f"D={D.elements} is not strictly increasing")
-    if verify_progression_free(D.elements, params.r) is not None:
-        raise BadSet(f"D={D.elements} fails the defining equation for r={params.r}")
+    """The family of (params, D); ZeroSumFamily refuses an unproved D."""
     return ZeroSumFamily(params, D)
 
 

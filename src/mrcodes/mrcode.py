@@ -8,10 +8,10 @@ build_code puts repair group i at columns [i*(r+1), (i+1)*(r+1)).  G's
 FieldElements, the rows packed for encoding and the map from each column to
 its group, peers and repair coefficients are built on first use, so
 construct, verify_mr and the spec reader and writer never build them.
-MrCode reads r and n from the family (k = r+1) and checks once that n is
-within family._MAX_N, that the family's N is the field's, that its exponents
-are distinct mod N (so the x are), and that the groups split range(n) into
-k-sets in any order.
+MrCode reads r and n from the family (k = r+1), whose D was proved when it
+was made (so n is within family._MAX_N and the exponents, and so the x, are
+distinct), and checks that the family's N is the field's and that the
+groups split range(n) into k-sets in any order.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group.  By the closed form,
@@ -25,7 +25,7 @@ is_correctable returns the verdict for an erasure set given as a plain
 collection of column indices.
 
 verify_mr is exhaustive unless the lookup kernel refuses the work, and then
-certifies the code by the family lemma, exactly, from one set-oracle run.
+certifies the code by the family lemma, exactly, in O(n).
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                      MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                      PropertyViolation, TooLarge)
-from .family import ZeroSumFamily, _check_length, _identity_subsets
+from .family import ZeroSumFamily, _identity_subsets
 from .field import Field, FieldElement
-from .progfree import verify_progression_free
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
 
@@ -77,12 +76,9 @@ class MrCode:
     def __post_init__(self):
         field, family, groups = self.field, self.family, self.repair_groups
         r, n, k, q = family.r, family.n, family.r + 1, field.q
-        _check_length(n)
         if family.params.N != field.N:
             raise Mismatch(f"family N={family.params.N} != field N={field.N}")
         xs = tuple(pow(field.gamma, a, q) for a in family.elements)
-        if len(set(xs)) != n:
-            raise Mismatch(f"the family's exponents {family.elements} collide mod N={field.N}")
         for name, value in (("r", r), ("n", n), ("k", k),
                             ("_rows", tuple(map(tuple, _closed_form_rows(xs, r, q))))):
             object.__setattr__(self, name, value)
@@ -199,12 +195,12 @@ def verify_mr(code: MrCode, mode: str = "auto") -> MrReport:
     run the lookup kernel (_identity_subsets) over every subset; "exhaustive"
     passes its TooLarge on, and "auto" answers it with mode "certificate",
     which lists every transversal's columns (column p*(r+1) + i holds block
-    i's a_{i,b}, b = D[p]), the witness of D's set oracle if it has one,
-    and every repair group whose exponents sum to 0 mod N.
+    i's a_{i,b}, b = D[p]) and every repair group whose exponents sum to 0
+    mod N.
 
-    The family lemma makes that list exact when D passes the oracle.
-    FamilyParams gives r^3*l < N and r*d <= l, and D is strictly increasing
-    in [1, d] (else the kernel's TooLarge passes on).  Take r+1 columns, c_i
+    The family lemma makes that list exact.  ZeroSumFamily holds only a D
+    strictly increasing in [1, d] that passes the set oracle, and
+    FamilyParams gives r^3*l < N and r*d <= l.  Take r+1 columns, c_i
     of them in block i, beta the sum of their b in blocks below r and
     beta_r in block r.  Their exponents sum to l*E + beta - r*beta_r + c_r*N,
     E = sum_{i<r} i*c_i - C(r,2)*c_r, with |l*E| <= l*(r^3 - r)/2 < N/2 and
@@ -213,29 +209,20 @@ def verify_mr(code: MrCode, mode: str = "auto") -> MrReport:
     and c_r >= 2 gives E <= 1-r, l*E < (1-r)*d <= -beta.  So c_r = 1, and
     |r*beta_r - beta| <= r*(d-1) < l forces E = 0 and beta = r*b_r: r
     members of D summing to r times a member, so all equal to b_r, and the
-    r distinct columns in blocks below r sit one in each: a transversal.  A
-    witness (d_0, ..., d_r) of the oracle gives the columns of the a_{i,d_i},
-    which sum to N and are no transversal; with the transversals they make
-    more than n/(r+1) deficient subsets, so that report fails and lists the
-    one witness, not every deficient subset of the failing D.
+    r distinct columns in blocks below r sit one in each: a transversal.
     """
     if mode not in ("auto", "exhaustive"):
         raise BadParams(f"unknown verifier mode {mode!r}")
     n, r, k, N = code.n, code.r, code.k, code.field.N
-    a, D = code.family.elements, code.family.D.elements
+    a = code.family.elements
     try:
         deficient, how = list(_identity_subsets(a, r, N)), "exhaustive"
     except TooLarge:
-        if mode == "exhaustive" or not all(
-                x < y for x, y in zip((0, *D), (*D, code.family.params.d + 1))):
+        if mode == "exhaustive":
             raise
-        certified = {tuple(range(p * k, p * k + k)) for p in range(len(D))}
+        certified = {tuple(range(p * k, p * k + k)) for p in range(n // k)}
         certified.update(tuple(sorted(g)) for g in code.repair_groups
                          if sum(a[j] for j in g) % N == 0)
-        witness = verify_progression_free(D, r)  # its TooLarge passes on
-        if witness is not None:
-            pos = {b: p for p, b in enumerate(D)}
-            certified.add(tuple(sorted(pos[b] * k + i for i, b in enumerate(witness))))
         deficient, how = sorted(certified), "certificate"
     # the violations in lexicographic order: the symmetric difference of the
     # deficient subsets and the groups

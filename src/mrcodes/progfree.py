@@ -6,9 +6,9 @@ counts its buckets before building one, and an exact maximum search for tiny
 m, one loop over a stack of bitmask levels (see exhaustive_best).
 _choose_set picks a code's D from the two.  The public constructors re-check
 what they return with the brute-force oracle; _choose_set calls their
-unchecked bodies (_alon_digits, _finish_sweep), and build_family proves the
-D that _choose_set picks: a losing candidate is never checked, and a D too
-long for a code is refused before the oracle meets it.
+unchecked bodies (_alon_digits, _finish_sweep), and the family made from
+the D that _choose_set picks proves it: a losing candidate is never checked,
+and a D too long for a code is refused before the oracle meets it.
 """
 
 from __future__ import annotations

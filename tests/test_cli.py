@@ -159,6 +159,17 @@ class TestMain:
             main(["verify", str(out), "--sampled"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("r,q,checked", [
+        (2, 101, "n=6 k=3 r=2 q=101; verification exhaustive, 20 subsets"),
+        (14, 4294967291, "n=60 k=15 r=14 q=4294967291; verification certificate, "
+                         "the transversals and the zero-sum repair groups"),
+    ], ids=["exhaustive", "certificate"])
+    def test_construct_says_what_it_checked(self, tmp_path, capsys, r, q, checked):
+        # a certificate enumerates no subsets, so its line counts none
+        out = tmp_path / "code.json"
+        assert main(["construct", "--r", str(r), "--q", str(q), "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", f"wrote {out}: {checked}\n")
+
     def test_encode_decode_pipe(self, spec_path, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 0 0\n"))
         assert main(["encode", "--spec", str(spec_path)]) == 0
@@ -290,7 +301,7 @@ def test_oversized_D_is_refused_before_the_set_oracle(code6, tmp_path, capsys, m
 @pytest.mark.parametrize("D", [(1, 1), (2, 1)], ids=["repeated", "unsorted"])
 def test_D_not_strictly_increasing_is_refused_before_the_set_oracle(code6, tmp_path, capsys,
                                                                     monkeypatch, D):
-    # both lie in [1, d = 2]: (1, 1) would collide only in build_code, and
+    # both lie in [1, d = 2]: (1, 1) would repeat every exponent, and
     # (2, 1) would list its transversals out of order
     calls = []
     monkeypatch.setattr(mrcodes.family, "verify_progression_free",
@@ -476,8 +487,8 @@ def test_verify_output_matches_rank_scan(tmp_path, capsys, spec, mode):
 
 def test_the_kernel_runs_once_per_proof(tmp_path, monkeypatch):
     # construct and `mrcodes verify` prove a code with one kernel run, in
-    # verify_mr, with or without a target length; building and loading check
-    # inputs only
+    # verify_mr, with or without a target length; building and loading
+    # prove D with the set oracle only
     runs = []
     real = mrcodes.family._identity_subsets
     for module in (mrcodes.family, mrcodes.mrcode):

@@ -12,7 +12,7 @@ from mrcodes.errors import BadParams, BadSet, Mismatch, TooLarge
 from mrcodes.family import (FamilyParams, ZeroSumFamily, _identity_subsets, _kernel_cost,
                             build_family)
 from mrcodes.progfree import ProgressionFreeSet
-from zero_sum import zero_sum_witness
+from zero_sum import family_residues, zero_sum_witness
 
 
 @pytest.fixture
@@ -181,19 +181,23 @@ def _params_and_D(draw):
 @settings(deadline=None, max_examples=300, derandomize=True)
 @given(case=_params_and_D())
 def test_build_family_rejects_exactly_the_families_without_the_zero_sum_property(case):
-    # the lemma build_family relies on: with lambda and delta in range and D
-    # in [1, d], the residues are distinct, every transversal sums to exactly
-    # N (no reduction mod N), and the family has the zero-sum property
-    # exactly when D passes the set oracle, so the kernel proof is left to
-    # verify_mr
+    # the lemma ZeroSumFamily relies on: with lambda and delta in range and
+    # D strictly increasing in [1, d], the residues are distinct, every
+    # transversal sums to exactly N (no reduction mod N), and the family has
+    # the zero-sum property exactly when D passes the set oracle, so the
+    # kernel proof is left to verify_mr
     params, D = case
-    family = ZeroSumFamily(params, D)
-    assert len(set(family.elements)) == family.n
-    assert all(sum(tr) == params.N for tr in family.transversals)
-    witness = zero_sum_witness(family.elements, family.transversals, params.N, params.r)
+    elements, transversals = family_residues(params, D.elements)
+    assert len(set(elements)) == len(elements)
+    assert all(sum(tr) == params.N for tr in transversals)
+    witness = zero_sum_witness(elements, transversals, params.N, params.r)
     if witness is None:
+        family = ZeroSumFamily(params, D)
+        assert (family.elements, family.transversals) == (elements, transversals)
         assert build_family(params, D) == family
     else:
+        with pytest.raises(BadSet):
+            ZeroSumFamily(params, D)
         with pytest.raises(BadSet):
             build_family(params, D)
 
@@ -234,8 +238,8 @@ def test_subset_guard(family_r2, monkeypatch):
 
 
 def test_build_family_checks_up_to_the_guard(family_r2, monkeypatch):
-    # build_family checks its inputs only: no kernel call on either side of
-    # the guard (the kernel's cost at n = 6, r = 2 is 21)
+    # the family proves D with the set oracle only: no kernel call on either
+    # side of the guard (the kernel's cost at n = 6, r = 2 is 21)
     calls = []
     real = mrcodes.family._identity_subsets
     monkeypatch.setattr(mrcodes.family, "_identity_subsets",

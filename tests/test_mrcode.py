@@ -13,10 +13,10 @@ import mrcodes.family
 import mrcodes.mrcode
 import mrcodes.progfree
 from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
-from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
-                            MrCodesError, MultipleErasuresInGroup, NotCorrectable, NotInGroup,
-                            PropertyViolation, TooLarge)
-from mrcodes.family import FamilyParams, ZeroSumFamily, _identity_subsets
+from mrcodes.errors import (BadParams, BadSet, BadSymbol, Inconsistent, LengthMismatch,
+                            Mismatch, MrCodesError, MultipleErasuresInGroup, NotCorrectable,
+                            NotInGroup, PropertyViolation, TooLarge)
+from mrcodes.family import FamilyParams, ZeroSumFamily, _identity_subsets, build_family
 from mrcodes.field import FieldElement, make_field
 from mrcodes.mrcode import (MrCode, _build_plan, _closed_form_rows, _DecodePlan, _row_reduce,
                             build_code, decode, encode, is_correctable, local_repair,
@@ -24,6 +24,7 @@ from mrcodes.mrcode import (MrCode, _build_plan, _closed_form_rows, _DecodePlan,
 from mrcodes.pipeline import choose_params, construct
 from mrcodes.progfree import ProgressionFreeSet, verify_progression_free
 from rank_scan import columns, rank, rank_scan, raw
+from zero_sum import family_residues
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ BENCH_SPEC = Path(__file__).resolve().parents[1] / "bench" / "data" / "r2_q1601.
 
 
 def _user_family(r, q, D):
-    """The family on D with the default parameters, built without build_family's checks."""
+    """The family on D with the default parameters."""
     return ZeroSumFamily(choose_params(r, q), ProgressionFreeSet(r, D, "user_supplied"))
 
 
@@ -323,13 +324,27 @@ class TestClosedFormVerify:
 
     def test_product_one_subset_reported(self, code6):
         # D = (1, 2, 3) is not progression free (1 + 3 = 2 * 2), and its
-        # family's exponents 7 + 90 + 3 and 1 + 90 + 9 sum to 0 mod 100 across
-        # repair groups: the fast path must report what the rank scan reports
-        code = build_code(code6.field, _user_family(2, 101, (1, 2, 3)))
-        report = verify_mr(code, mode="exhaustive")
-        assert report == rank_scan(code, mode="exhaustive")
+        # residues' 7 + 90 + 3 and 1 + 90 + 9 sum to 0 mod 100 across
+        # transversals: the kernel finds what the rank scan finds on the
+        # closed-form columns of those residues, and no family holds that D
+        # (at d = 2 it is past d; raising delta to d = 3 keeps l = 6, and so
+        # the residues, and the set oracle refuses it)
+        field, D = code6.field, (1, 2, 3)
+        params = code6.family.params
+        elements, _ = family_residues(params, D)
+        xs = [pow(field.gamma, a, field.q) for a in elements]
+        G = [list(map(field.element, row)) for row in _closed_form_rows(xs, 2, field.q)]
+        groups = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+        report = rank_scan(raw(G, groups), mode="exhaustive")
+        assert list(_identity_subsets(elements, 2, field.N)) == report.deficient_subsets
         assert not report.ok
         assert report.violations == [((0, 5, 7), 2, 3), ((1, 5, 6), 2, 3)]
+        with pytest.raises(BadParams, match=r"^D=\(1, 2, 3\) is not a nonempty subset "):
+            _user_family(2, 101, D)
+        wider = FamilyParams(N=100, r=2, lam=params.lam, delta=Fraction(31, 1000))
+        assert (wider.l, wider.d) == (6, 3)
+        with pytest.raises(BadSet, match=r"^D=\(1, 2, 3\) fails the defining equation "):
+            ZeroSumFamily(wider, ProgressionFreeSet(2, D, "user_supplied"))
 
     def test_tampered_repair_groups(self, code6):
         code = dataclasses.replace(code6, repair_groups=((0, 1, 3), (2, 4, 5)))
@@ -355,10 +370,12 @@ class TestClosedFormVerify:
             verify_mr(code6, mode="exhaustive")
         with pytest.raises(TooLarge):
             rank_scan(code6, mode="exhaustive")
-        # the certificate's set oracle refuses with its own guard's TooLarge
+        # the certificate runs no set oracle, so past the oracle's own guard
+        # it still certifies
         monkeypatch.setattr(mrcodes.progfree, "_VERIFY_GUARD", 2)
         with pytest.raises(TooLarge, match=r"^C\(\|D\|\+r-1, r\) = 3 multisets "):
-            verify_mr(code6)
+            verify_progression_free(code6.family.D.elements, 2)
+        assert verify_mr(code6) == report
         monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 21)
         assert verify_mr(code6).mode == "exhaustive"
 
@@ -403,7 +420,7 @@ class TestClosedFormVerify:
 
 
 def _user_code(code, D):
-    """code with its family rebuilt on D, without build_family's checks."""
+    """code with its family rebuilt on D."""
     return dataclasses.replace(code, family=ZeroSumFamily(
         code.family.params, ProgressionFreeSet(code.r, D, "user_supplied")))
 
@@ -417,54 +434,82 @@ def _suite_codes():
     yield "r4_q1283", construct(4, 1283)[0]
     yield "permuted-groups", dataclasses.replace(code6, repair_groups=((2, 1, 0), (5, 3, 4)))
     yield "odd-groups", dataclasses.replace(code6, repair_groups=((0, 1, 3), (2, 4, 5)))
-    yield "not-progression-free", build_code(code6.field, _user_family(2, 101, (1, 2, 3)))
     yield "bench-spec", load_code(BENCH_SPEC)
-    # family mutants of (2, 401), d = 8: valid; failing the set oracle with
-    # the witness (1, 3, 2), at columns (0, 7, 5), outside the groups and as
-    # a group; out of order; past d
+    # a family of (2, 401), d = 8, on a D construct does not pick
     yield "family-valid", _user_code(code12, (1, 2, 4, 8))
-    yield "family-ap", _user_code(code12, (1, 2, 3, 4))
-    yield "family-ap-groups", dataclasses.replace(
-        _user_code(code12, (1, 2, 3, 4)),
-        repair_groups=((0, 5, 7), (1, 2, 3), (4, 6, 8), (9, 10, 11)))
-    yield "family-unsorted", _user_code(code12, (2, 1, 4, 5))
-    yield "family-past-d", _user_code(code12, (1, 2, 4, 9))
 
 
 def _check_certificate(code):
     """The certificate, the kernel refused everywhere, against the kernel's
-    report: equal where D passes the set oracle, a sound part of it where D
-    fails, and the kernel's TooLarge where D is not strictly increasing in
-    [1, d]."""
+    report: equal but for the mode."""
     expected = verify_mr(code)
-    N, a, D = code.field.N, code.family.elements, code.family.D.elements
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mrcodes.family, "_KERNEL_GUARD", 0)
-        if list(D) != sorted(set(D)) or not 1 <= D[0] <= D[-1] <= code.family.params.d:
-            with pytest.raises(TooLarge, match="^the lookup kernel's cost .* its guard 0$"):
-                verify_mr(code)
-            return None
         report = verify_mr(code)
-    assert report.mode == "certificate" and report.ok == expected.ok
-    assert report.mds_subsets_checked == expected.mds_subsets_checked
-    if verify_progression_free(D, code.r) is None:
-        assert dataclasses.replace(report, mode="exhaustive") == expected
-    else:
-        assert set(report.deficient_subsets) <= set(expected.deficient_subsets)
-        assert set(report.violations) <= set(expected.violations)
-        assert all(sum(a[j] for j in s) % N == 0 for s in report.deficient_subsets)
+    assert report.mode == "certificate"
+    assert dataclasses.replace(report, mode="exhaustive") == expected
     return report
 
 
 def test_certificate_matches_the_kernel():
-    # one report per code; the failing families list their witness, one
-    # subset beyond the transversals, and so are not ok
+    # one report per code; only the code whose groups are not its
+    # transversals fails
     reports = {name: _check_certificate(code) for name, code in _suite_codes()}
-    assert {name for name, report in reports.items() if report is None} == {
-        "not-progression-free", "family-unsorted", "family-past-d"}
-    assert [name for name, report in reports.items() if report and not report.ok] == [
-        "odd-groups", "family-ap", "family-ap-groups"]
-    assert reports["family-ap"].violations == [((0, 5, 7), 2, 3)]
+    assert [name for name, report in reports.items() if not report.ok] == ["odd-groups"]
+
+
+# The families no code can hold, with the error class and message prefix
+# their refusal raises.  At (2, 101) d = 2; at (2, 401) d = 8, and the set
+# oracle's witness (1, 3, 2) of (1, 2, 3, 4) picks the residues at columns
+# 0, 7 and 5, which sum to 0 mod N: the kernel finds them on the raw residues.
+_UNPROVED = [
+    ("not-progression-free", 101, (1, 2, 3), None, BadParams,
+     "D=(1, 2, 3) is not a nonempty subset of [1, d=2]"),
+    ("family-ap", 401, (1, 2, 3, 4), None, BadSet,
+     "D=(1, 2, 3, 4) fails the defining equation for r=2"),
+    ("family-ap-groups", 401, (1, 2, 3, 4), ((0, 5, 7), (1, 2, 3), (4, 6, 8), (9, 10, 11)),
+     BadSet, "D=(1, 2, 3, 4) fails the defining equation for r=2"),
+    ("family-unsorted", 401, (2, 1, 4, 5), None, BadParams,
+     "D=(2, 1, 4, 5) is not strictly increasing"),
+    ("family-past-d", 401, (1, 2, 4, 9), None, BadParams,
+     "D=(1, 2, 4, 9) is not a nonempty subset of [1, d=8]"),
+]
+
+
+@pytest.mark.parametrize("q,D,groups,error,prefix", [case[1:] for case in _UNPROVED],
+                         ids=[case[0] for case in _UNPROVED])
+def test_unproved_families_are_refused(q, D, groups, error, prefix):
+    # the certificate reads no D: a D the lemma does not cover never
+    # reaches a code, by build_family or by ZeroSumFamily
+    code = construct(2, q)[0]
+    params, pfs = code.family.params, ProgressionFreeSet(2, D, "user_supplied")
+    for make in (lambda: build_family(params, pfs),
+                 lambda: dataclasses.replace(code, family=ZeroSumFamily(params, pfs),
+                                             repair_groups=groups or code.repair_groups)):
+        with pytest.raises(error, match="^" + re.escape(prefix)):
+            make()
+    if error is BadSet:
+        elements, _ = family_residues(params, D)
+        zero_sums = list(_identity_subsets(elements, 2, params.N))
+        assert (0, 5, 7) in zero_sums
+        assert verify_progression_free(D, 2) == (1, 3, 2)
+
+
+@pytest.mark.parametrize("D,error", [((1, 2, 4, 9), BadParams), ((2, 1, 4, 5), BadParams),
+                                     ((1, 2, 3, 4), BadSet)],
+                         ids=["past-d", "unsorted", "ap"])
+def test_replace_cannot_unseal_a_family(D, error):
+    # dataclasses.replace reruns ZeroSumFamily's checks, so neither a family
+    # nor a code over one can take a D that build_family refuses
+    code = construct(2, 401)[0]
+    pfs = ProgressionFreeSet(2, D, "user_supplied")
+    with pytest.raises(error) as refused:
+        build_family(code.family.params, pfs)
+    for make in (lambda: dataclasses.replace(code.family, D=pfs),
+                 lambda: dataclasses.replace(code, family=dataclasses.replace(code.family,
+                                                                              D=pfs))):
+        with pytest.raises(error, match="^" + re.escape(str(refused.value)) + "$"):
+            make()
 
 
 _PRIMES = (101, 401, 653, 1283, 1601, 5003, 20011)
@@ -489,14 +534,25 @@ def _top_of_range_codes(draw):
     D = draw(st.lists(st.integers(1, d), min_size=1, max_size=5, unique=True))
     if draw(st.booleans()):
         D.sort()
-    return build_code(make_field(q), ZeroSumFamily(
-        params, ProgressionFreeSet(r, tuple(D), "user_supplied")))
+    return q, params, ProgressionFreeSet(r, tuple(D), "user_supplied")
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
-@given(code=_top_of_range_codes())
-def test_certificate_matches_the_kernel_at_the_top_of_the_ranges(code):
-    _check_certificate(code)
+@given(case=_top_of_range_codes())
+def test_certificate_matches_the_kernel_at_the_top_of_the_ranges(case):
+    # a drawn D out of order or failing the set oracle is refused with
+    # build_family's error; any other is certified as the kernel reports
+    q, params, D = case
+    if list(D.elements) != sorted(D.elements):
+        error, rest = BadParams, "is not strictly increasing$"
+    elif verify_progression_free(D.elements, params.r) is not None:
+        error, rest = BadSet, f"fails the defining equation for r={params.r}$"
+    else:
+        _check_certificate(build_code(make_field(q), ZeroSumFamily(params, D)))
+        return
+    for make in (ZeroSumFamily, build_family):
+        with pytest.raises(error, match=f"^D={re.escape(str(D.elements))} {rest}"):
+            make(params, D)
 
 
 def _caught(code, i, j, value) -> bool:
@@ -524,8 +580,12 @@ def test_code_checks_its_shape_once_when_made(code6, defect):
             MrCode(make_field(103), code6.family, code6.repair_groups)
         return
     if defect == "repeated-x":
-        # D = (1, 7) gives exponent 7 twice: a_{1,1} = l + 1 = a_{0,7}
-        with pytest.raises(Mismatch, match="collide mod N=100$"):
+        # D = (1, 7) would give exponent 7 twice (a_{1,1} = l + 1 = a_{0,7}),
+        # so x twice; 7 is past d = 2, and the family refuses it
+        elements, _ = family_residues(code6.family.params, (1, 7))
+        assert elements.count(7) == 2
+        with pytest.raises(BadParams, match=r"^D=\(1, 7\) is not a nonempty subset of "
+                                            r"\[1, d=2\]$"):
             build_code(code6.field, _user_family(2, 101, (1, 7)))
         return
     doc = code_to_dict(code6)
@@ -552,8 +612,8 @@ def test_code_checks_its_shape_once_when_made(code6, defect):
 
 
 @pytest.mark.parametrize("r,q,D", [(2, 101, None), (3, 653, None), (2, 1601, None),
-                                   (4, 1283, None), (2, 101, (1, 2, 3))],
-                         ids=["r2-q101", "r3-q653", "r2-q1601", "r4-q1283", "r2-q101-D123"])
+                                   (4, 1283, None), (2, 1601, (1, 2, 4, 5))],
+                         ids=["r2-q101", "r3-q653", "r2-q1601", "r4-q1283", "r2-q1601-D1245"])
 def test_code_is_built_on_its_own_family(r, q, D):
     # G's x are gamma to the family's exponents, however the family was
     # built, and a code made through build_family is the code its spec
@@ -630,8 +690,8 @@ def test_g_is_built_on_first_read(monkeypatch, make):
 
 
 def test_code_past_the_length_bound_is_too_large(code6, monkeypatch):
-    # the bound is checked where G is built, so a family that did not come
-    # through construct cannot pass it either
+    # the bound is checked where the family is made, so a family that did
+    # not come through construct cannot pass it either
     monkeypatch.setattr(mrcodes.family, "_MAX_N", 5)
     with pytest.raises(TooLarge, match="^n=6 exceeds the desk-scale bound 5$"):
         MrCode(code6.field, _user_family(2, 101, (1, 2)), code6.repair_groups)
@@ -896,8 +956,12 @@ class TestDecodeMatchesReference:
         # code6 keeps for an erasure set must not answer for it
         rng = random.Random(6)
         codeword = _codeword(code6, rng)
-        copies = [dataclasses.replace(code6, family=_user_family(2, 101, D))
-                  for D in ((1, 3), (2, 3), (1, 4))]
+        # l = 10 or 11 where code6 has 6, and d = 4 where it has 2
+        copies = [dataclasses.replace(code6, family=ZeroSumFamily(
+            FamilyParams(N=100, r=2, lam=lam, delta=Fraction(1, 24)),
+            ProgressionFreeSet(2, D, "user_supplied")))
+                  for lam, D in ((Fraction(1, 10), (1, 3)), (Fraction(1, 10), (2, 3)),
+                                 (Fraction(1, 9), (1, 4)))]
         differing = 0
         for erased in ({0, 1}, {3, 5}):
             for mutated in copies:

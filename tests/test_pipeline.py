@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import random
 import tracemalloc
 from fractions import Fraction
@@ -113,12 +115,12 @@ def test_one_group_code_at_high_r_stays_small():
 
 
 def test_construct_refuses_a_long_code_before_building_its_family(monkeypatch):
-    # q = 1000000007 gives n = 1008: build_family's length check raises
-    # TooLarge before the family is made or D meets the set oracle
+    # q = 1000000007 gives n = 1008: the family's length check, its first,
+    # raises TooLarge before any family is made or D meets the set oracle
     families, oracle = [], []
     family, real_oracle = mrcodes.family.ZeroSumFamily, mrcodes.family.verify_progression_free
     monkeypatch.setattr(mrcodes.family, "ZeroSumFamily",
-                        lambda *args: families.append(args) or family(*args))
+                        lambda *args: families.append(family(*args)) or families[-1])
     monkeypatch.setattr(mrcodes.family, "verify_progression_free",
                         lambda *args: oracle.append(args) or real_oracle(*args))
     with pytest.raises(TooLarge, match="^n=1008 exceeds the desk-scale bound 1000$"):
@@ -341,7 +343,7 @@ def test_choose_set_sweeps_each_length_once(monkeypatch):
     # construct(2, 1601)'s d: the digit set (2 elements) is below 2 * 6, so
     # the capped search runs.  reference_choose_set searches 37 times here
     # and runs the oracle 3 times, building and proving a set of {1..12};
-    # _choose_set runs it on none, since build_family proves the D it picks
+    # _choose_set runs it on none, since the family proves the D it picks
     steps, checked = _count_search_steps(monkeypatch)
     chosen = progfree._choose_set(33, 2)
     sweep = [L for L, ends in steps if ends]
@@ -362,26 +364,33 @@ def test_choose_set_skips_capped_search_when_digits_win(monkeypatch):
 
 
 def _spy_oracle(monkeypatch) -> list:
-    """Record each set-oracle call, from progfree or from build_family, as
-    (the set, r)."""
+    """Record each set-oracle call, from any mrcodes module that binds the
+    oracle, as (the set, r)."""
     calls, oracle = [], progfree.verify_progression_free
 
     def spy(candidate, r):
         calls.append((tuple(candidate), r))
         return oracle(candidate, r)
 
-    for module in (progfree, mrcodes.family):
-        monkeypatch.setattr(module, "verify_progression_free", spy)
+    for info in pkgutil.iter_modules(mrcodes.__path__):
+        module = importlib.import_module(f"mrcodes.{info.name}")
+        if hasattr(module, "verify_progression_free"):
+            monkeypatch.setattr(module, "verify_progression_free", spy)
+    monkeypatch.setattr(mrcodes, "verify_progression_free", spy)
     return calls
 
 
-@pytest.mark.parametrize("r,q", [(2, 101), (2, 1601), (2, 500009), (3, 5003)])
+@pytest.mark.parametrize("r,q", [(2, 101), (2, 1601), (2, 500009), (3, 5003),
+                                 (14, 4294967291)])
 def test_construct_checks_the_chosen_set_once(monkeypatch, r, q):
     # d = 2 (exhaustive), 33 (capped search beats the digits), 10416 (the
-    # digits win) and 23 (exhaustive): each path proves only the D it keeps
+    # digits win) and 23 (exhaustive): each path proves only the D it keeps.
+    # Past the kernel guard, (14, 4294967291) at n = 60, the certificate
+    # runs no second oracle on that D
     calls = _spy_oracle(monkeypatch)
     code, report = construct(r, q)
     assert report.ok
+    assert report.mode == ("certificate" if r == 14 else "exhaustive")
     assert calls == [(code.family.D.elements, r)]
 
 
@@ -409,7 +418,7 @@ def test_construct_refuses_the_largest_field_before_the_oracle(monkeypatch):
 
 
 def test_construct_raises_bad_set_when_the_oracle_rejects(monkeypatch):
-    # construct's only set check is build_family's, so its refusal is BadSet
+    # construct's only set check is the family's, so its refusal is BadSet
     monkeypatch.setattr(mrcodes.family, "verify_progression_free", lambda candidate, r: (1, 3, 2))
     with pytest.raises(BadSet, match="fails the defining equation for r=2"):
         construct(2, 101)
