@@ -5,7 +5,7 @@ D_alon_meta (digit-built D only); every other key, gamma among them (make_field
 picks it), is derived data, stored so that files are human-diffable fixtures.
 A spec is valid exactly when save_code would write it for the rebuilt code
 and, when D_method is "alon", D is a prefix (construct's target_n trims D)
-of the set _alon_digits(d, r) builds and D_alon_meta is that set's;
+of the set alon_construct(d, r) builds and D_alon_meta is that set's;
 save_code checks that rule too, so it writes no spec load_code refuses.  An
 "exhaustive" label is not re-derived: the size sweep costs about 1 ms per
 load, against about 0.2 ms for the rest of load_code.
@@ -27,7 +27,7 @@ from .errors import BadParams, Mismatch, ParamsTooSmall, PropertyViolation
 from .family import FamilyParams, build_family
 from .field import make_field
 from .mrcode import MrCode, build_code
-from .progfree import AlonMeta, ProgressionFreeSet, _alon_digits
+from .progfree import AlonMeta, ProgressionFreeSet, alon_construct
 
 SCHEMA_VERSION = 1
 
@@ -114,9 +114,9 @@ def _code_from_doc(doc: dict) -> MrCode:
 
 def _check_digit_set(D: ProgressionFreeSet, d: int) -> None:
     """PropertyViolation, naming the key, unless D_alon_meta is the meta of
-    _alon_digits(d, r) and D a prefix of its set."""
+    alon_construct(d, r) and D a prefix of its set."""
     try:
-        derived = _alon_digits(d, D.r)
+        derived = alon_construct(d, D.r)
     except (BadParams, ParamsTooSmall):  # no digit set for this d
         derived = None
     if derived is None or D.alon_meta != derived.alon_meta:

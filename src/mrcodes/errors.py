@@ -45,7 +45,8 @@ class BadSet(MrCodesError):
 
 
 class PropertyViolation(MrCodesError):
-    """A construction failed one of its own brute-force oracles."""
+    """A built object failed a check of what it claims, such as a code that
+    fails verify_mr or a spec that is not the code rebuilt from it."""
 
 
 # mrcode

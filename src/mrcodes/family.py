@@ -71,9 +71,11 @@ class FamilyParams:
 class ZeroSumFamily:
     params: FamilyParams
     D: ProgressionFreeSet
-    blocks: tuple[tuple[int, ...], ...] = dc_field(init=False)        # D_0 .. D_r, in D order
-    transversals: tuple[tuple[int, ...], ...] = dc_field(init=False)  # A_b, b in D ascending
-    elements: tuple[int, ...] = dc_field(init=False)  # canonical flat order: by b, then i
+    # D_0 .. D_r in D order; A_b for b in D ascending; the canonical flat
+    # order, by b, then i
+    blocks: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False)
+    transversals: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False)
+    elements: tuple[int, ...] = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         """Proves D before the residues are made: n within _MAX_N first, so

@@ -71,7 +71,7 @@ def _check_int(name: str, value) -> None:
 class Field:
     q: int
     N: int = dc_field(init=False, repr=False)
-    gamma: int = dc_field(init=False)
+    gamma: int = dc_field(init=False, repr=False)
     factorization_of_N: tuple[int, ...] = dc_field(init=False, repr=False)
 
     def __post_init__(self):

@@ -61,9 +61,9 @@ class _DecodePlan(NamedTuple):
 class MrCode:
     field: Field
     family: ZeroSumFamily
-    r: int = dc_field(init=False)
-    n: int = dc_field(init=False)
-    k: int = dc_field(init=False)
+    r: int = dc_field(init=False, repr=False)
+    n: int = dc_field(init=False, repr=False)
+    k: int = dc_field(init=False, repr=False)
     repair_groups: tuple[tuple[int, ...], ...]
     # State derived from this object's own fields, never shared between codes:
     # G's rows as ints (the first holds the x) and the last erasure set's

@@ -4,11 +4,10 @@ For r = 2 this is the classical 3-term-AP-free condition.  Two constructors,
 neither falling back on the other: the digit construction for large m, which
 counts its buckets before building one, and an exact maximum search for tiny
 m, one loop over a stack of bitmask levels (see exhaustive_best).
-_choose_set picks a code's D from the two.  The public constructors re-check
-what they return with the brute-force oracle; _choose_set calls their
-unchecked bodies (_alon_digits, _finish_sweep), and the family made from
-the D that _choose_set picks proves it: a losing candidate is never checked,
-and a D too long for a code is refused before the oracle meets it.
+_choose_set picks a code's D from the two.  Neither constructor runs the
+brute-force oracle: a set is proved when a family is made from it, so a
+losing candidate is never checked, and a D too long for a code is refused
+before the oracle meets it.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .errors import BadParams, ParamsTooSmall, PropertyViolation, RangeTooLarge, TooLarge
+from .errors import BadParams, ParamsTooSmall, RangeTooLarge, TooLarge
 from .field import _check_int
 
 _VERIFY_GUARD = 10**8  # verify_progression_free's enumeration budget: C(|D|+r-1, r) multisets
@@ -101,14 +100,9 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
     h = floor(e^{sqrt(ln m * ln r)}) (natural logs), t+1 digit positions with
     t = floor(log_h m) - 1.  Elements sharing the most popular square-sum B
     form the set; convexity of z -> z^2 rules out nontrivial solutions.
-    Buckets are counted first; only B's is built.  The result is re-checked
-    by the oracle.  ParamsTooSmall when h <= r: the only digit is 0.
+    Buckets are counted first; only B's is built.  ParamsTooSmall when
+    h <= r: the only digit is 0.
     """
-    return _proved(_alon_digits(m, r), "digit construction")
-
-
-def _alon_digits(m: int, r: int) -> ProgressionFreeSet:
-    """alon_construct(m, r) without the oracle's re-check."""
     _check_int("m", m)
     _check_int("r", r)
     if r < 2 or m < 2:
@@ -150,8 +144,7 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
     size sizes[L-1] + 1 in {1..L} holds 1 and L.  Each step is a yes/no
     search with both ends forced, and steps L < m cut mirror images (d ->
     L+1-d keeps the equation).  The uncut last step's set, if it grew, is
-    the answer; else an unforced search for size sizes[m] runs.  The result
-    is re-checked by the oracle.
+    the answer; else an unforced search for size sizes[m] runs.
     """
     _check_int("m", m)
     _check_int("r", r)
@@ -159,15 +152,7 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
         raise BadParams("need r >= 2 and m >= 1")
     if m > _EXHAUSTIVE_MAX_M:
         raise RangeTooLarge(f"m={m} > {_EXHAUSTIVE_MAX_M}")
-    return _proved(_finish_sweep([0], m, r), "exhaustive search")
-
-
-def _proved(D: ProgressionFreeSet, construction: str) -> ProgressionFreeSet:
-    """D once the oracle passes it; PropertyViolation with its witness if not."""
-    witness = verify_progression_free(D.elements, D.r)
-    if witness is not None:
-        raise PropertyViolation(f"{construction} produced a violation: {witness}")
-    return D
+    return _finish_sweep([0], m, r)
 
 
 def _sweep(sizes: list[int], last: int, r: int) -> None:
@@ -180,9 +165,8 @@ def _sweep(sizes: list[int], last: int, r: int) -> None:
 
 def _finish_sweep(sizes: list[int], m: int, r: int) -> ProgressionFreeSet:
     """exhaustive_best(m, r) from a sweep already run through some L < m
-    (sizes = [0] for none) and without the oracle's re-check: the cut steps
-    up to m - 1, the uncut last step, and the unforced search if that step
-    did not grow."""
+    (sizes = [0] for none): the cut steps up to m - 1, the uncut last step,
+    and the unforced search if that step did not grow."""
     _sweep(sizes, m - 1, r)
     best = _first_of_size(m, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True, False)
     sizes.append(sizes[-1] + (best is not None))
@@ -201,11 +185,11 @@ def _choose_set(d: int, r: int) -> ProgressionFreeSet:
     translation invariant, so it bounds each half of {1..24}); otherwise the
     same sweep goes on to L = 24."""
     if d <= _EXHAUSTIVE_MAX_M:
-        return _finish_sweep([0], d, r)
+        return exhaustive_best(d, r)
     try:
-        alon = _alon_digits(d, r)
+        alon = alon_construct(d, r)
     except ParamsTooSmall:  # digit range {0}: the construction degenerates
-        return _finish_sweep([0], _EXHAUSTIVE_MAX_M, r)
+        return exhaustive_best(_EXHAUSTIVE_MAX_M, r)
     half = (_EXHAUSTIVE_MAX_M + 1) // 2
     sizes = [0]
     _sweep(sizes, half, r)

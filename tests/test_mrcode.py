@@ -17,7 +17,7 @@ from mrcodes.errors import (BadParams, BadSet, BadSymbol, Inconsistent, LengthMi
                             Mismatch, MrCodesError, MultipleErasuresInGroup, NotCorrectable,
                             NotInGroup, PropertyViolation, TooLarge)
 from mrcodes.family import FamilyParams, ZeroSumFamily, _identity_subsets, build_family
-from mrcodes.field import FieldElement, make_field
+from mrcodes.field import Field, FieldElement, make_field
 from mrcodes.mrcode import (MrCode, _build_plan, _closed_form_rows, _DecodePlan, _row_reduce,
                             build_code, decode, encode, is_correctable, local_repair,
                             verify_mr)
@@ -510,6 +510,25 @@ def test_replace_cannot_unseal_a_family(D, error):
                                                                               D=pfs))):
         with pytest.raises(error, match="^" + re.escape(str(refused.value)) + "$"):
             make()
+
+
+_AP = ProgressionFreeSet(2, (1, 2, 3), "user_supplied")
+_F101 = build_family(choose_params(2, 101), ProgressionFreeSet(2, (1, 2), "user_supplied"))
+
+
+@pytest.mark.parametrize("make,expected", [
+    (lambda: Field(100), "Field(q=100)"),
+    (lambda: ZeroSumFamily(choose_params(2, 1601), _AP),
+     f"ZeroSumFamily(params={choose_params(2, 1601)!r}, D={_AP!r})"),
+    (lambda: MrCode(make_field(103), _F101, ((0, 1, 2), (3, 4, 5))),
+     f"MrCode(field=Field(q=103), family={_F101!r}, repair_groups=((0, 1, 2), (3, 4, 5)))"),
+], ids=["field-not-prime", "family-unproved", "code-other-N"])
+def test_a_refused_object_keeps_its_repr(make, expected):
+    # a refusal leaves the object half made, without its derived fields; a
+    # traceback or debugger showing it still prints its init fields
+    with pytest.raises(MrCodesError) as refused:
+        make()
+    assert repr(refused.traceback[-1].frame.f_locals["self"]) == expected
 
 
 _PRIMES = (101, 401, 653, 1283, 1601, 5003, 20011)

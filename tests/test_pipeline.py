@@ -146,7 +146,7 @@ def test_construct_checks_target_n_before_choosing_the_set(monkeypatch, target_n
     # at q = 4294967291 the digit construction alone takes seconds: a bad
     # target_n is refused before any set constructor runs
     calls = []
-    for name in ("_alon_digits", "_sweep", "_finish_sweep"):
+    for name in ("alon_construct", "_sweep", "_finish_sweep"):
         monkeypatch.setattr(progfree, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(BadParams, match=message):
         construct(2, 4294967291, target_n=target_n)
@@ -341,9 +341,9 @@ def _count_search_steps(monkeypatch) -> tuple[list, list]:
 
 def test_choose_set_sweeps_each_length_once(monkeypatch):
     # construct(2, 1601)'s d: the digit set (2 elements) is below 2 * 6, so
-    # the capped search runs.  reference_choose_set searches 37 times here
-    # and runs the oracle 3 times, building and proving a set of {1..12};
-    # _choose_set runs it on none, since the family proves the D it picks
+    # the capped search runs.  reference_choose_set searches 37 times here,
+    # building a set of {1..12}; _choose_set runs the oracle on none, since
+    # the family proves the D it picks
     steps, checked = _count_search_steps(monkeypatch)
     chosen = progfree._choose_set(33, 2)
     sweep = [L for L, ends in steps if ends]

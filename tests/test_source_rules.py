@@ -41,11 +41,32 @@ def test_all_lists_exactly_the_public_imports():
 
 def test_private_names_imported_across_modules():
     # a private name shared between modules is a seam the next change must
-    # know about: these four, and no other, cross a module boundary
+    # know about: these three, and no other, cross a module boundary
     shared = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").split(".")[0] == "mrcodes"):
                 shared.update(alias.name for alias in node.names if alias.name.startswith("_"))
-    assert shared == {"_check_int", "_identity_subsets", "_alon_digits", "_choose_set"}
+    assert shared == {"_check_int", "_identity_subsets", "_choose_set"}
+
+
+def _callers(node: ast.AST, name: str, scope: tuple = ()):
+    """The qualified scope of each call of name (bare or as an attribute) under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                yield ".".join(scope)
+        inner = (scope + (child.name,)
+                 if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope)
+        yield from _callers(child, name, inner)
+
+
+def test_the_set_oracle_runs_only_where_a_family_is_made():
+    # a set is proved when a family is made from it: the set constructors,
+    # the certificate and the spec reader leave the oracle to the family
+    callers = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+               for scope in _callers(ast.parse(path.read_text(), filename=str(path)),
+                                     "verify_progression_free")]
+    assert callers == [("family.py", "ZeroSumFamily.__post_init__")]
