@@ -20,6 +20,7 @@ parsing.  Every other int is written as it is.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -43,6 +44,8 @@ def _enc(v: int):
 
 
 def code_to_dict(code: MrCode) -> dict:
+    if not isinstance(code, MrCode):
+        raise BadParams(f"code={code!r} is not an MrCode")
     fam = code.family
     params = fam.params
     doc = {
@@ -127,18 +130,28 @@ def _check_digit_set(D: ProgressionFreeSet, d: int) -> None:
                                 f"for d={d}, r={D.r}")
 
 
+def _check_path(path) -> None:
+    """BadParams unless path names a file: open() would take an int (or a
+    bool) as a file descriptor, and close it."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise BadParams(f"spec path {path!r} is not a str, bytes or os.PathLike")
+
+
 def save_code(code: MrCode, path) -> None:
+    doc = code_to_dict(code)
+    _check_path(path)
     if code.family.D.method == "alon":
         _check_digit_set(code.family.D, code.family.params.d)
     try:
         with open(path, "w") as fh:
-            json.dump(code_to_dict(code), fh, indent=2)
+            json.dump(doc, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
         raise Mismatch(f"spec {path} cannot be written: {exc.strerror or exc}") from None
 
 
 def load_code(path) -> MrCode:
+    _check_path(path)
     try:
         with open(path) as fh:
             doc = json.load(fh)

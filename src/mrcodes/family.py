@@ -13,12 +13,9 @@ one of the transversals.  With lambda and delta in range (r^3*l < N and
 r*d <= l) the residues are distinct, the last block needs no reduction and
 every transversal sums to exactly N, and the property holds exactly when D
 satisfies the defining equation: so ZeroSumFamily proves D when it is made,
-and no family holds an unproved D.  verify_mr checks the property on the
-code (construct and `mrcodes verify` run it) with the lookup kernel
-(_identity_subsets), which finds the subsets summing to 0 mod N by meet in
-the middle; _kernel_cost picks its split and counts its work, and the
-kernel refuses, with TooLarge, a count past _KERNEL_GUARD; past it
-verify_mr certifies the property by this lemma.
+and no family holds an unproved D.  verify_mr (mrcode) checks the
+property on the code, and past its lookup kernel's guard certifies it by
+this lemma.
 """
 
 from __future__ import annotations
@@ -26,13 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .errors import BadParams, BadSet, Mismatch, TooLarge
 from .field import _check_int
 from .progfree import ProgressionFreeSet, verify_progression_free
 
-_KERNEL_GUARD = 3 * 10**6  # lookups plus index entries
 _MAX_N = 10**3  # the desk-scale bound on a family's, and so a code's, length n
 
 
@@ -81,6 +76,10 @@ class ZeroSumFamily:
         """Proves D before the residues are made: n within _MAX_N first, so
         an oversized D never meets the set oracle, then D's r, D strictly
         increasing in [1, d], and the set oracle."""
+        if not isinstance(self.params, FamilyParams):
+            raise BadParams(f"params={self.params!r} is not a FamilyParams")
+        if not isinstance(self.D, ProgressionFreeSet):
+            raise BadParams(f"D={self.D!r} is not a ProgressionFreeSet")
         N, r, l, d = self.params.N, self.params.r, self.params.l, self.params.d
         D = self.D.elements
         if len(D) * (r + 1) > _MAX_N:
@@ -113,51 +112,3 @@ class ZeroSumFamily:
 def build_family(params: FamilyParams, D: ProgressionFreeSet) -> ZeroSumFamily:
     """The family of (params, D); ZeroSumFamily refuses an unproved D."""
     return ZeroSumFamily(params, D)
-
-
-def _kernel_cost(n: int, r: int) -> tuple[int, int]:
-    """(cost, t) for _identity_subsets on n values: the split t in [1, r-1]
-    with the fewest C(n, r-t+1) lookups plus C(n, t) index entries (the
-    smaller t on a tie), and that sum, which bounds the prefixes, lookups and
-    entries the kernel builds.  Needs r >= 2."""
-    return min((math.comb(n, r - t + 1) + math.comb(n, t), t) for t in range(1, r))
-
-
-def _identity_subsets(values: Sequence[int], r: int, N: int) -> Iterator[tuple[int, ...]]:
-    """Yield the index (r+1)-subsets, in lexicographic order, whose values
-    sum to 0 mod N.  Needs r >= 2.
-
-    Meet in the middle: with t from _kernel_cost, index the t-subsets
-    (tails) by minus their sum, then walk the (r-t)-subset heads with a
-    running sum plus one running index i, and look up the tails that start
-    past i.  Tails are indexed in combinations order, so the hits come out
-    in lexicographic order.  TooLarge, before any subset, when the cost
-    exceeds _KERNEL_GUARD.
-    """
-    n = len(values)
-    cost, t = _kernel_cost(n, r)
-    if cost > _KERNEL_GUARD:
-        raise TooLarge(f"the lookup kernel's cost for n={n}, r={r} = {cost} "
-                       f"exceeds its guard {_KERNEL_GUARD}")
-    tails: dict[int, list[tuple[int, ...]]] = {}
-    # a tail starts past at least r-t+1 indices; a head leaves i and a tail after it
-    for tail, total in _running(values, range(r - t + 1, n), t, N):
-        tails.setdefault(-total % N, []).append(tail)
-    for head, acc in _running(values, range(n - t - 1), r - t, N):
-        for i in range(head[-1] + 1, n - t):
-            for tail in tails.get((acc + values[i]) % N, ()):
-                if tail[0] > i:
-                    yield head + (i,) + tail
-
-
-def _running(values: Sequence[int], indices: range, size: int,
-             N: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (subset, its values' sum mod N) for each subset of indices of
-    the given size >= 1, in combinations order.  Only prefixes that can
-    still grow to that size inside indices are built, and the subsets are
-    made lazily, so no level is held in memory."""
-    if size == 1:
-        return (((j,), values[j] % N) for j in indices)
-    prefixes = _running(values, range(indices.start, indices.stop - 1), size - 1, N)
-    return ((prefix + (j,), (acc + values[j]) % N)
-            for prefix, acc in prefixes for j in range(prefix[-1] + 1, indices.stop))

@@ -114,8 +114,13 @@ class FieldElement:
     field: Field
 
     def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise BadParams(f"residue {self.value} out of range for q={self.field.q}")
+        try:
+            if 0 <= self.value < self.field.q:
+                return
+        except (TypeError, AttributeError):  # not a number, or not a Field
+            raise BadParams(f"FieldElement({self.value!r}, {self.field!r}) needs an int "
+                            f"residue and a Field") from None
+        raise BadParams(f"residue {self.value} out of range for q={self.field.q}")
 
     def _coerce(self, other):
         """other's residue mod q, or NotImplemented (so Python raises

@@ -24,28 +24,33 @@ which gives the verdict, the pivot columns and their inverse together;
 is_correctable returns the verdict for an erasure set given as a plain
 collection of column indices.
 
-verify_mr is exhaustive unless the lookup kernel refuses the work, and then
-certifies the code by the family lemma, exactly, in O(n).
+verify_mr checks the structural claim on the exponents alone with the
+lookup kernel (_identity_subsets), which finds the (r+1)-subsets summing to
+0 mod N by meet in the middle; _kernel_cost picks its split and counts its
+work, and the kernel refuses, with TooLarge, a count past _KERNEL_GUARD.
+Past it, verify_mr certifies the code by the family lemma, exactly, in O(n).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, lshift, mul
 from struct import pack, unpack
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
                      MultipleErasuresInGroup, NotCorrectable, NotInGroup,
                      PropertyViolation, TooLarge)
-from .family import ZeroSumFamily, _identity_subsets
+from .family import ZeroSumFamily
 from .field import Field, FieldElement
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
+
+_KERNEL_GUARD = 3 * 10**6  # lookups plus index entries
 
 
 class _DecodePlan(NamedTuple):
@@ -75,6 +80,15 @@ class MrCode:
 
     def __post_init__(self):
         field, family, groups = self.field, self.family, self.repair_groups
+        if not isinstance(field, Field):
+            raise BadParams(f"field={field!r} is not a Field")
+        if not isinstance(family, ZeroSumFamily):
+            raise BadParams(f"family={family!r} is not a ZeroSumFamily")
+        # each type is checked once, not each group and index
+        if not (isinstance(groups, Sequence)
+                and all(issubclass(t, Sequence) for t in set(map(type, groups)))
+                and set(map(type, chain.from_iterable(groups))) <= {int}):
+            raise BadParams("repair groups are not a sequence of int sequences")
         r, n, k, q = family.r, family.n, family.r + 1, field.q
         if family.params.N != field.N:
             raise Mismatch(f"family N={family.params.N} != field N={field.N}")
@@ -83,7 +97,7 @@ class MrCode:
                             ("_rows", tuple(map(tuple, _closed_form_rows(xs, r, q))))):
             object.__setattr__(self, name, value)
         if (any(len(g) != k for g in groups)
-                or sorted(j for g in groups for j in g) != list(range(n))):
+                or sorted(chain.from_iterable(groups)) != list(range(n))):
             raise Mismatch(f"repair groups do not split range({n}) into {k}-sets")
 
     @cached_property
@@ -136,6 +150,8 @@ def _closed_form_rows(xs: Sequence[int], r: int, q: int) -> list[list[int]]:
 
 
 def build_code(field: Field, family: ZeroSumFamily) -> MrCode:
+    if not isinstance(family, ZeroSumFamily):
+        raise BadParams(f"family={family!r} is not a ZeroSumFamily")
     k = family.r + 1
     return MrCode(field, family, tuple(tuple(range(i, i + k)) for i in range(0, family.n, k)))
 
@@ -211,6 +227,8 @@ def verify_mr(code: MrCode, mode: str = "auto") -> MrReport:
     members of D summing to r times a member, so all equal to b_r, and the
     r distinct columns in blocks below r sit one in each: a transversal.
     """
+    if not isinstance(code, MrCode):
+        raise BadParams(f"code={code!r} is not an MrCode")
     if mode not in ("auto", "exhaustive"):
         raise BadParams(f"unknown verifier mode {mode!r}")
     n, r, k, N = code.n, code.r, code.k, code.field.N
@@ -232,6 +250,54 @@ def verify_mr(code: MrCode, mode: str = "auto") -> MrReport:
                         for s in odd)
     return MrReport(mode=how, mds_subsets_checked=math.comb(n, k),
                     deficient_subsets=deficient, violations=violations)
+
+
+def _kernel_cost(n: int, r: int) -> tuple[int, int]:
+    """(cost, t) for _identity_subsets on n values: the split t in [1, r-1]
+    with the fewest C(n, r-t+1) lookups plus C(n, t) index entries (the
+    smaller t on a tie), and that sum, which bounds the prefixes, lookups and
+    entries the kernel builds.  Needs r >= 2."""
+    return min((math.comb(n, r - t + 1) + math.comb(n, t), t) for t in range(1, r))
+
+
+def _identity_subsets(values: Sequence[int], r: int, N: int) -> Iterator[tuple[int, ...]]:
+    """Yield the index (r+1)-subsets, in lexicographic order, whose values
+    sum to 0 mod N.  Needs r >= 2.
+
+    Meet in the middle: with t from _kernel_cost, index the t-subsets
+    (tails) by minus their sum, then walk the (r-t)-subset heads with a
+    running sum plus one running index i, and look up the tails that start
+    past i.  Tails are indexed in combinations order, so the hits come out
+    in lexicographic order.  TooLarge, before any subset, when the cost
+    exceeds _KERNEL_GUARD.
+    """
+    n = len(values)
+    cost, t = _kernel_cost(n, r)
+    if cost > _KERNEL_GUARD:
+        raise TooLarge(f"the lookup kernel's cost for n={n}, r={r} = {cost} "
+                       f"exceeds its guard {_KERNEL_GUARD}")
+    tails: dict[int, list[tuple[int, ...]]] = {}
+    # a tail starts past at least r-t+1 indices; a head leaves i and a tail after it
+    for tail, total in _running(values, range(r - t + 1, n), t, N):
+        tails.setdefault(-total % N, []).append(tail)
+    for head, acc in _running(values, range(n - t - 1), r - t, N):
+        for i in range(head[-1] + 1, n - t):
+            for tail in tails.get((acc + values[i]) % N, ()):
+                if tail[0] > i:
+                    yield head + (i,) + tail
+
+
+def _running(values: Sequence[int], indices: range, size: int,
+             N: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (subset, its values' sum mod N) for each subset of indices of
+    the given size >= 1, in combinations order.  Only prefixes that can
+    still grow to that size inside indices are built, and the subsets are
+    made lazily, so no level is held in memory."""
+    if size == 1:
+        return (((j,), values[j] % N) for j in indices)
+    prefixes = _running(values, range(indices.start, indices.stop - 1), size - 1, N)
+    return ((prefix + (j,), (acc + values[j]) % N)
+            for prefix, acc in prefixes for j in range(prefix[-1] + 1, indices.stop))
 
 
 def _length(symbols, what: str) -> int:
@@ -272,6 +338,8 @@ def _codeword(code: MrCode, message: list[int]) -> list[int]:
 
 
 def encode(code: MrCode, message: Sequence) -> list[FieldElement]:
+    if not isinstance(code, MrCode):
+        raise BadParams(f"code={code!r} is not an MrCode")
     if _length(message, "message") != code.k:
         raise LengthMismatch(f"message length {len(message)} != k={code.k}")
     field = code.field
@@ -285,6 +353,8 @@ def local_repair(code: MrCode, received: Sequence, erased_index: int) -> FieldEl
     Reads exactly the r in-group positions; nothing outside the group is
     touched.
     """
+    if not isinstance(code, MrCode):
+        raise BadParams(f"code={code!r} is not an MrCode")
     if type(erased_index) is not int:
         raise BadParams(f"column {erased_index!r} is not an int")
     if not 0 <= erased_index < code.n:
@@ -326,6 +396,8 @@ def is_correctable(code: MrCode, erased) -> bool:
     """True iff the surviving columns span the full message space: the
     verdict of the decode plan for this erasure set.  erased is any
     collection of distinct int column indices in [0, n); BadParams if not."""
+    if not isinstance(code, MrCode):
+        raise BadParams(f"code={code!r} is not an MrCode")
     if not isinstance(erased, Iterable):
         raise BadParams(f"erasure indices {erased!r} are not a collection")
     indices = list(erased)
@@ -347,6 +419,8 @@ def decode(code: MrCode, received: Sequence) -> list[FieldElement]:
     column choice and its inverse are kept for the last erasure set decoded,
     so a run of blocks sharing one pattern pays for them once.
     """
+    if not isinstance(code, MrCode):
+        raise BadParams(f"code={code!r} is not an MrCode")
     if _length(received, "received") != code.n:
         raise LengthMismatch(f"received length {len(received)} != n={code.n}")
     erased = frozenset([j for j, s in enumerate(received) if s is None])

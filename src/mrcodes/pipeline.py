@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from numbers import Real
@@ -92,6 +93,8 @@ def simulate(code: MrCode, p: float, trials: int, seed: int) -> SimReport:
     repairable from its r group peers whether or not the message decodes.
     Deterministic given the seed (Mersenne Twister).
     """
+    if not isinstance(code, MrCode):
+        raise BadParams(f"code={code!r} is not an MrCode")
     _check_p(p)
     _check_int("trials", trials)
     _check_int("seed", seed)
@@ -136,7 +139,7 @@ def exact_failure_probability(code: MrCode, p: float) -> float:
     deficient.
     """
     _check_p(p)
-    report = verify_mr(code)
+    report = verify_mr(code)  # BadParams unless code is an MrCode
     if not report.ok:
         raise PropertyViolation("code not verified")
     n, k = code.n, code.k
@@ -151,6 +154,8 @@ def scaling_table(r: int, q_list) -> list[dict]:
     scale; rows report log q / log n and the construction's length bound
     ln q - 3 ln r - 5 sqrt(ln(q/r^4) ln r) for comparison.
     """
+    if not isinstance(q_list, Iterable):
+        raise BadParams(f"q_list={q_list!r} is not a collection")
     rows = []
     for q in q_list:
         code, report = construct(r, q)

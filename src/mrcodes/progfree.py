@@ -13,6 +13,7 @@ before the oracle meets it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional
@@ -73,6 +74,8 @@ def verify_progression_free(candidate, r: int) -> Optional[tuple]:
     _check_int("r", r)
     if r < 2:
         raise BadParams("need r >= 2")
+    if not isinstance(candidate, Iterable):
+        raise BadParams(f"candidate={candidate!r} is not a collection")
     elems = list(candidate)
     for e in elems:
         _check_int("element", e)

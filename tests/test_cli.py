@@ -490,10 +490,9 @@ def test_the_kernel_runs_once_per_proof(tmp_path, monkeypatch):
     # verify_mr, with or without a target length; building and loading
     # prove D with the set oracle only
     runs = []
-    real = mrcodes.family._identity_subsets
-    for module in (mrcodes.family, mrcodes.mrcode):
-        monkeypatch.setattr(module, "_identity_subsets",
-                            lambda *args: runs.append(1) or real(*args))
+    real = mrcodes.mrcode._identity_subsets
+    monkeypatch.setattr(mrcodes.mrcode, "_identity_subsets",
+                        lambda *args: runs.append(1) or real(*args))
 
     def kernel_runs(call):
         runs.clear()

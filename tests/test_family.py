@@ -7,10 +7,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mrcodes.family
+import mrcodes.mrcode
 from mrcodes.errors import BadParams, BadSet, Mismatch, TooLarge
-from mrcodes.family import (FamilyParams, ZeroSumFamily, _identity_subsets, _kernel_cost,
-                            build_family)
+from mrcodes.family import FamilyParams, ZeroSumFamily, build_family
+from mrcodes.mrcode import _identity_subsets, _kernel_cost
 from mrcodes.progfree import ProgressionFreeSet
 from zero_sum import family_residues, zero_sum_witness
 
@@ -230,7 +230,7 @@ def test_subset_guard(family_r2, monkeypatch):
     # the kernel's cost at n = 6, r = 2 is C(6, 2) + C(6, 1) = 21: the kernel
     # refuses before it yields a subset, and build_family, which never runs
     # it, still builds the family
-    monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
+    monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 20)
     message = "^the lookup kernel's cost for n=6, r=2 = 21 exceeds its guard 20$"
     with pytest.raises(TooLarge, match=message):
         list(_identity_subsets(family_r2.elements, 2, 100))
@@ -241,11 +241,11 @@ def test_build_family_checks_up_to_the_guard(family_r2, monkeypatch):
     # the family proves D with the set oracle only: no kernel call on either
     # side of the guard (the kernel's cost at n = 6, r = 2 is 21)
     calls = []
-    real = mrcodes.family._identity_subsets
-    monkeypatch.setattr(mrcodes.family, "_identity_subsets",
+    real = mrcodes.mrcode._identity_subsets
+    monkeypatch.setattr(mrcodes.mrcode, "_identity_subsets",
                         lambda *args: calls.append(args) or real(*args))
     for guard in (20, 21):
-        monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", guard)
+        monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", guard)
         assert build_family(family_r2.params, family_r2.D) == family_r2
     assert calls == []
 

@@ -16,11 +16,11 @@ from mrcodes.codespec import code_from_dict, code_to_dict, load_code, save_code
 from mrcodes.errors import (BadParams, BadSet, BadSymbol, Inconsistent, LengthMismatch,
                             Mismatch, MrCodesError, MultipleErasuresInGroup, NotCorrectable,
                             NotInGroup, PropertyViolation, TooLarge)
-from mrcodes.family import FamilyParams, ZeroSumFamily, _identity_subsets, build_family
+from mrcodes.family import FamilyParams, ZeroSumFamily, build_family
 from mrcodes.field import Field, FieldElement, make_field
-from mrcodes.mrcode import (MrCode, _build_plan, _closed_form_rows, _DecodePlan, _row_reduce,
-                            build_code, decode, encode, is_correctable, local_repair,
-                            verify_mr)
+from mrcodes.mrcode import (MrCode, _build_plan, _closed_form_rows, _DecodePlan,
+                            _identity_subsets, _row_reduce, build_code, decode, encode,
+                            is_correctable, local_repair, verify_mr)
 from mrcodes.pipeline import choose_params, construct
 from mrcodes.progfree import ProgressionFreeSet, verify_progression_free
 from rank_scan import columns, rank, rank_scan, raw
@@ -358,7 +358,7 @@ class TestClosedFormVerify:
         # with the rank scan's report, and exhaustive passes on the kernel's
         # own refusal
         expected = rank_scan(code6)
-        monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
+        monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 20)
         monkeypatch.setattr("rank_scan.EXHAUSTIVE_SUBSET_GUARD", 19)
         report = verify_mr(code6)
         assert report.mode == "certificate"
@@ -376,7 +376,7 @@ class TestClosedFormVerify:
         with pytest.raises(TooLarge, match=r"^C\(\|D\|\+r-1, r\) = 3 multisets "):
             verify_progression_free(code6.family.D.elements, 2)
         assert verify_mr(code6) == report
-        monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 21)
+        monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 21)
         assert verify_mr(code6).mode == "exhaustive"
 
     @pytest.mark.parametrize("groups,valid", [
@@ -412,7 +412,7 @@ class TestClosedFormVerify:
     def test_certificate_counts_a_permuted_group_once(self, code6, monkeypatch):
         # a permuted group is its transversal, summing to 0 mod N: one entry
         code = dataclasses.replace(code6, repair_groups=((2, 1, 0), (5, 3, 4)))
-        monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 0)
+        monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 0)
         report = verify_mr(code)
         assert report.mode == "certificate" and report.ok
         assert report.mds_subsets_checked == 20
@@ -444,7 +444,7 @@ def _check_certificate(code):
     report: equal but for the mode."""
     expected = verify_mr(code)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mrcodes.family, "_KERNEL_GUARD", 0)
+        patch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 0)
         report = verify_mr(code)
     assert report.mode == "certificate"
     assert dataclasses.replace(report, mode="exhaustive") == expected

@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 import mrcodes.family
+import mrcodes.mrcode
 from mrcodes import pipeline, progfree
 from mrcodes.codespec import code_from_dict, code_to_dict
 from mrcodes.errors import (BadParams, BadSet, FieldTooSmall, Mismatch, ParamsTooSmall,
@@ -286,7 +287,7 @@ def test_exact_failure_probability_rejects(monkeypatch):
     # the lookup kernel's cost at n = 6, r = 2 is C(6, 2) + C(6, 1) = 21:
     # past it the certificate gives the same value
     expected = exact_failure_probability(code, 0.1)
-    monkeypatch.setattr(mrcodes.family, "_KERNEL_GUARD", 20)
+    monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 20)
     assert exact_failure_probability(code, 0.1) == expected
 
 

@@ -41,14 +41,14 @@ def test_all_lists_exactly_the_public_imports():
 
 def test_private_names_imported_across_modules():
     # a private name shared between modules is a seam the next change must
-    # know about: these three, and no other, cross a module boundary
+    # know about: these two, and no other, cross a module boundary
     shared = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").split(".")[0] == "mrcodes"):
                 shared.update(alias.name for alias in node.names if alias.name.startswith("_"))
-    assert shared == {"_check_int", "_identity_subsets", "_choose_set"}
+    assert shared == {"_check_int", "_choose_set"}
 
 
 def _callers(node: ast.AST, name: str, scope: tuple = ()):
