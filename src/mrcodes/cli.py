@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from dataclasses import asdict
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from .codespec import load_code, save_code
 from .errors import (Inconsistent, MrCodesError, MultipleErasuresInGroup,
@@ -93,34 +93,39 @@ def encode_file(code: MrCode, instream: TextIO, outstream: TextIO) -> None:
         outstream.write(" ".join([str(s.value) for s in encode(code, block)]) + "\n")
 
 
-def decode_file(code: MrCode, instream: TextIO, outstream: TextIO,
-                erasures: Sequence[int] = ()) -> None:
+def _each_block(code: MrCode, instream: TextIO, outstream: TextIO, erasures: Sequence[int],
+                solve: Callable[[list], list],
+                prefixed: tuple[type[MrCodesError], ...]) -> None:
+    """Write solve(block) for each n-symbol block, with the --erasures
+    columns marked erased; an error of a prefixed class names its block."""
     _check_erasures(erasures, code.n)
     for index, block in enumerate(_blocks(instream, code.n, code.field.q,
                                           allow_erasures=True)):
         for idx in erasures:
             block[idx] = None
         try:
-            message = decode(code, block)
-        except (NotCorrectable, Inconsistent) as exc:
+            symbols = solve(block)
+        except prefixed as exc:
             raise type(exc)(f"block {index}: {exc}") from None
-        outstream.write(" ".join([str(s.value) for s in message]) + "\n")
+        outstream.write(" ".join(map(str, symbols)) + "\n")
+
+
+def decode_file(code: MrCode, instream: TextIO, outstream: TextIO,
+                erasures: Sequence[int] = ()) -> None:
+    _each_block(code, instream, outstream, erasures,
+                lambda block: [s.value for s in decode(code, block)],
+                (NotCorrectable, Inconsistent))
 
 
 def repair_file(code: MrCode, instream: TextIO, outstream: TextIO,
                 erasures: Sequence[int] = ()) -> None:
     """Fill erased positions by local repair only (one erasure per group)."""
-    _check_erasures(erasures, code.n)
-    for index, block in enumerate(_blocks(instream, code.n, code.field.q,
-                                          allow_erasures=True)):
-        for idx in erasures:
-            block[idx] = None
-        try:
-            for pos in [j for j, s in enumerate(block) if s is None]:
-                block[pos] = local_repair(code, block, pos).value
-        except MultipleErasuresInGroup as exc:
-            raise MultipleErasuresInGroup(f"block {index}: {exc}") from None
-        outstream.write(" ".join(map(str, block)) + "\n")
+    def repaired(block: list) -> list:
+        for pos in [j for j, s in enumerate(block) if s is None]:
+            block[pos] = local_repair(code, block, pos).value
+        return block
+
+    _each_block(code, instream, outstream, erasures, repaired, (MultipleErasuresInGroup,))
 
 
 def _parse_erasures(text: Optional[str]) -> list[int]:
@@ -171,7 +176,7 @@ def _run(args) -> int:
         code, report = construct(args.r, args.q, target_n=args.target_n)
         save_code(code, args.out)
         checked = (f"{report.mds_subsets_checked} subsets" if report.mode == "exhaustive"
-                   else "the transversals and the zero-sum repair groups")
+                   else "the transversals")
         print(f"wrote {args.out}: n={code.n} k={code.k} r={code.r} q={code.field.q}; "
               f"verification {report.mode}, {checked}", file=sys.stderr)
         return 0

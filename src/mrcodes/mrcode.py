@@ -1,17 +1,16 @@
 """The (r+1) x n generator matrix, its verifier, and erasure decoding.
 
-A code is its field, its zero-sum family and its repair groups.  G's rows
-are derived as ints from the first two when the code is made: column j is
+A code is its field and its zero-sum family.  Its repair groups and G's rows
+(as ints) are derived from the two when the code is made: column j is
 (x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) (see _closed_form_rows) with
 x = gamma^a, a = elements[j] of the family in its canonical order, so
-build_code puts repair group i at columns [i*(r+1), (i+1)*(r+1)).  G's
-FieldElements, the rows packed for encoding and the map from each column to
-its group, peers and repair coefficients are built on first use, so
-construct, verify_mr and the spec reader and writer never build them.
-MrCode reads r and n from the family (k = r+1), whose D was proved when it
-was made (so n is within family._MAX_N and the exponents, and so the x, are
-distinct), and checks that the family's N is the field's and that the
-groups split range(n) into k-sets in any order.
+repair group i, columns [i*(r+1), (i+1)*(r+1)), is the transversal of
+b = D[i].  G's FieldElements, the rows packed for encoding and the map from
+each column to its group, peers and repair coefficients are built on first
+use, so construct, verify_mr and the spec reader and writer never build
+them.  MrCode reads r and n from the family (k = r+1), whose D was proved
+when it was made (so n is within family._MAX_N and the exponents, and so
+the x, are distinct), and checks that the family's N is the field's.
 
 The structural claim verified at runtime: an (r+1)-column subset is rank
 deficient (rank r) exactly when it is a repair group.  By the closed form,
@@ -37,7 +36,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, lshift, mul
 from struct import pack, unpack
 from typing import Iterator, NamedTuple, Optional
@@ -69,7 +68,7 @@ class MrCode:
     r: int = dc_field(init=False, repr=False)
     n: int = dc_field(init=False, repr=False)
     k: int = dc_field(init=False, repr=False)
-    repair_groups: tuple[tuple[int, ...], ...]
+    repair_groups: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False)
     # State derived from this object's own fields, never shared between codes:
     # G's rows as ints (the first holds the x) and the last erasure set's
     # decode plan.  The column map and the packed rows are cached properties,
@@ -79,26 +78,20 @@ class MrCode:
                                             default=None)
 
     def __post_init__(self):
-        field, family, groups = self.field, self.family, self.repair_groups
+        field, family = self.field, self.family
         if not isinstance(field, Field):
             raise BadParams(f"field={field!r} is not a Field")
         if not isinstance(family, ZeroSumFamily):
             raise BadParams(f"family={family!r} is not a ZeroSumFamily")
-        # each type is checked once, not each group and index
-        if not (isinstance(groups, Sequence)
-                and all(issubclass(t, Sequence) for t in set(map(type, groups)))
-                and set(map(type, chain.from_iterable(groups))) <= {int}):
-            raise BadParams("repair groups are not a sequence of int sequences")
         r, n, k, q = family.r, family.n, family.r + 1, field.q
         if family.params.N != field.N:
             raise Mismatch(f"family N={family.params.N} != field N={field.N}")
         xs = tuple(pow(field.gamma, a, q) for a in family.elements)
         for name, value in (("r", r), ("n", n), ("k", k),
+                            ("repair_groups", tuple(tuple(range(i, i + k))
+                                                    for i in range(0, n, k))),
                             ("_rows", tuple(map(tuple, _closed_form_rows(xs, r, q))))):
             object.__setattr__(self, name, value)
-        if (any(len(g) != k for g in groups)
-                or sorted(chain.from_iterable(groups)) != list(range(n))):
-            raise Mismatch(f"repair groups do not split range({n}) into {k}-sets")
 
     @cached_property
     def G(self) -> Matrix:
@@ -113,7 +106,7 @@ class MrCode:
         the Lagrange basis over the peers' x, fits rows 1..r (x, ..., x^r),
         so only the last row is checked."""
         q, xs, last, groups = self.field.q, self._rows[0], self._rows[-1], {}
-        for i, g in enumerate(map(tuple, self.repair_groups)):
+        for i, g in enumerate(self.repair_groups):
             for p, e in enumerate(g):
                 peers = g[:p] + g[p + 1:]
                 c = tuple(math.prod((xs[e] - xs[m]) * pow(xs[j] - xs[m], -1, q)
@@ -150,10 +143,7 @@ def _closed_form_rows(xs: Sequence[int], r: int, q: int) -> list[list[int]]:
 
 
 def build_code(field: Field, family: ZeroSumFamily) -> MrCode:
-    if not isinstance(family, ZeroSumFamily):
-        raise BadParams(f"family={family!r} is not a ZeroSumFamily")
-    k = family.r + 1
-    return MrCode(field, family, tuple(tuple(range(i, i + k)) for i in range(0, family.n, k)))
+    return MrCode(field, family)
 
 
 def _row_reduce(rows: list[list[FieldElement]], ncols: int) -> list[int]:
@@ -210,9 +200,8 @@ def verify_mr(code: MrCode, mode: str = "auto") -> MrReport:
     mod N: this check reads only the exponents and N, never G.  Both modes
     run the lookup kernel (_identity_subsets) over every subset; "exhaustive"
     passes its TooLarge on, and "auto" answers it with mode "certificate",
-    which lists every transversal's columns (column p*(r+1) + i holds block
-    i's a_{i,b}, b = D[p]) and every repair group whose exponents sum to 0
-    mod N.
+    which lists the repair groups: group p is a transversal (column
+    p*(r+1) + i holds block i's a_{i,b}, b = D[p]).
 
     The family lemma makes that list exact.  ZeroSumFamily holds only a D
     strictly increasing in [1, d] that passes the set oracle, and
@@ -232,22 +221,17 @@ def verify_mr(code: MrCode, mode: str = "auto") -> MrReport:
     if mode not in ("auto", "exhaustive"):
         raise BadParams(f"unknown verifier mode {mode!r}")
     n, r, k, N = code.n, code.r, code.k, code.field.N
-    a = code.family.elements
     try:
-        deficient, how = list(_identity_subsets(a, r, N)), "exhaustive"
+        deficient, how = list(_identity_subsets(code.family.elements, r, N)), "exhaustive"
     except TooLarge:
         if mode == "exhaustive":
             raise
-        certified = {tuple(range(p * k, p * k + k)) for p in range(n // k)}
-        certified.update(tuple(sorted(g)) for g in code.repair_groups
-                         if sum(a[j] for j in g) % N == 0)
-        deficient, how = sorted(certified), "certificate"
+        deficient, how = list(code.repair_groups), "certificate"
     # the violations in lexicographic order: the symmetric difference of the
-    # deficient subsets and the groups
-    deficient_sets = set(map(frozenset, deficient))
-    odd = deficient_sets.symmetric_difference(map(frozenset, code.repair_groups))
-    violations = sorted((tuple(sorted(s)),) + ((r, k) if s in deficient_sets else (k, r))
-                        for s in odd)
+    # deficient subsets and the groups, both sorted index tuples
+    deficient_set = set(deficient)
+    violations = sorted((s, r, k) if s in deficient_set else (s, k, r)
+                        for s in deficient_set.symmetric_difference(code.repair_groups))
     return MrReport(mode=how, mds_subsets_checked=math.comb(n, k),
                     deficient_subsets=deficient, violations=violations)
 

@@ -30,11 +30,16 @@ def choose_params(r: int, q: int) -> FamilyParams:
     return _params_over(make_field(q), r)
 
 
-def _params_over(field: Field, r: int) -> FamilyParams:
-    """choose_params for a field already built (and so q already checked)."""
+def _check_r(r) -> None:
+    """BadParams unless r is an int >= 2."""
     _check_int("r", r)
     if r < 2:
         raise BadParams("r must be >= 2")
+
+
+def _params_over(field: Field, r: int) -> FamilyParams:
+    """choose_params for a field already built (and so q already checked)."""
+    _check_r(r)
     lam = Fraction(1, 2 * r**3)
     delta = lam / (r + 1)
     if field.N < delta.denominator:  # delta = 1/denominator, so d = 0
@@ -133,10 +138,10 @@ def exact_failure_probability(code: MrCode, p: float) -> float:
     in closed form.  Exact reference for simulate().
 
     Needs a passing verify_mr report (in either mode), whose D deficient
-    k-subsets are then the disjoint repair groups.  So k+1 survivors hold k
-    independent columns (swap one of a deficient subset for the outside one),
-    and E fails exactly when under k symbols survive or the k survivors are
-    deficient.
+    k-subsets are then the repair groups, which split the columns.  So k+1
+    survivors hold k independent columns (swap one of a deficient subset for
+    the outside one), and E fails exactly when under k symbols survive or the
+    k survivors are deficient.
     """
     _check_p(p)
     report = verify_mr(code)  # BadParams unless code is an MrCode
@@ -156,6 +161,7 @@ def scaling_table(r: int, q_list) -> list[dict]:
     """
     if not isinstance(q_list, Iterable):
         raise BadParams(f"q_list={q_list!r} is not a collection")
+    _check_r(r)  # once, so an empty q_list is no way round it
     rows = []
     for q in q_list:
         code, report = construct(r, q)

@@ -1,0 +1,18 @@
+import pytest
+
+import mrcodes.mrcode
+
+
+@pytest.fixture
+def off_group_subset(monkeypatch):
+    """Make the lookup kernel also report columns (0, ..., r-1, r+1), which
+    are in no one repair group, as deficient: the failure path of verify_mr
+    and of everything that refuses a failing report, on a real code.
+    Yields that subset for r = 2."""
+    kernel = mrcodes.mrcode._identity_subsets
+
+    def with_extra(values, r, N):
+        yield from sorted([*kernel(values, r, N), (*range(r), r + 1)])
+
+    monkeypatch.setattr(mrcodes.mrcode, "_identity_subsets", with_extra)
+    yield (0, 1, 3)

@@ -1,13 +1,17 @@
-"""Property over the whole public API: every name in mrcodes.__all__ has a
-valid base call on the (2, 101) code, and with any one of its parameters
-replaced by a value of the wrong type (bool, float, NaN, str, bytes, None,
-list, dict, an element of another field) the call raises only MrCodesError
-subclasses.  Accepting the value is allowed: the report records take
-anything.  A name with no base call fails the sweep, so new API is covered
-from its first release.  No large int is substituted where an int means
-work.  A path parameter skips True, which open() would take as a file
-descriptor: test_a_descriptor_is_not_a_spec_path runs that case in a
-child process, whose stdout the call would close."""
+"""Property over the whole public API: every name in mrcodes.__all__, and
+every public method and operator of Field, FieldElement and
+ProgressionFreeSet (called directly, dunders included), has a valid base
+call on the (2, 101) code, and with any one of its parameters replaced by a
+value of the wrong type (bool, float, NaN, str, bytes, None, list, dict, an
+element of another field) the call raises only MrCodesError subclasses.
+Accepting the value is allowed: the report records take anything, and an
+operator may return NotImplemented, so that Python tries the other operand;
+a TypeError raised inside it is an escape.  A name or method with no base
+call fails the sweep, so new API is covered from its first release.  No
+large int is substituted where an int means work.  A path parameter skips
+True, which open() would take as a file descriptor:
+test_a_descriptor_is_not_a_spec_path runs that case in a child process,
+whose stdout the call would close."""
 
 import inspect
 import math
@@ -17,8 +21,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import pytest
+
 import mrcodes
-from mrcodes import alon_construct, code_to_dict, construct, make_field
+from mrcodes import (Field, FieldElement, ProgressionFreeSet, alon_construct, code_to_dict,
+                     construct, make_field)
 from mrcodes.errors import MrCodesError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,7 +44,7 @@ def _base_calls(spec_path: Path) -> dict[str, dict]:
                              delta=family.params.delta),
         "Field": dict(q=101),
         "FieldElement": dict(value=7, field=code.field),
-        "MrCode": dict(field=code.field, family=family, repair_groups=code.repair_groups),
+        "MrCode": dict(field=code.field, family=family),
         "MrReport": dict(mode="exhaustive"),
         "ProgressionFreeSet": dict(r=2, elements=family.D.elements, method=family.D.method),
         "SimReport": dict(trials=0, p=0.1, seed=0),
@@ -65,6 +72,24 @@ def _base_calls(spec_path: Path) -> dict[str, dict]:
     }
 
 
+def _escapes(name, func, base) -> list:
+    """The (name, parameter, value, exception) of each wrong-typed call that
+    raises something other than an MrCodesError."""
+    func(**base)  # the base call is valid
+    escapes = []
+    for param in inspect.signature(func).parameters:
+        for value in WRONG:
+            if param == "path" and value is True:
+                continue
+            try:
+                func(**{**base, param: value})
+            except MrCodesError:
+                pass
+            except Exception as exc:  # the escape is the finding
+                escapes.append((name, param, value, type(exc).__name__))
+    return escapes
+
+
 def test_wrong_typed_arguments_raise_only_typed_errors(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a str or bytes path writes a file here
     spec_path = tmp_path / "spec.json"
@@ -72,18 +97,39 @@ def test_wrong_typed_arguments_raise_only_typed_errors(tmp_path, monkeypatch):
     assert sorted(set(mrcodes.__all__) - table.keys()) == []
     escapes = []
     for name in mrcodes.__all__:
-        func, base = getattr(mrcodes, name), table[name]
-        func(**base)  # the base call is valid
-        for param in inspect.signature(func).parameters:
-            for value in WRONG:
-                if param == "path" and value is True:
-                    continue
-                try:
-                    func(**{**base, param: value})
-                except MrCodesError:
-                    pass
-                except Exception as exc:  # the escape is the finding
-                    escapes.append((name, param, value, type(exc).__name__))
+        escapes += _escapes(name, getattr(mrcodes, name), table[name])
+    assert escapes == []
+
+
+_FIELD = make_field(101)
+_SET = ProgressionFreeSet(2, (1, 2), "exhaustive")
+# an instance of each class, and the keyword arguments of a valid call for
+# each of its methods; making, freezing and private helpers are left out
+_MACHINERY = {"__init__", "__post_init__", "__setattr__", "__delattr__"}
+_METHODS = {
+    Field: (_FIELD, {"element": dict(value=7), "__eq__": dict(other=_FIELD),
+                     "__hash__": {}, "__repr__": {}}),
+    FieldElement: (_FIELD.element(7), {
+        **{op: dict(other=3) for op in ("__add__", "__radd__", "__sub__", "__rsub__",
+                                        "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                                        "__eq__")},
+        "__pow__": dict(e=2), "__neg__": {}, "inv": {}, "__bool__": {}, "__hash__": {},
+        "__repr__": {}}),
+    ProgressionFreeSet: (_SET, {"__eq__": dict(other=_SET), "__len__": {}, "__iter__": {},
+                                "__hash__": {}, "__repr__": {}}),
+}
+
+
+@pytest.mark.parametrize("cls", list(_METHODS), ids=lambda cls: cls.__name__)
+def test_methods_and_operators_raise_only_typed_errors(cls):
+    instance, table = _METHODS[cls]
+    methods = {name for name, value in vars(cls).items()
+               if callable(value) and name not in _MACHINERY
+               and (name.startswith("__") or not name.startswith("_"))}
+    assert methods == table.keys()
+    escapes = []
+    for name, base in table.items():
+        escapes += _escapes(name, getattr(instance, name), base)
     assert escapes == []
 
 

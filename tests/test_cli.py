@@ -142,6 +142,16 @@ class TestMain:
         assert report["ok"] and report["mode"] == "exhaustive"
         assert report["mds_subsets_checked"] == 20
 
+    def test_verify_reports_a_failing_code(self, spec_path, capsys, off_group_subset):
+        # a report with a violation goes to stdout with "ok": false, and the
+        # exit code is 1, in either mode
+        for flags in ([], ["--exhaustive"]):
+            assert main(["verify", str(spec_path), *flags]) == 1
+            out, err = capsys.readouterr()
+            report = json.loads(out)
+            assert (report["ok"], report["mode"], err) == (False, "exhaustive", "")
+            assert report["violations"] == [[list(off_group_subset), 2, 3]]
+
     def test_verify_past_the_kernel_guard(self, tmp_path, capsys):
         # n = 60 at r = 14: auto certifies by the family lemma, --exhaustive
         # passes on the kernel's refusal, and there is no sampled mode
@@ -162,7 +172,7 @@ class TestMain:
     @pytest.mark.parametrize("r,q,checked", [
         (2, 101, "n=6 k=3 r=2 q=101; verification exhaustive, 20 subsets"),
         (14, 4294967291, "n=60 k=15 r=14 q=4294967291; verification certificate, "
-                         "the transversals and the zero-sum repair groups"),
+                         "the transversals"),
     ], ids=["exhaustive", "certificate"])
     def test_construct_says_what_it_checked(self, tmp_path, capsys, r, q, checked):
         # a certificate enumerates no subsets, so its line counts none
@@ -361,13 +371,14 @@ def test_spec_not_json(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["construct", "--r", "1", "--q", "101", "--out", "{tmp}/x.json"],
     ["scaling", "--r", "1", "--q-list", "101"],
+    ["scaling", "--r", "1", "--q-list", ","],
     ["construct", "--r", "2", "--q", "101", "--target-n", "5", "--out", "{tmp}/x.json"],
     ["construct", "--r", "2", "--q", "101", "--target-n", "0", "--out", "{tmp}/x.json"],
     ["construct", "--r", "2", "--q", "101", "--target-n", "-3", "--out", "{tmp}/x.json"],
     ["simulate", "--spec", "{spec}", "--p", "1.5", "--trials", "10"],
     ["simulate", "--spec", "{spec}", "--p", "0.1", "--trials", "-3"],
     ["construct", "--r", "2", "--q", "101", "--out", "{tmp}/missing/dir/x.json"],
-], ids=["construct-r1", "scaling-r1", "target-n-5", "target-n-0", "target-n-neg",
+], ids=["construct-r1", "scaling-r1", "scaling-r1-no-q", "target-n-5", "target-n-0", "target-n-neg",
         "p-1.5", "trials-neg", "out-missing-dir"])
 def test_out_of_range_parameters_are_typed_errors(spec_path, tmp_path, capsys, argv):
     argv = [a.format(tmp=tmp_path, spec=spec_path) for a in argv]

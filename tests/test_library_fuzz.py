@@ -14,7 +14,6 @@ Whatever JSON values replace keys of a valid spec, `code_from_dict` raises
 only MrCodesError subclasses (the unmodified spec's round trip is
 `tests/test_cli.py::test_spec_round_trip[r2-q101]`)."""
 
-import dataclasses
 import json
 import math
 
@@ -31,11 +30,9 @@ _FUZZ = settings(deadline=None, max_examples=150, derandomize=True)
 
 
 @pytest.fixture(scope="module")
-def codes():
-    """The (2, 101) code, and the same code with its groups listed out of order."""
-    code = construct(2, 101)[0]
-    permuted = dataclasses.replace(code, repair_groups=((2, 1, 0), (5, 3, 4)))
-    return code, permuted
+def code():
+    """The (2, 101) code."""
+    return construct(2, 101)[0]
 
 
 _symbols = st.one_of(st.none(), st.integers(-3, 104), st.integers(),
@@ -55,10 +52,9 @@ _not_real = st.one_of(st.booleans(), st.none(), st.text(max_size=3), st.complex_
 
 
 @_FUZZ
-@given(which=st.integers(0, 1), received=_received, index=_index,
+@given(received=_received, index=_index,
        indices=st.one_of(st.lists(_index, max_size=8), _not_a_sequence))
-def test_only_typed_errors_escape(codes, which, received, index, indices):
-    code = codes[which]
+def test_only_typed_errors_escape(code, received, index, indices):
     for call in (lambda: decode(code, received),
                  lambda: local_repair(code, received, index),
                  lambda: is_correctable(code, indices)):
@@ -69,9 +65,8 @@ def test_only_typed_errors_escape(codes, which, received, index, indices):
 
 
 @_FUZZ
-@given(which=st.integers(0, 1), bad=_not_int)
-def test_non_int_indices_are_bad_params(codes, which, bad):
-    code = codes[which]
+@given(bad=_not_int)
+def test_non_int_indices_are_bad_params(code, bad):
     codeword = [s.value for s in encode(code, [1, 2, 3])]
     for call in (lambda: local_repair(code, codeword, bad),
                  lambda: is_correctable(code, [bad])):
@@ -81,8 +76,7 @@ def test_non_int_indices_are_bad_params(codes, which, bad):
 
 @_FUZZ
 @given(bad=_not_int, p=_not_real)
-def test_wrong_typed_parameters_are_bad_params(codes, bad, p):
-    code = codes[0]
+def test_wrong_typed_parameters_are_bad_params(code, bad, p):
     calls = [lambda: make_field(bad), lambda: construct(2, bad), lambda: construct(bad, 101),
              lambda: choose_params(bad, 101), lambda: simulate(code, p, 10, 0), lambda: simulate(code, 0.1, bad, 0),
              lambda: exact_failure_probability(code, p), lambda: simulate(code, 0.1, 10, bad),
@@ -95,9 +89,8 @@ def test_wrong_typed_parameters_are_bad_params(codes, bad, p):
 
 
 @_FUZZ
-@given(which=st.integers(0, 1), bad=_not_a_sequence)
-def test_wrong_containers_are_bad_params(codes, which, bad):
-    code = codes[which]
+@given(bad=_not_a_sequence)
+def test_wrong_containers_are_bad_params(code, bad):
     calls = [lambda: encode(code, bad), lambda: decode(code, bad),
              lambda: local_repair(code, bad, 0)]
     if bad is None or type(bad) is int:  # any other container may iterate indices
@@ -108,10 +101,9 @@ def test_wrong_containers_are_bad_params(codes, which, bad):
 
 
 @_FUZZ
-@given(which=st.integers(0, 1), message=st.lists(st.integers(0, 100), min_size=3, max_size=3),
+@given(message=st.lists(st.integers(0, 100), min_size=3, max_size=3),
        pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), unique=True, max_size=6))
-def test_real_codewords_decode_and_repair(codes, which, message, pairs):
-    code = codes[which]
+def test_real_codewords_decode_and_repair(code, message, pairs):
     erased = frozenset(code.repair_groups[g][p] for g, p in pairs)
     assert len(erased) == len(pairs)  # the groups split the columns
     codeword = [s.value for s in encode(code, message)]
@@ -138,10 +130,10 @@ _json = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | s
 
 @_FUZZ
 @given(data=st.data())
-def test_spec_values_only_typed_errors(codes, data):
+def test_spec_values_only_typed_errors(code, data):
     """Replace one to four keys of the (2, 101) spec, nested ones first,
     with arbitrary JSON."""
-    spec = code_to_dict(codes[0])
+    spec = code_to_dict(code)
     paths = [(key,) for key in sorted(spec)] + [("lambda", "num"), ("delta", "den"),
                                                ("D", 0), ("G", 1), ("D_alon_meta",)]
     doc = json.loads(json.dumps(spec))

@@ -346,11 +346,14 @@ class TestClosedFormVerify:
         with pytest.raises(BadSet, match=r"^D=\(1, 2, 3\) fails the defining equation "):
             ZeroSumFamily(wider, ProgressionFreeSet(2, D, "user_supplied"))
 
-    def test_tampered_repair_groups(self, code6):
-        code = dataclasses.replace(code6, repair_groups=((0, 1, 3), (2, 4, 5)))
-        report = verify_mr(code)
-        assert report == rank_scan(code)
-        assert not report.ok
+    def test_a_deficient_subset_off_the_groups_is_a_violation(self, code6, off_group_subset):
+        # the kernel's extra subset is deficient and no group: rank r where
+        # the rule wants k, in both modes
+        for mode in ("auto", "exhaustive"):
+            report = verify_mr(code6, mode=mode)
+            assert report.deficient_subsets == [(0, 1, 2), off_group_subset, (3, 4, 5)]
+            assert report.violations == [(off_group_subset, 2, 3)]
+            assert not report.ok
 
     def test_guard_picks_the_mode(self, code6, monkeypatch):
         # the lookup kernel's cost is C(6, 2) + C(6, 1) = 21 and the rank
@@ -379,44 +382,11 @@ class TestClosedFormVerify:
         monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 21)
         assert verify_mr(code6).mode == "exhaustive"
 
-    @pytest.mark.parametrize("groups,valid", [
-        (((2, 1, 0), (5, 3, 4)), True),
-        (((0, 1), (2, 3, 4, 5)), False),
-        (((0, 1, 2), (0, 1, 2)), False),
-    ], ids=["permuted", "wrong-size", "duplicated"])
-    def test_odd_repair_groups(self, code6, groups, valid):
-        # groups in any order are a code; groups that do not split range(n)
-        # into k-sets are refused when the code is made
-        if not valid:
-            with pytest.raises(Mismatch):
-                dataclasses.replace(code6, repair_groups=groups)
-            return
-        code = dataclasses.replace(code6, repair_groups=groups)
-        assert verify_mr(code, mode="exhaustive") == rank_scan(code, mode="exhaustive")
-
-    @pytest.mark.parametrize("groups", [
-        ((0, 1, 2), (3, 4, -1)),
-        ((0, 1, 2), (3, 4, 6)),
-        ((0, 1, 2), (3, 4, 5), (3, 4, 6)),
-    ], ids=["minus-one", "n", "extra-group"])
-    def test_out_of_range_repair_groups(self, code6, groups):
-        with pytest.raises(Mismatch):
-            dataclasses.replace(code6, repair_groups=groups)
-
     def test_unknown_mode(self, code6):
         with pytest.raises(BadParams):
             verify_mr(code6, mode="exhaustve")
         with pytest.raises(BadParams):
             rank_scan(code6, mode="exhaustve")
-
-    def test_certificate_counts_a_permuted_group_once(self, code6, monkeypatch):
-        # a permuted group is its transversal, summing to 0 mod N: one entry
-        code = dataclasses.replace(code6, repair_groups=((2, 1, 0), (5, 3, 4)))
-        monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 0)
-        report = verify_mr(code)
-        assert report.mode == "certificate" and report.ok
-        assert report.mds_subsets_checked == 20
-        assert report.deficient_subsets == [(0, 1, 2), (3, 4, 5)]
 
 
 def _user_code(code, D):
@@ -432,8 +402,6 @@ def _suite_codes():
     yield "r3_q653", construct(3, 653)[0]
     yield "r2_q401", code12
     yield "r4_q1283", construct(4, 1283)[0]
-    yield "permuted-groups", dataclasses.replace(code6, repair_groups=((2, 1, 0), (5, 3, 4)))
-    yield "odd-groups", dataclasses.replace(code6, repair_groups=((0, 1, 3), (2, 4, 5)))
     yield "bench-spec", load_code(BENCH_SPEC)
     # a family of (2, 401), d = 8, on a D construct does not pick
     yield "family-valid", _user_code(code12, (1, 2, 4, 8))
@@ -452,10 +420,9 @@ def _check_certificate(code):
 
 
 def test_certificate_matches_the_kernel():
-    # one report per code; only the code whose groups are not its
-    # transversals fails
+    # one report per code, and every code passes
     reports = {name: _check_certificate(code) for name, code in _suite_codes()}
-    assert [name for name, report in reports.items() if not report.ok] == ["odd-groups"]
+    assert [name for name, report in reports.items() if not report.ok] == []
 
 
 # The families no code can hold, with the error class and message prefix
@@ -463,29 +430,26 @@ def test_certificate_matches_the_kernel():
 # oracle's witness (1, 3, 2) of (1, 2, 3, 4) picks the residues at columns
 # 0, 7 and 5, which sum to 0 mod N: the kernel finds them on the raw residues.
 _UNPROVED = [
-    ("not-progression-free", 101, (1, 2, 3), None, BadParams,
+    ("not-progression-free", 101, (1, 2, 3), BadParams,
      "D=(1, 2, 3) is not a nonempty subset of [1, d=2]"),
-    ("family-ap", 401, (1, 2, 3, 4), None, BadSet,
+    ("family-ap", 401, (1, 2, 3, 4), BadSet,
      "D=(1, 2, 3, 4) fails the defining equation for r=2"),
-    ("family-ap-groups", 401, (1, 2, 3, 4), ((0, 5, 7), (1, 2, 3), (4, 6, 8), (9, 10, 11)),
-     BadSet, "D=(1, 2, 3, 4) fails the defining equation for r=2"),
-    ("family-unsorted", 401, (2, 1, 4, 5), None, BadParams,
+    ("family-unsorted", 401, (2, 1, 4, 5), BadParams,
      "D=(2, 1, 4, 5) is not strictly increasing"),
-    ("family-past-d", 401, (1, 2, 4, 9), None, BadParams,
+    ("family-past-d", 401, (1, 2, 4, 9), BadParams,
      "D=(1, 2, 4, 9) is not a nonempty subset of [1, d=8]"),
 ]
 
 
-@pytest.mark.parametrize("q,D,groups,error,prefix", [case[1:] for case in _UNPROVED],
+@pytest.mark.parametrize("q,D,error,prefix", [case[1:] for case in _UNPROVED],
                          ids=[case[0] for case in _UNPROVED])
-def test_unproved_families_are_refused(q, D, groups, error, prefix):
+def test_unproved_families_are_refused(q, D, error, prefix):
     # the certificate reads no D: a D the lemma does not cover never
     # reaches a code, by build_family or by ZeroSumFamily
     code = construct(2, q)[0]
     params, pfs = code.family.params, ProgressionFreeSet(2, D, "user_supplied")
     for make in (lambda: build_family(params, pfs),
-                 lambda: dataclasses.replace(code, family=ZeroSumFamily(params, pfs),
-                                             repair_groups=groups or code.repair_groups)):
+                 lambda: dataclasses.replace(code, family=ZeroSumFamily(params, pfs))):
         with pytest.raises(error, match="^" + re.escape(prefix)):
             make()
     if error is BadSet:
@@ -520,8 +484,7 @@ _F101 = build_family(choose_params(2, 101), ProgressionFreeSet(2, (1, 2), "user_
     (lambda: Field(100), "Field(q=100)"),
     (lambda: ZeroSumFamily(choose_params(2, 1601), _AP),
      f"ZeroSumFamily(params={choose_params(2, 1601)!r}, D={_AP!r})"),
-    (lambda: MrCode(make_field(103), _F101, ((0, 1, 2), (3, 4, 5))),
-     f"MrCode(field=Field(q=103), family={_F101!r}, repair_groups=((0, 1, 2), (3, 4, 5)))"),
+    (lambda: MrCode(make_field(103), _F101), f"MrCode(field=Field(q=103), family={_F101!r})"),
 ], ids=["field-not-prime", "family-unproved", "code-other-N"])
 def test_a_refused_object_keeps_its_repr(make, expected):
     # a refusal leaves the object half made, without its derived fields; a
@@ -596,7 +559,7 @@ def test_code_checks_its_shape_once_when_made(code6, defect):
     # that is not the closed form over the family's x
     if defect == "family-N":
         with pytest.raises(Mismatch, match="^family N=100 != field N=102$"):
-            MrCode(make_field(103), code6.family, code6.repair_groups)
+            MrCode(make_field(103), code6.family)
         return
     if defect == "repeated-x":
         # D = (1, 7) would give exponent 7 twice (a_{1,1} = l + 1 = a_{0,7}),
@@ -649,11 +612,13 @@ def test_code_is_built_on_its_own_family(r, q, D):
         assert code_from_dict(code_to_dict(code)) == code
 
 
-@pytest.mark.parametrize("name", ["G", "_rows", "_groups", "_packed"])
+@pytest.mark.parametrize("name", ["G", "_rows", "repair_groups", "_groups", "_packed"])
 def test_code_derived_values_cannot_be_replaced(code6, name):
-    # _rows is a field the code derives (init=False); G, the group map and
-    # the packed rows are no fields at all but properties built on first use
-    error, match = (ValueError, "init=False") if name == "_rows" else (TypeError, f"'{name}'")
+    # _rows and the repair groups are fields the code derives (init=False);
+    # G, the group map and the packed rows are no fields at all but
+    # properties built on first use
+    error, match = ((ValueError, "init=False") if name in ("_rows", "repair_groups")
+                    else (TypeError, f"'{name}'"))
     with pytest.raises(error, match=match):
         dataclasses.replace(code6, **{name: getattr(code6, name)})
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -713,7 +678,7 @@ def test_code_past_the_length_bound_is_too_large(code6, monkeypatch):
     # not come through construct cannot pass it either
     monkeypatch.setattr(mrcodes.family, "_MAX_N", 5)
     with pytest.raises(TooLarge, match="^n=6 exceeds the desk-scale bound 5$"):
-        MrCode(code6.field, _user_family(2, 101, (1, 2)), code6.repair_groups)
+        MrCode(code6.field, _user_family(2, 101, (1, 2)))
 
 
 def test_bad_arguments_are_typed_errors(code6):
@@ -1030,8 +995,14 @@ def _reference_repair_coefficients(code, erased_index, others):
     return tuple(row[r].value for row in rows[:r])
 
 
-def _regrouped(groups):
-    return dataclasses.replace(construct(2, 101)[0], repair_groups=groups)
+def _altered_last_row(code):
+    """code with G's last row changed at column 0 before G or the repair map
+    is built: group (0, 1, 2) then has full rank, so none of its columns is
+    spanned by its peers."""
+    last = code._rows[-1]
+    rows = code._rows[:-1] + (((last[0] + 1) % code.field.q,) + last[1:],)
+    object.__setattr__(code, "_rows", rows)
+    return code
 
 
 @pytest.mark.parametrize("make, unsolvable", [
@@ -1039,11 +1010,8 @@ def _regrouped(groups):
     (lambda: load_code(BENCH_SPEC), 0),
     (lambda: construct(3, 653)[0], 0),
     (lambda: construct(4, 1283)[0], 0),
-    # groups that are not the deficient triples: each has full rank, so no
-    # column is spanned by its two peers
-    (lambda: _regrouped(((0, 1, 3), (2, 4, 5))), 6),
-    (lambda: _regrouped(((2, 1, 0), (5, 3, 4))), 0),
-], ids=["2-101", "bench-2-1601", "3-653", "4-1283", "odd-groups", "permuted-groups"])
+    (lambda: _altered_last_row(construct(2, 101)[0]), 3),
+], ids=["2-101", "bench-2-1601", "3-653", "4-1283", "altered-last-row"])
 def test_repair_map_matches_the_reduction(make, unsolvable):
     # each column's interpolated coefficients are the reduction's, None
     # where the reduction finds no solution; local_repair returns the
@@ -1107,36 +1075,11 @@ def test_plan_matches_reference_and_closed_form_rule():
     assert verdicts == {True, False}
 
 
-class TestTamperedRepairGroups:
-    """Groups that are not the deficient column triples of G."""
-
-    @pytest.fixture
-    def tampered(self, code6):
-        return dataclasses.replace(code6, repair_groups=((0, 1, 3), (2, 4, 5)))
-
-    def test_local_repair_raises_property_violation(self, tampered):
-        received = [s.value for s in encode(tampered, [1, 2, 3])]
-        received[0] = None
-        with pytest.raises(PropertyViolation):
-            local_repair(tampered, received, 0)
-
-    def test_local_repair_reads_only_its_group(self, tampered):
-        # column 2 is in group (2, 4, 5), whose other columns do not span it
-        received = [s.value for s in encode(tampered, [1, 2, 3])]
-        received[2] = None
-        tracker = ReadTracker(received)
-        with pytest.raises(PropertyViolation):
-            local_repair(tampered, tracker, 2)
-        assert tracker.reads == [4, 5]
-
-    def test_decode_does_not_use_groups(self, tampered):
-        received = [s.value for s in encode(tampered, [1, 2, 3])]
-        received[0] = None
-        assert [s.value for s in decode(tampered, received)] == [1, 2, 3]
-
-    def test_correctable_by_rank_not_by_groups(self, tampered):
-        # the survivors 0, 1, 3 are a listed group but have full rank
-        assert is_correctable(tampered, (2, 4, 5))
-        received = [s.value for s in encode(tampered, [1, 2, 3])]
-        received[2] = received[4] = received[5] = None
-        assert [s.value for s in decode(tampered, received)] == [1, 2, 3]
+def test_local_repair_reads_only_its_group_and_refuses_an_unsolvable_one():
+    # column 2's peers 0 and 1 do not span it once the last row changes at
+    # column 0: local_repair reads those two and nothing else, then refuses
+    code = _altered_last_row(construct(2, 101)[0])
+    tracker = ReadTracker([5, 7, None, 1, 2, 3])
+    with pytest.raises(PropertyViolation, match="^repair system for column 2 unsolvable; "):
+        local_repair(code, tracker, 2)
+    assert tracker.reads == [0, 1]

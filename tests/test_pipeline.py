@@ -4,6 +4,7 @@ import json
 import math
 import pkgutil
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -14,8 +15,10 @@ import mrcodes.family
 import mrcodes.mrcode
 from mrcodes import pipeline, progfree
 from mrcodes.codespec import code_from_dict, code_to_dict
-from mrcodes.errors import (BadParams, BadSet, FieldTooSmall, Mismatch, ParamsTooSmall,
+from mrcodes.errors import (BadParams, BadSet, FieldTooSmall, ParamsTooSmall,
                             PropertyViolation, TargetUnreachable, TooLarge)
+from mrcodes.family import build_family
+from mrcodes.field import make_field
 from mrcodes.mrcode import build_code, is_correctable
 from mrcodes.pipeline import (choose_params, construct, exact_failure_probability,
                               scaling_table, simulate)
@@ -275,12 +278,6 @@ def test_exact_failure_probability_past_the_kernel_guard():
 
 def test_exact_failure_probability_rejects(monkeypatch):
     code = construct(2, 101)[0]
-    # overlapping groups are refused when the code is made
-    with pytest.raises(Mismatch):
-        dataclasses.replace(code, repair_groups=((0, 1, 2), (0, 3, 4)))
-    with pytest.raises(PropertyViolation):
-        exact_failure_probability(
-            dataclasses.replace(code, repair_groups=((0, 1, 3), (2, 4, 5))), 0.1)
     for p in (1.5, -0.1, float("nan")):
         with pytest.raises(BadParams):
             exact_failure_probability(code, p)
@@ -423,6 +420,27 @@ def test_construct_raises_bad_set_when_the_oracle_rejects(monkeypatch):
     monkeypatch.setattr(mrcodes.family, "verify_progression_free", lambda candidate, r: (1, 3, 2))
     with pytest.raises(BadSet, match="fails the defining equation for r=2"):
         construct(2, 101)
+
+
+def test_a_failing_report_is_refused(off_group_subset):
+    # a report with a violation stops construct before it returns the code,
+    # and exact_failure_probability before its closed form
+    with pytest.raises(PropertyViolation, match=r"^constructed code failed verification: "
+                                                r"\[\(\(0, 1, 3\), 2, 3\)\]$"):
+        construct(2, 101)
+    params = choose_params(2, 101)
+    code = build_code(make_field(101), build_family(params, progfree._choose_set(params.d, 2)))
+    with pytest.raises(PropertyViolation, match="^code not verified$"):
+        exact_failure_probability(code, 0.1)
+
+
+@pytest.mark.parametrize("r,message", [(True, "r=True is not an int"),
+                                       ("x", "r='x' is not an int"), (1, "r must be >= 2")])
+def test_scaling_table_checks_r_with_no_q(r, message):
+    # r is checked once before the rows, so an empty q_list is no way round it
+    for q_list in ([], ()):
+        with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+            scaling_table(r, q_list)
 
 
 def test_scaling_table_fixed_r():
