@@ -1075,11 +1075,22 @@ def test_plan_matches_reference_and_closed_form_rule():
     assert verdicts == {True, False}
 
 
-def test_local_repair_reads_only_its_group_and_refuses_an_unsolvable_one():
-    # column 2's peers 0 and 1 do not span it once the last row changes at
-    # column 0: local_repair reads those two and nothing else, then refuses
-    code = _altered_last_row(construct(2, 101)[0])
-    tracker = ReadTracker([5, 7, None, 1, 2, 3])
-    with pytest.raises(PropertyViolation, match="^repair system for column 2 unsolvable; "):
-        local_repair(code, tracker, 2)
-    assert tracker.reads == [0, 1]
+class TestTamperedRepairGroups:
+    """A group whose columns are no longer deficient: G's last row is changed
+    at column 0, so group (0, 1, 2) has full rank."""
+
+    @pytest.fixture
+    def tampered(self):
+        return _altered_last_row(construct(2, 101)[0])
+
+    def test_local_repair_raises_property_violation(self, tampered):
+        with pytest.raises(PropertyViolation, match="^repair system for column 0 unsolvable; "):
+            local_repair(tampered, [None, 7, 9, 1, 2, 3], 0)
+
+    def test_local_repair_reads_only_its_group(self, tampered):
+        # column 2's peers 0 and 1 do not span it: local_repair reads those
+        # two and nothing else, then refuses
+        tracker = ReadTracker([5, 7, None, 1, 2, 3])
+        with pytest.raises(PropertyViolation, match="^repair system for column 2 unsolvable; "):
+            local_repair(tampered, tracker, 2)
+        assert tracker.reads == [0, 1]
