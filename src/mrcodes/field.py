@@ -1,9 +1,15 @@
-"""Exact arithmetic in prime fields GF(q); elements are residues mod q.
+"""Prime fields GF(q); elements are residues mod q.
 
 A Field is its q: N = q - 1, the distinct prime factors of N and the
 primitive element gamma are derived from q when the Field is made.  gamma is
 the least residue >= 2 that generates the cyclic multiplicative group of
 order N, so fixtures are reproducible.
+
+The codec computes on ints mod q.  A FieldElement keeps only the arithmetic
+the decoder's row reduction (mrcode._row_reduce) runs: x * y and x - y
+between elements of one field, and x.inv().  Any other operand, an int
+among them, gets Python's own TypeError, so int arithmetic on codec outputs
+goes through .value.
 """
 
 from __future__ import annotations
@@ -123,65 +129,29 @@ class FieldElement:
         raise BadParams(f"residue {self.value} out of range for q={self.field.q}")
 
     def _coerce(self, other):
-        """other's residue mod q, or NotImplemented (so Python raises
-        TypeError) when other is neither an int (bool excluded) nor a
-        FieldElement."""
+        """other's residue when other is an element of this field,
+        FieldMismatch when it is one of another field, and NotImplemented
+        (so Python raises TypeError) for anything else, ints included."""
         if isinstance(other, FieldElement):
             if other.field.q != self.field.q:
                 raise FieldMismatch(f"GF({self.field.q}) vs GF({other.field.q})")
             return other.value
-        if type(other) is int:
-            return other % self.field.q
         return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return (v if v is NotImplemented
-                else FieldElement((self.value + v) % self.field.q, self.field))
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         v = self._coerce(other)
         return (v if v is NotImplemented
                 else FieldElement((self.value - v) % self.field.q, self.field))
 
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return (v if v is NotImplemented
-                else FieldElement((v - self.value) % self.field.q, self.field))
-
     def __mul__(self, other):
         v = self._coerce(other)
         return (v if v is NotImplemented
                 else FieldElement(self.value * v % self.field.q, self.field))
 
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.field.q, self.field)
-
     def inv(self) -> "FieldElement":
         if self.value == 0:
             raise DivisionByZero("inverse of 0")
         return FieldElement(pow(self.value, self.field.q - 2, self.field.q), self.field)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if type(e) is not int:
-            return NotImplemented
-        if self.value == 0:
-            if e < 0:
-                raise DivisionByZero("0 to a negative power")
-            return FieldElement(0 if e else 1, self.field)
-        return FieldElement(pow(self.value, e % self.field.N, self.field.q), self.field)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return v if v is NotImplemented else self * FieldElement(v, self.field).inv()
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        return v if v is NotImplemented else self.inv() * v
 
     def __eq__(self, other):
         # an int equals only its canonical residue, so equal objects hash

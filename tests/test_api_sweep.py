@@ -110,11 +110,8 @@ _METHODS = {
     Field: (_FIELD, {"element": dict(value=7), "__eq__": dict(other=_FIELD),
                      "__hash__": {}, "__repr__": {}}),
     FieldElement: (_FIELD.element(7), {
-        **{op: dict(other=3) for op in ("__add__", "__radd__", "__sub__", "__rsub__",
-                                        "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
-                                        "__eq__")},
-        "__pow__": dict(e=2), "__neg__": {}, "inv": {}, "__bool__": {}, "__hash__": {},
-        "__repr__": {}}),
+        "__sub__": dict(other=_FIELD.element(3)), "__mul__": dict(other=_FIELD.element(3)),
+        "__eq__": dict(other=3), "inv": {}, "__bool__": {}, "__hash__": {}, "__repr__": {}}),
     ProgressionFreeSet: (_SET, {"__eq__": dict(other=_SET), "__len__": {}, "__iter__": {},
                                 "__hash__": {}, "__repr__": {}}),
 }

@@ -266,9 +266,16 @@ def _without(doc, key):
     lambda doc: doc | {"D_method": "bogus"},
     lambda doc: doc | {"D_method": 7},
     lambda doc: doc | {"D_alon_meta": {"h": 4, "t": 1, "B": 1, "size_bound": 0.5}},
+    lambda doc: doc | {"q": math.inf},
+    lambda doc: doc | {"q": -math.inf},
+    lambda doc: doc | {"D": [1, math.inf]},
+    lambda doc: doc | {"D": [1.0, 2.0]},
+    lambda doc: doc | {"lambda": {"num": math.inf, "den": 16}},
+    lambda doc: doc | {"delta": {"num": 1, "den": -math.inf}},
 ], ids=["no-lambda", "no-G", "r-str", "r-bool", "r-null", "G-int", "G-flat", "G-str",
         "lambda-list", "delta-den-0", "D-empty", "exponents-null", "not-object",
-        "D-method-bogus", "D-method-int", "alon-meta-on-exhaustive-set"])
+        "D-method-bogus", "D-method-int", "alon-meta-on-exhaustive-set", "q-inf",
+        "q-neg-inf", "D-inf", "D-float", "lambda-num-inf", "delta-den-neg-inf"])
 def test_malformed_spec_is_typed_error(code6, tmp_path, capsys, mangle):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(mangle(code_to_dict(code6))))
@@ -401,11 +408,18 @@ def test_out_of_range_parameters_are_typed_errors(spec_path, tmp_path, capsys, a
     ("comment", "an extra key"),
     ("q", "101"),
     ("gamma", 3),
+    ("q", 101.0),
+    ("gamma", 2.0),
+    ("N", 100.0),
+    ("schema_version", True),
 ], ids=["N", "l", "d", "blocks", "transversals", "exponents", "G", "repair_groups",
-        "derived", "rng", "extra-key", "q-str", "gamma"])
+        "derived", "rng", "extra-key", "q-str", "gamma", "q-float", "gamma-float",
+        "N-float", "schema-version-bool"])
 def test_spec_key_disagreeing_with_rebuilt_code(code6, tmp_path, capsys, key, value):
+    # a value equal to the written one but of another JSON type (a float or
+    # a bool for an int) disagrees too: save_code never writes it
     doc = code_to_dict(code6)
-    assert doc.get(key) != value
+    assert doc.get(key) != value or type(doc[key]) is not type(value)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc | {key: value}))
     assert main(["verify", str(path)]) == 1

@@ -100,6 +100,7 @@ def test_symbol_streams(workdir, command, tokens, seps, erasures):
 
 
 _values = st.sampled_from([None, True, False, -1, 0, 1, 2, 3, 101, 10**20, 1.5, math.nan,
+                           math.inf, -math.inf,
                            "", "x", "101", "1e3", [], [0], [[1]], {}, {"num": 1},
                            {"num": 1, "den": 0}, {"num": 0, "den": 1}])
 

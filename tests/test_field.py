@@ -81,7 +81,7 @@ def test_field_rejects_a_q_that_is_not_an_int(q):
 
 def test_add_mul_examples():
     f = make_field(13)
-    assert f.element(7) + f.element(9) == 3
+    assert f.element(7) - f.element(9) == 11
     assert f.element(0) * f.element(11) == 0
     g = make_field(101)
     assert g.element(100) * g.element(95) == 6  # 9500 mod 101
@@ -92,20 +92,18 @@ def test_add_mul_examples():
     lambda a: a - None, lambda a: a / 2.0, lambda a: a * 2.0, lambda a: 1.5 - a,
     lambda a: 2.0 / a, lambda a: True + a, lambda a: a - True,
     lambda a: a ** True, lambda a: a ** 0.5, lambda a: (a - a) ** 0.5, lambda a: a ** "2",
+    lambda a: a + 1, lambda a: 5 * a, lambda a: a * 5, lambda a: 5 - a, lambda a: -a,
+    lambda a: a / a, lambda a: a ** 2, lambda a: a + a,
 ], ids=["add", "radd", "mul", "rmul", "sub", "truediv", "mul-float", "rsub", "rtruediv",
-        "radd-bool", "sub-bool", "pow-bool", "pow-float", "zero-pow-float", "pow-str"])
+        "radd-bool", "sub-bool", "pow-bool", "pow-float", "zero-pow-float", "pow-str",
+        "add-int", "rmul-int", "mul-int", "rsub-int", "neg", "truediv-element", "pow-int",
+        "add-element"])
 def test_foreign_operand_is_type_error(apply):
-    # the operator declines an operand that is neither an int (bool
-    # excluded) nor an element, so Python raises its own TypeError naming
-    # both operand types, not an error from inside the operator
+    # an element has only * and - with another element of its field (and
+    # inv): every other operator and operand, ints included, gets Python's
+    # own TypeError naming the operand types, not an error from inside
     with pytest.raises(TypeError, match="'FieldElement'"):
         apply(make_field(13).element(3))
-
-
-def test_int_operands_in_both_orders():
-    a = make_field(13).element(3)
-    assert (a + 11, 11 + a, a - 5, a * 5, 5 * a, a / 2) == (1, 1, 11, 2, 2, 8)
-    assert (5 - a, 5 / a) == (2, 6)
 
 
 @pytest.mark.parametrize("value", [5.5, True, "5"])
@@ -118,7 +116,9 @@ def test_field_mismatch():
     a = make_field(13).element(1)
     b = make_field(17).element(1)
     with pytest.raises(FieldMismatch):
-        a + b
+        a * b
+    with pytest.raises(FieldMismatch):
+        a - b
 
 
 def test_inv():
@@ -128,16 +128,6 @@ def test_inv():
     assert (g.element(14) * g.element(65)) == 1
     with pytest.raises(DivisionByZero):
         g.zero.inv()
-
-
-def test_pow():
-    g = make_field(101)
-    assert g.element(2) ** 10 == 14
-    assert g.element(2) ** 90 == 65  # inverse of 2^10
-    assert g.element(57) ** 0 == 1
-    assert g.element(2) ** -10 == (g.element(2) ** 10).inv()
-    with pytest.raises(DivisionByZero):
-        g.zero ** -1
 
 
 def test_eq_hash_contract():
@@ -159,19 +149,7 @@ def test_gamma_generates_full_group(q):
 _F = make_field(101)
 
 
-@given(st.integers(0, 10**6), st.integers(0, 10**6))
-def test_pow_additivity(a, b):
-    g = _F.element(_F.gamma)
-    assert (g ** a) * (g ** b) == g ** ((a + b) % _F.N)
-
-
 @given(st.integers(1, 100), st.integers(1, 100))
 def test_inv_multiplicative(a, b):
     x, y = _F.element(a), _F.element(b)
     assert (x * y).inv() == x.inv() * y.inv()
-
-
-@given(st.integers(0, 100), st.integers(0, 100))
-def test_sub_neg_consistency(a, b):
-    x, y = _F.element(a), _F.element(b)
-    assert x - y == x + (-y)

@@ -749,10 +749,14 @@ def _ref_element(code, x):
     return code.field.element(x)
 
 
+def _dot(field, xs, ys):
+    """The element sum(x * y) over paired elements, summed as ints mod q."""
+    return field.element(sum(x.value * y.value for x, y in zip(xs, ys)))
+
+
 def _reference_encode(code, message):
-    zero = code.field.zero
     msg = [_ref_element(code, x) for x in message]
-    return [sum((m * code.G[i][j] for i, m in enumerate(msg)), zero) for j in range(code.n)]
+    return [_dot(code.field, msg, column) for column in zip(*code.G)]
 
 
 def _reference_correctable(code, erased):
@@ -762,9 +766,10 @@ def _reference_correctable(code, erased):
 
 
 def _reference_decode(code, received):
-    """Decoding by FieldElement arithmetic with no memo: local repair of every
-    single-erasure group, greedy pivots among the known columns, _solve, then
-    a re-encode check of every originally present symbol."""
+    """Decoding by FieldElement reductions and element sums (_dot) with no
+    memo: local repair of every single-erasure group, greedy pivots among the
+    known columns, _solve, then a re-encode check of every originally present
+    symbol."""
     if len(received) != code.n:
         raise LengthMismatch(f"received length {len(received)} != n={code.n}")
     erased = frozenset(j for j, s in enumerate(received) if s is None)
@@ -780,7 +785,7 @@ def _reference_decode(code, received):
             coeffs = _solve(A, [code.G[i][missing[0]] for i in range(code.k)], zero)
             if coeffs is None:
                 raise AssertionError("repair system unsolvable; code structure violated")
-            working[missing[0]] = sum((c * working[j] for c, j in zip(coeffs, others)), zero)
+            working[missing[0]] = _dot(code.field, coeffs, [working[j] for j in others])
     known = [j for j in range(code.n) if working[j] is not None]
     pivot_cols = []
     for j in known:
@@ -794,7 +799,7 @@ def _reference_decode(code, received):
         raise AssertionError("pivot system unsolvable despite full rank")
     for j in range(code.n):
         if j not in erased:
-            value = sum((m * code.G[i][j] for i, m in enumerate(message)), zero)
+            value = _dot(code.field, message, [code.G[i][j] for i in range(code.k)])
             if value != working[j]:
                 raise Inconsistent(f"symbol at column {j} contradicts the decoded message")
     return message

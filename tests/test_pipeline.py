@@ -461,7 +461,7 @@ def test_simulate_wrong_decode_raises(monkeypatch):
 
     def wrong(code, received):
         message = real_decode(code, received)
-        return [message[0] + 1] + message[1:]
+        return [code.field.element(message[0].value + 1)] + message[1:]
 
     monkeypatch.setattr(pipeline, "decode", wrong)
     with pytest.raises(PropertyViolation, match="decode returned"):

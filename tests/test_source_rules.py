@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import mrcodes
+from mrcodes.field import FieldElement
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mrcodes"
 
@@ -70,3 +71,18 @@ def test_the_set_oracle_runs_only_where_a_family_is_made():
                for scope in _callers(ast.parse(path.read_text(), filename=str(path)),
                                      "verify_progression_free")]
     assert callers == [("family.py", "ZeroSumFamily.__post_init__")]
+
+
+_BINARY = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",
+           "lshift", "rshift", "and", "xor", "or")
+ARITHMETIC = ({f"__{side}{op}__" for op in _BINARY for side in ("", "r", "i")}
+              | {"__neg__", "__pos__", "__abs__", "__invert__"})
+
+
+def test_field_elements_keep_only_the_decoders_arithmetic():
+    # the codec computes on ints mod q; only mrcode._row_reduce runs element
+    # arithmetic, x * y, x - y and x.inv(), and ROADMAP direction 2 removes
+    # those too.  A new operator needs a caller in src/ first
+    defined = set(vars(FieldElement))
+    assert defined & ARITHMETIC == {"__mul__", "__sub__"}
+    assert "inv" in defined
