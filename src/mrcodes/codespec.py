@@ -12,10 +12,11 @@ load, against about 0.2 ms for the rest of load_code.
 
 A top-level key matches only when its value equals the rebuilt document's
 and has its type, so "q": 101.0, "gamma": 2.0 and "schema_version": true
-are refused; D's entries must be ints too.  Values nested inside a key (G,
-blocks, lambda, derived, ...) are compared by value only: a recursive type
-scan of them took load_code of bench/data/r2_q1601.json (n = 30) from about
-133 to 185 us (Python 3.11 on an Intel Xeon, medians of 300 loads).
+are refused; D's entries, and lambda's and delta's num and den, must have
+their written types too.  Other nested values (G, blocks, derived, ...)
+are compared by value only: a recursive type scan of them took load_code
+of bench/data/r2_q1601.json (n = 30) from about 133 to 185 us (Python 3.11
+on an Intel Xeon, medians of 300 loads).
 
 Field refuses q > 2^32, so the only ints a spec can hold past 2^53 are the
 numerators and denominators of lambda and delta in a hand-built
@@ -117,7 +118,8 @@ def _code_from_doc(doc: dict) -> MrCode:
     rebuilt = code_to_dict(code)
     differ = sorted(key for key in doc.keys() | rebuilt.keys()
                     if key not in doc or key not in rebuilt or doc[key] != rebuilt[key]
-                    or type(doc[key]) is not type(rebuilt[key]))
+                    or type(doc[key]) is not type(rebuilt[key]) or key in ("lambda", "delta")
+                    and any(type(doc[key][p]) is not type(v) for p, v in rebuilt[key].items()))
     if differ:
         raise PropertyViolation(f"spec keys {differ} do not match the code rebuilt "
                                 f"from its inputs")

@@ -13,9 +13,8 @@ one of the transversals.  With lambda and delta in range (r^3*l < N and
 r*d <= l) the residues are distinct, the last block needs no reduction and
 every transversal sums to exactly N, and the property holds exactly when D
 satisfies the defining equation: so ZeroSumFamily proves D when it is made,
-and no family holds an unproved D.  verify_mr (mrcode) checks the
-property on the code, and past its lookup kernel's guard certifies it by
-this lemma.
+and no family holds an unproved D.  verify_mr (mrcode) certifies the
+property on the code by this lemma, and its lookup kernel audits it.
 """
 
 from __future__ import annotations

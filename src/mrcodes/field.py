@@ -19,8 +19,9 @@ from dataclasses import dataclass, field as dc_field
 from .errors import (BadParams, DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime,
                      PropertyViolation)
 
-# q*q must fit in an unsigned 64-bit intermediate; larger moduli are rejected
-# because the exhaustive verifiers dominate long before that anyway.
+# What leans on this bound (MrCode._packed sizes its slots from q): the trial
+# factorization of N takes at most 2^16 steps, and every int of a spec but
+# lambda's and delta's parts stays within codespec's 2^53 rule.
 MAX_Q = 1 << 32
 
 # Witnesses giving a deterministic Miller-Rabin test for all n < 3.3 * 10^24.

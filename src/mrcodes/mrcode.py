@@ -23,11 +23,11 @@ which gives the verdict, the pivot columns and their inverse together;
 is_correctable returns the verdict for an erasure set given as a plain
 collection of column indices.
 
-verify_mr checks the structural claim on the exponents alone with the
-lookup kernel (_identity_subsets), which finds the (r+1)-subsets summing to
-0 mod N by meet in the middle; _kernel_cost picks its split and counts its
-work, and the kernel refuses, with TooLarge, a count past _KERNEL_GUARD.
-Past it, verify_mr certifies the code by the family lemma, exactly, in O(n).
+verify_mr certifies the structural claim by the family lemma, exactly, in
+O(n).  Its "exhaustive" mode audits the lemma with the lookup kernel
+(_identity_subsets), which finds the (r+1)-subsets summing to 0 mod N by
+meet in the middle; _kernel_cost picks its split and counts its work, and
+the kernel refuses, with TooLarge, a count past _KERNEL_GUARD.
 """
 
 from __future__ import annotations
@@ -197,13 +197,13 @@ def verify_mr(code: MrCode, mode: str = "auto") -> MrReport:
     deficient (rank r) exactly when its x multiply to 1 mod q, and otherwise
     has rank r+1.  The x are gamma^a for the family's exponents a, and gamma
     is primitive (of order N), so prod gamma^a = 1 exactly when sum a = 0
-    mod N: this check reads only the exponents and N, never G.  Both modes
-    run the lookup kernel (_identity_subsets) over every subset; "exhaustive"
-    passes its TooLarge on, and "auto" answers it with mode "certificate",
-    which lists the repair groups: group p is a transversal (column
-    p*(r+1) + i holds block i's a_{i,b}, b = D[p]).
+    mod N: this check reads only the exponents and N, never G.  Mode "auto"
+    answers with mode "certificate", which lists the repair groups: group p
+    is a transversal (column p*(r+1) + i holds block i's a_{i,b}, b = D[p]).
+    Mode "exhaustive" runs the lookup kernel (_identity_subsets) over every
+    subset instead, and passes its TooLarge on: it audits the lemma.
 
-    The family lemma makes that list exact.  ZeroSumFamily holds only a D
+    The family lemma makes the certificate exact.  ZeroSumFamily holds only a D
     strictly increasing in [1, d] that passes the set oracle, and
     FamilyParams gives r^3*l < N and r*d <= l.  Take r+1 columns, c_i
     of them in block i, beta the sum of their b in blocks below r and
@@ -220,19 +220,17 @@ def verify_mr(code: MrCode, mode: str = "auto") -> MrReport:
         raise BadParams(f"code={code!r} is not an MrCode")
     if mode not in ("auto", "exhaustive"):
         raise BadParams(f"unknown verifier mode {mode!r}")
-    n, r, k, N = code.n, code.r, code.k, code.field.N
-    try:
-        deficient, how = list(_identity_subsets(code.family.elements, r, N)), "exhaustive"
-    except TooLarge:
-        if mode == "exhaustive":
-            raise
-        deficient, how = list(code.repair_groups), "certificate"
+    n, r, k = code.n, code.r, code.k
+    if mode == "exhaustive":
+        deficient = list(_identity_subsets(code.family.elements, r, code.field.N))
+    else:
+        deficient, mode = list(code.repair_groups), "certificate"
     # the violations in lexicographic order: the symmetric difference of the
     # deficient subsets and the groups, both sorted index tuples
     deficient_set = set(deficient)
     violations = sorted((s, r, k) if s in deficient_set else (s, k, r)
                         for s in deficient_set.symmetric_difference(code.repair_groups))
-    return MrReport(mode=how, mds_subsets_checked=math.comb(n, k),
+    return MrReport(mode=mode, mds_subsets_checked=math.comb(n, k),
                     deficient_subsets=deficient, violations=violations)
 
 

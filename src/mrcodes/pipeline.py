@@ -48,7 +48,8 @@ def _params_over(field: Field, r: int) -> FamilyParams:
 
 
 def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, MrReport]:
-    """Full construction pipeline; fails loudly if any verifier fails."""
+    """Full construction pipeline; fails loudly if any verifier fails (the
+    family proves D, so verify_mr's certificate is exact)."""
     field = make_field(q)
     params = _params_over(field, r)
     if target_n is not None:  # before D is chosen, which can take seconds at large q
@@ -63,11 +64,7 @@ def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, M
         # progfree's constructors list D ascending: these are its smallest b
         D = replace(D, elements=D.elements[:target_n // (r + 1)])
     code = build_code(field, build_family(params, D))
-    report = verify_mr(code)
-    if not report.ok:
-        raise PropertyViolation(f"constructed code failed verification: "
-                                f"{report.violations[:3]}")
-    return code, report
+    return code, verify_mr(code)
 
 
 @dataclass
@@ -137,19 +134,18 @@ def exact_failure_probability(code: MrCode, p: float) -> float:
     """Sum of p^|E| (1-p)^(n-|E|) over the incorrectable erasure patterns E,
     in closed form.  Exact reference for simulate().
 
-    Needs a passing verify_mr report (in either mode), whose D deficient
-    k-subsets are then the repair groups, which split the columns.  So k+1
-    survivors hold k independent columns (swap one of a deficient subset for
-    the outside one), and E fails exactly when under k symbols survive or the
-    k survivors are deficient.
+    By the family lemma (see verify_mr) the deficient k-subsets of every
+    MrCode are its repair groups, which split the columns.  So k+1 survivors
+    hold k independent columns (swap one of a deficient subset for the
+    outside one), and E fails exactly when under k symbols survive or the k
+    survivors are a repair group.
     """
     _check_p(p)
-    report = verify_mr(code)  # BadParams unless code is an MrCode
-    if not report.ok:
-        raise PropertyViolation("code not verified")
+    if not isinstance(code, MrCode):
+        raise BadParams(f"code={code!r} is not an MrCode")
     n, k = code.n, code.k
     return float(sum(math.comb(n, s) * (1 - p)**s * p**(n - s) for s in range(k))
-                 + len(report.deficient_subsets) * (1 - p)**k * p**(n - k))
+                 + len(code.repair_groups) * (1 - p)**k * p**(n - k))
 
 
 def scaling_table(r: int, q_list) -> list[dict]:

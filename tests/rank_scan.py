@@ -4,9 +4,10 @@ rank_scan computes one Gauss-Jordan rank (rank, over the library's
 _row_reduce) per (r+1)-column subset and checks every r columns inside each
 repair group.  It trusts no structure of G: it reads only code.G and
 code.repair_groups, so it also judges a matrix no MrCode has (see raw).
-Its reports, modes and errors are the ones verify_mr gives for every
-MrCode under the lookup kernel's guard; past it verify_mr certifies by the
-family lemma, which the tests check against the kernel instead.
+Its reports, modes and errors are the ones verify_mr's "exhaustive" mode
+gives for every MrCode under the lookup kernel's guard; mode "auto" of
+verify_mr certifies by the family lemma at every n, which the tests check
+against the kernel's report instead.
 columns(code, indices) is the tests' slice of G.
 """
 

@@ -18,8 +18,8 @@ from mrcodes.errors import (BadParams, MultipleErasuresInGroup, NotCorrectable, 
                             PropertyViolation, TooLarge)
 from mrcodes.family import FamilyParams, build_family
 from mrcodes.field import make_field
-from mrcodes.mrcode import build_code
-from mrcodes.pipeline import choose_params, construct
+from mrcodes.mrcode import build_code, verify_mr
+from mrcodes.pipeline import choose_params, construct, exact_failure_probability, scaling_table
 from mrcodes.progfree import ProgressionFreeSet
 from rank_scan import rank_scan
 
@@ -144,13 +144,12 @@ class TestMain:
 
     def test_verify_reports_a_failing_code(self, spec_path, capsys, off_group_subset):
         # a report with a violation goes to stdout with "ok": false, and the
-        # exit code is 1, in either mode
-        for flags in ([], ["--exhaustive"]):
-            assert main(["verify", str(spec_path), *flags]) == 1
-            out, err = capsys.readouterr()
-            report = json.loads(out)
-            assert (report["ok"], report["mode"], err) == (False, "exhaustive", "")
-            assert report["violations"] == [[list(off_group_subset), 2, 3]]
+        # exit code is 1: only the kernel's audit can find one
+        assert main(["verify", str(spec_path), "--exhaustive"]) == 1
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (report["ok"], report["mode"], err) == (False, "exhaustive", "")
+        assert report["violations"] == [[list(off_group_subset), 2, 3]]
 
     def test_verify_past_the_kernel_guard(self, tmp_path, capsys):
         # n = 60 at r = 14: auto certifies by the family lemma, --exhaustive
@@ -170,12 +169,13 @@ class TestMain:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("r,q,checked", [
-        (2, 101, "n=6 k=3 r=2 q=101; verification exhaustive, 20 subsets"),
+        (2, 101, "n=6 k=3 r=2 q=101; verification certificate, the transversals"),
         (14, 4294967291, "n=60 k=15 r=14 q=4294967291; verification certificate, "
                          "the transversals"),
     ], ids=["exhaustive", "certificate"])
     def test_construct_says_what_it_checked(self, tmp_path, capsys, r, q, checked):
-        # a certificate enumerates no subsets, so its line counts none
+        # construct certifies on both sides of the kernel's guard, and a
+        # certificate enumerates no subsets, so its line counts none
         out = tmp_path / "code.json"
         assert main(["construct", "--r", str(r), "--q", str(q), "--out", str(out)]) == 0
         assert capsys.readouterr() == ("", f"wrote {out}: {checked}\n")
@@ -412,14 +412,20 @@ def test_out_of_range_parameters_are_typed_errors(spec_path, tmp_path, capsys, a
     ("gamma", 2.0),
     ("N", 100.0),
     ("schema_version", True),
+    ("lambda", {"num": 1.0, "den": 16}),
+    ("lambda", {"num": True, "den": 16}),
+    ("lambda", {"num": "1", "den": 16}),
+    ("delta", {"num": 1, "den": 48.0}),
 ], ids=["N", "l", "d", "blocks", "transversals", "exponents", "G", "repair_groups",
         "derived", "rng", "extra-key", "q-str", "gamma", "q-float", "gamma-float",
-        "N-float", "schema-version-bool"])
+        "N-float", "schema-version-bool", "lambda-num-float", "lambda-num-bool",
+        "lambda-num-str", "delta-den-float"])
 def test_spec_key_disagreeing_with_rebuilt_code(code6, tmp_path, capsys, key, value):
     # a value equal to the written one but of another JSON type (a float or
-    # a bool for an int) disagrees too: save_code never writes it
+    # a bool for an int, at the top level or as a part of lambda or delta)
+    # disagrees too: save_code never writes it
     doc = code_to_dict(code6)
-    assert doc.get(key) != value or type(doc[key]) is not type(value)
+    assert json.dumps(doc.get(key)) != json.dumps(value)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc | {key: value}))
     assert main(["verify", str(path)]) == 1
@@ -510,9 +516,10 @@ def test_verify_output_matches_rank_scan(tmp_path, capsys, spec, mode):
     assert capsys.readouterr().out == expected + "\n"
 
 
-def test_the_kernel_runs_once_per_proof(tmp_path, monkeypatch):
-    # construct and `mrcodes verify` prove a code with one kernel run, in
-    # verify_mr, with or without a target length; building and loading
+def test_the_kernel_runs_once_per_proof(tmp_path, monkeypatch, capsys):
+    # the lookup kernel runs once per exhaustive audit and nowhere else:
+    # construct, with or without a target length, `mrcodes verify` and the
+    # closed form certify by the family lemma, and building and loading
     # prove D with the set oracle only
     runs = []
     real = mrcodes.mrcode._identity_subsets
@@ -527,12 +534,18 @@ def test_the_kernel_runs_once_per_proof(tmp_path, monkeypatch):
     code = construct(2, 1601)[0]
     path = tmp_path / "spec.json"
     save_code(code, path)
-    assert kernel_runs(lambda: construct(2, 1601)) == 1
+    assert kernel_runs(lambda: construct(2, 1601)) == 0
     assert kernel_runs(lambda: build_family(code.family.params, code.family.D)) == 0
-    assert kernel_runs(lambda: construct(2, 1601, target_n=15)) == 1
+    assert kernel_runs(lambda: construct(2, 1601, target_n=15)) == 0
     assert kernel_runs(lambda: code_from_dict(code_to_dict(code))) == 0
     assert kernel_runs(lambda: load_code(path)) == 0
-    assert kernel_runs(lambda: main(["verify", str(path)])) == 1
+    assert kernel_runs(lambda: verify_mr(code)) == 0
+    assert kernel_runs(lambda: exact_failure_probability(code, 0.1)) == 0
+    assert kernel_runs(lambda: scaling_table(2, [101, 1601])) == 0
+    assert kernel_runs(lambda: main(["verify", str(path)])) == 0
+    assert kernel_runs(lambda: verify_mr(code, mode="exhaustive")) == 1
+    assert kernel_runs(lambda: main(["verify", str(path), "--exhaustive"])) == 1
+    capsys.readouterr()
 
 
 def test_unhandled_command_is_parse_error(monkeypatch, capsys):

@@ -127,14 +127,14 @@ class TestRank:
 
 class TestVerify:
     def test_exhaustive_r2(self, code6):
-        report = verify_mr(code6)
+        report = verify_mr(code6, mode="exhaustive")
         assert report.ok and report.mode == "exhaustive"
         assert report.mds_subsets_checked == 20
         assert sorted(report.deficient_subsets) == [(0, 1, 2), (3, 4, 5)]
         assert report.local_distance_ok
 
     def test_exhaustive_r3(self, code8):
-        report = verify_mr(code8)
+        report = verify_mr(code8, mode="exhaustive")
         assert report.ok
         assert report.mds_subsets_checked == 70
         assert sorted(report.deficient_subsets) == [(0, 1, 2, 3), (4, 5, 6, 7)]
@@ -348,24 +348,24 @@ class TestClosedFormVerify:
 
     def test_a_deficient_subset_off_the_groups_is_a_violation(self, code6, off_group_subset):
         # the kernel's extra subset is deficient and no group: rank r where
-        # the rule wants k, in both modes
-        for mode in ("auto", "exhaustive"):
-            report = verify_mr(code6, mode=mode)
-            assert report.deficient_subsets == [(0, 1, 2), off_group_subset, (3, 4, 5)]
-            assert report.violations == [(off_group_subset, 2, 3)]
-            assert not report.ok
+        # the rule wants k
+        report = verify_mr(code6, mode="exhaustive")
+        assert report.deficient_subsets == [(0, 1, 2), off_group_subset, (3, 4, 5)]
+        assert report.violations == [(off_group_subset, 2, 3)]
+        assert not report.ok
 
     def test_guard_picks_the_mode(self, code6, monkeypatch):
         # the lookup kernel's cost is C(6, 2) + C(6, 1) = 21 and the rank
-        # scan's C(6, 3) = 20 subsets: past the kernel's guard auto certifies,
-        # with the rank scan's report, and exhaustive passes on the kernel's
-        # own refusal
+        # scan's C(6, 3) = 20 subsets: auto certifies, with the rank scan's
+        # report, on both sides of the kernel's guard, and exhaustive passes
+        # on the kernel's own refusal past it
         expected = rank_scan(code6)
-        monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 20)
-        monkeypatch.setattr("rank_scan.EXHAUSTIVE_SUBSET_GUARD", 19)
         report = verify_mr(code6)
         assert report.mode == "certificate"
         assert dataclasses.replace(report, mode="exhaustive") == expected
+        monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 20)
+        monkeypatch.setattr("rank_scan.EXHAUSTIVE_SUBSET_GUARD", 19)
+        assert verify_mr(code6) == report
         message = "^the lookup kernel's cost for n=6, r=2 = 21 exceeds its guard 20$"
         with pytest.raises(TooLarge, match=message):
             list(_identity_subsets(code6.family.elements, 2, code6.field.N))
@@ -380,7 +380,8 @@ class TestClosedFormVerify:
             verify_progression_free(code6.family.D.elements, 2)
         assert verify_mr(code6) == report
         monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 21)
-        assert verify_mr(code6).mode == "exhaustive"
+        assert verify_mr(code6) == report
+        assert verify_mr(code6, mode="exhaustive") == expected
 
     def test_unknown_mode(self, code6):
         with pytest.raises(BadParams):
@@ -408,14 +409,10 @@ def _suite_codes():
 
 
 def _check_certificate(code):
-    """The certificate, the kernel refused everywhere, against the kernel's
-    report: equal but for the mode."""
-    expected = verify_mr(code)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 0)
-        report = verify_mr(code)
+    """The certificate against the kernel's report: equal but for the mode."""
+    report = verify_mr(code)
     assert report.mode == "certificate"
-    assert dataclasses.replace(report, mode="exhaustive") == expected
+    assert report == dataclasses.replace(verify_mr(code, mode="exhaustive"), mode="certificate")
     return report
 
 

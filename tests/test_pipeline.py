@@ -12,14 +12,11 @@ from itertools import combinations
 import pytest
 
 import mrcodes.family
-import mrcodes.mrcode
 from mrcodes import pipeline, progfree
 from mrcodes.codespec import code_from_dict, code_to_dict
 from mrcodes.errors import (BadParams, BadSet, FieldTooSmall, ParamsTooSmall,
                             PropertyViolation, TargetUnreachable, TooLarge)
-from mrcodes.family import build_family
-from mrcodes.field import make_field
-from mrcodes.mrcode import build_code, is_correctable
+from mrcodes.mrcode import build_code, is_correctable, verify_mr
 from mrcodes.pipeline import (choose_params, construct, exact_failure_probability,
                               scaling_table, simulate)
 from mrcodes.progfree import exhaustive_best
@@ -61,7 +58,7 @@ def test_choose_params_d_boundary():
 def test_construct_r2():
     code, report = construct(2, 101)
     assert (code.n, code.k) == (6, 3)
-    assert report.ok and report.mode == "exhaustive"
+    assert report.ok and report.mode == "certificate"
     assert code.field.q >= code.k + 1  # sanity floor
 
 
@@ -94,8 +91,9 @@ def test_construct_builds_the_trimmed_family_once(monkeypatch):
 
 def test_construct_checks_a_mid_size_code_exhaustively():
     # C(132, 4) subsets, found by the lookup kernel at a cost of
-    # C(132, 2) + C(132, 2)
-    code, report = construct(3, 100000007)
+    # C(132, 2) + C(132, 2), audit the certificate construct returns
+    code = construct(3, 100000007)[0]
+    report = verify_mr(code, mode="exhaustive")
     assert code.n == 132 and report.mode == "exhaustive"
     assert report.deficient_subsets == [tuple(g) for g in code.repair_groups]
     assert not report.violations and report.ok
@@ -104,11 +102,12 @@ def test_construct_checks_a_mid_size_code_exhaustively():
 
 def test_one_group_code_at_high_r_stays_small():
     # n = 21, one repair group and one subset: the kernel's split and its
-    # pruning keep both checks from indexing C(21, 10) tails, in construct
-    # and in the spec round trip
+    # pruning keep the exhaustive audit from indexing C(21, 10) tails, and
+    # construct and the spec round trip stay small beside it
     tracemalloc.start()
     try:
-        code, report = construct(20, 336029)
+        code = construct(20, 336029)[0]
+        report = verify_mr(code, mode="exhaustive")
         rebuilt = code_from_dict(json.loads(json.dumps(code_to_dict(code))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -267,25 +266,22 @@ def test_exact_failure_probability_past_n24():
 
 
 def test_exact_failure_probability_past_the_kernel_guard():
-    # n = 60, k = 15: the kernel refuses C(60, 8) + C(60, 7) lookups and
-    # entries, the certificate lists the 4 groups; at p = 1/2 the patterns
-    # with at most 14 survivors plus the 4 groups surviving alone
+    # n = 60, k = 15: the kernel would refuse C(60, 8) + C(60, 7) lookups
+    # and entries, and the closed form counts the 4 groups; at p = 1/2 the
+    # patterns with at most 14 survivors plus the 4 groups surviving alone
     code, report = construct(14, 4294967291)
     assert (code.n, report.mode) == (60, "certificate")
     failing = sum(math.comb(60, s) for s in range(15)) + 4
     assert exact_failure_probability(code, 0.5) == pytest.approx(failing / 2**60, rel=1e-12)
 
 
-def test_exact_failure_probability_rejects(monkeypatch):
+def test_exact_failure_probability_rejects():
     code = construct(2, 101)[0]
     for p in (1.5, -0.1, float("nan")):
         with pytest.raises(BadParams):
             exact_failure_probability(code, p)
-    # the lookup kernel's cost at n = 6, r = 2 is C(6, 2) + C(6, 1) = 21:
-    # past it the certificate gives the same value
-    expected = exact_failure_probability(code, 0.1)
-    monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 20)
-    assert exact_failure_probability(code, 0.1) == expected
+    with pytest.raises(BadParams, match="is not an MrCode$"):
+        exact_failure_probability(code.family, 0.1)
 
 
 def test_choose_set_falls_back_when_digits_degenerate():
@@ -383,12 +379,12 @@ def _spy_oracle(monkeypatch) -> list:
 def test_construct_checks_the_chosen_set_once(monkeypatch, r, q):
     # d = 2 (exhaustive), 33 (capped search beats the digits), 10416 (the
     # digits win) and 23 (exhaustive): each path proves only the D it keeps.
-    # Past the kernel guard, (14, 4294967291) at n = 60, the certificate
-    # runs no second oracle on that D
+    # On both sides of the kernel guard ((14, 4294967291) at n = 60 is past
+    # it) the certificate runs no second oracle on that D
     calls = _spy_oracle(monkeypatch)
     code, report = construct(r, q)
     assert report.ok
-    assert report.mode == ("certificate" if r == 14 else "exhaustive")
+    assert report.mode == "certificate"
     assert calls == [(code.family.D.elements, r)]
 
 
@@ -420,18 +416,6 @@ def test_construct_raises_bad_set_when_the_oracle_rejects(monkeypatch):
     monkeypatch.setattr(mrcodes.family, "verify_progression_free", lambda candidate, r: (1, 3, 2))
     with pytest.raises(BadSet, match="fails the defining equation for r=2"):
         construct(2, 101)
-
-
-def test_a_failing_report_is_refused(off_group_subset):
-    # a report with a violation stops construct before it returns the code,
-    # and exact_failure_probability before its closed form
-    with pytest.raises(PropertyViolation, match=r"^constructed code failed verification: "
-                                                r"\[\(\(0, 1, 3\), 2, 3\)\]$"):
-        construct(2, 101)
-    params = choose_params(2, 101)
-    code = build_code(make_field(101), build_family(params, progfree._choose_set(params.d, 2)))
-    with pytest.raises(PropertyViolation, match="^code not verified$"):
-        exact_failure_probability(code, 0.1)
 
 
 @pytest.mark.parametrize("r,message", [(True, "r=True is not an int"),

@@ -1,8 +1,10 @@
 """Stored specs written by an earlier version: each must keep loading.
 
 tests/data/specs/good/ holds one spec per path code_from_dict takes, each
-beside the `mrcodes verify` stdout it gave when written (under the lookup
-kernel's guard, `mrcodes verify --exhaustive` gives the same); refused/ holds
+beside the `mrcodes verify` stdout it gave when written.  Under the lookup
+kernel's guard that stdout is in mode "exhaustive": `mrcodes verify
+--exhaustive` still gives it byte for byte, and `mrcodes verify` gives it
+with that mode line reading "certificate", its only change.  refused/ holds
 specs that must fail, each beside its error class and message prefix
 ("Class: prefix").  Files are added to the corpus, never rewritten: a
 change that must rewrite one breaks the spec format.
@@ -37,8 +39,10 @@ def test_stored_spec_loads_as_written(path, capsys):
     assert json.dumps(code_to_dict(code), indent=2) + "\n" == text
     stored = path.with_suffix(".verify.out").read_text()
     assert main(["verify", str(path)]) == 0
-    assert capsys.readouterr().out == stored
+    assert capsys.readouterr().out == stored.replace('"mode": "exhaustive"',
+                                                     '"mode": "certificate"')
     if json.loads(stored)["mode"] == "exhaustive":  # under the kernel's guard
+        assert stored.count('"mode": "exhaustive"') == 1
         assert main(["verify", str(path), "--exhaustive"]) == 0
         assert capsys.readouterr().out == stored
 
