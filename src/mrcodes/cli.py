@@ -2,9 +2,11 @@
 
 Subcommands: construct, verify, encode, decode, repair, simulate, scaling.
 Symbol streams are whitespace-separated decimal integers in [0, q), with
-'?' marking an erased symbol; one block per encode/decode unit.  Machine
-output goes to stdout, diagnostics to stderr.  Exit codes: 0 ok,
-1 verification/decoding failure, 2 usage or parse error.
+'?' marking an erased symbol; one block per encode/decode unit.  An integer,
+in a stream, --erasures or --q-list, is an optional '-' then ASCII digits
+(_INT): '+7', '1_0' and non-ASCII digits are refused.  Machine output goes
+to stdout, diagnostics to stderr.  Exit codes: 0 ok, 1 verification/decoding
+failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .mrcode import MrCode, decode, encode, local_repair, verify_mr
 from .pipeline import construct, scaling_table, simulate
 
 _TOKEN = re.compile(r"\S+")  # finds a bad token's column
+_INT = re.compile(r"-?[0-9]+")
+_DIGITS_LINE = re.compile(r"[0-9\s]*")  # a line of nonnegative _INT tokens only
 
 
 def _checked(tokens: list[str], q: int, allow_erasures: bool) -> tuple[list, Optional[str]]:
@@ -34,10 +38,9 @@ def _checked(tokens: list[str], q: int, allow_erasures: bool) -> tuple[list, Opt
                 return values, "erasure mark '?' not allowed here"
             value = None
         else:
-            try:
-                value = int(tok)
-            except ValueError:
+            if not _INT.fullmatch(tok):
                 return values, f"not an integer: {tok!r}"
+            value = int(tok)
             if not 0 <= value < q:
                 return values, f"symbol {value} outside [0, {q})"
         values.append(value)
@@ -49,9 +52,10 @@ def _blocks(stream: TextIO, size: int, q: int, allow_erasures: bool) -> Iterator
 
     Each line is split once (str.split breaks where the regex \\s matches)
     and its symbols checked once: all together when the line holds only
-    integers in range, else token by token (_checked).  A bad token raises
-    ParseError at its line and column once the blocks before it are
-    yielded; a partial final block raises at the last token.
+    ASCII digits and whitespace and its largest symbol is below q, else
+    token by token (_checked).  A bad token raises ParseError at its line
+    and column once the blocks before it are yielded; a partial final block
+    raises at the last token.
     """
     block: list[Optional[int]] = []
     for line_no, line in enumerate(stream, start=1):
@@ -60,12 +64,9 @@ def _blocks(stream: TextIO, size: int, q: int, allow_erasures: bool) -> Iterator
             continue
         last = line_no, line
         valid = False
-        if "?" not in line:
-            try:
-                values = list(map(int, tokens))
-                valid = 0 <= min(values) <= max(values) < q
-            except ValueError:
-                pass
+        if _DIGITS_LINE.fullmatch(line):
+            values = list(map(int, tokens))
+            valid = max(values) < q
         message = None
         if not valid:
             values, message = _checked(tokens, q, allow_erasures)
@@ -128,13 +129,12 @@ def repair_file(code: MrCode, instream: TextIO, outstream: TextIO,
     _each_block(code, instream, outstream, erasures, repaired, (MultipleErasuresInGroup,))
 
 
-def _parse_erasures(text: Optional[str]) -> list[int]:
-    if not text:
-        return []
-    try:
-        return [int(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError:
-        raise ParseError(f"--erasures: not a comma-separated integer list: {text!r}") from None
+def _int_list(flag: str, text: Optional[str]) -> list[int]:
+    """The comma-separated _INT integers of a flag's value, blanks skipped."""
+    tokens = [t.strip() for t in (text or "").split(",") if t.strip()]
+    if not all(_INT.fullmatch(t) for t in tokens):
+        raise ParseError(f"{flag}: not a comma-separated integer list: {text!r}")
+    return list(map(int, tokens))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,12 +192,12 @@ def _run(args) -> int:
 
     if args.command == "decode":
         decode_file(load_code(args.spec), sys.stdin, sys.stdout,
-                    _parse_erasures(args.erasures))
+                    _int_list("--erasures", args.erasures))
         return 0
 
     if args.command == "repair":
         repair_file(load_code(args.spec), sys.stdin, sys.stdout,
-                    _parse_erasures(args.erasures))
+                    _int_list("--erasures", args.erasures))
         return 0
 
     if args.command == "simulate":
@@ -208,12 +208,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "scaling":
-        try:
-            q_list = [int(t) for t in args.q_list.split(",") if t.strip()]
-        except ValueError:
-            raise ParseError(f"--q-list: not a comma-separated integer list: "
-                             f"{args.q_list!r}") from None
-        json.dump(scaling_table(args.r, q_list), sys.stdout, indent=2)
+        json.dump(scaling_table(args.r, _int_list("--q-list", args.q_list)), sys.stdout,
+                  indent=2)
         print()
         return 0
 

@@ -48,8 +48,11 @@ def _params_over(field: Field, r: int) -> FamilyParams:
 
 
 def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, MrReport]:
-    """Full construction pipeline; fails loudly if any verifier fails (the
-    family proves D, so verify_mr's certificate is exact)."""
+    """Full construction pipeline: the field, its parameters, a set D, the
+    family on D and the code, returned with verify_mr's certificate.  The
+    family proves D when it is made, raising BadSet if D fails the set
+    oracle, so the certificate is exact and no verdict is re-checked here;
+    a target_n past the n that D reaches raises TargetUnreachable."""
     field = make_field(q)
     params = _params_over(field, r)
     if target_n is not None:  # before D is chosen, which can take seconds at large q

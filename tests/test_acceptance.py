@@ -12,8 +12,7 @@ from mrcodes.errors import PropertyViolation
 from mrcodes.mrcode import decode, encode, is_correctable, local_repair, verify_mr
 from mrcodes.pipeline import construct, exact_failure_probability, simulate
 from mrcodes.progfree import alon_construct, verify_progression_free
-from rank_scan import columns, rank
-from zero_sum import zero_sum_witness
+from reference import ReadTracker, columns, matrix, rank, zero_sum_witness
 
 import random
 
@@ -44,7 +43,7 @@ def test_criterion_1_exhaustive_mr_r2(code6):
     # every 2-column subset inside a group has rank 2
     for group in code6.repair_groups:
         for pair in combinations(group, 2):
-            ok = ok and rank(columns(code6, pair)) == 2
+            ok = ok and rank(columns(matrix(code6), pair), 101) == 2
     elapsed = time.perf_counter() - start
     _report("criterion 1 (exhaustive MR, r=2, q=101)", ok and elapsed < 1.0,
             f"20 subsets, 2 deficient, {elapsed:.3f}s")
@@ -98,10 +97,11 @@ def test_criterion_5_decoder_completeness(code6):
     start = time.perf_counter()
     rng = random.Random(2024)
     ok = True
+    G = matrix(code6)
     for size in range(7):
         for pattern in combinations(range(6), size):
             survivors = [j for j in range(6) if j not in pattern]
-            expected = rank(columns(code6, survivors)) == 3
+            expected = rank(columns(G, survivors), 101) == 3
             assert is_correctable(code6, pattern) == expected
             per_group = [sum(1 for j in pattern if j in g)
                          for g in code6.repair_groups]
@@ -123,18 +123,6 @@ def test_criterion_5_decoder_completeness(code6):
             ok and elapsed < 5.0, f"{elapsed:.2f}s")
 
 
-class _ReadTracker:
-    def __init__(self, data):
-        self.data, self.reads = data, []
-
-    def __getitem__(self, i):
-        self.reads.append(i)
-        return self.data[i]
-
-    def __len__(self):
-        return len(self.data)
-
-
 def test_criterion_6_local_repair_locality(code6):
     rng = random.Random(77)
     ok = True
@@ -146,7 +134,7 @@ def test_criterion_6_local_repair_locality(code6):
                 truth = cw[erased]
                 data = cw[:]
                 data[erased] = None
-                tracker = _ReadTracker(data)
+                tracker = ReadTracker(data)
                 repaired = local_repair(code6, tracker, erased)
                 ok = (ok and repaired == truth
                       and len(tracker.reads) == 2

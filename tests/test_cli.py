@@ -21,7 +21,7 @@ from mrcodes.field import make_field
 from mrcodes.mrcode import build_code, verify_mr
 from mrcodes.pipeline import choose_params, construct, exact_failure_probability, scaling_table
 from mrcodes.progfree import ProgressionFreeSet
-from rank_scan import rank_scan
+from reference import matrix, rank_scan
 
 BENCH_SPEC = Path(__file__).resolve().parents[1] / "bench" / "data" / "r2_q1601.json"
 
@@ -119,6 +119,10 @@ class TestStreams:
 
     @pytest.mark.parametrize("text,msg", [
         ("1 x 0", "not an integer"),
+        ("1 1_0 0", "not an integer: '1_0'"),
+        ("1 +1 0", r"not an integer: '\+1'"),
+        ("1 \u0663 0", "not an integer: '\u0663'"),  # ARABIC-INDIC DIGIT THREE
+        ("1 \uff11 0", "not an integer: '\uff11'"),  # FULLWIDTH DIGIT ONE
         ("1 101 0", "outside"),
         ("1 0", "incomplete final block"),
         ("? 0 0", "erasure mark"),
@@ -222,6 +226,8 @@ class TestFlagErrors:
     @pytest.mark.parametrize("flag,msg", [
         ("99", "--erasures: index 99 outside [0, 6)"),
         ("1,x", "--erasures: not a comma-separated integer list: '1,x'"),
+        ("+1", "--erasures: not a comma-separated integer list: '+1'"),
+        ("1_0", "--erasures: not a comma-separated integer list: '1_0'"),
     ])
     def test_erasures(self, spec_path, capsys, monkeypatch, command, flag, msg):
         monkeypatch.setattr("sys.stdin", io.StringIO("2 27 58 4 54 65\n"))
@@ -241,8 +247,10 @@ class TestFlagErrors:
         assert err.value.line is None and err.value.column is None
 
     def test_q_list(self, capsys):
-        assert main(["scaling", "--r", "2", "--q-list", "101,x"]) == 2
-        assert capsys.readouterr().err.startswith("error: --q-list: ")
+        for q_list in ("101,x", "+101", "1_01"):
+            assert main(["scaling", "--r", "2", "--q-list", q_list]) == 2
+            assert capsys.readouterr().err == (f"error: --q-list: not a comma-separated "
+                                               f"integer list: {q_list!r}\n")
 
 
 def _without(doc, key):
@@ -507,7 +515,8 @@ def test_verify_output_matches_rank_scan(tmp_path, capsys, spec, mode):
         path = tmp_path / "spec.json"
         save_code(construct(3, 653)[0] if spec == "r3-q653" else _hand_picked_code(), path)
     assert main(["verify", str(path), f"--{mode}"]) == 0
-    report = rank_scan(load_code(path), mode=mode)
+    code = load_code(path)
+    report = rank_scan(matrix(code), code.repair_groups, code.field.q)
     expected = json.dumps({"ok": report.ok, "mode": report.mode,
                            "mds_subsets_checked": report.mds_subsets_checked,
                            "deficient_subsets": report.deficient_subsets,

@@ -20,6 +20,7 @@ CODE = construct(2, 101)[0]  # n = 6, k = 3, groups (0, 1, 2) and (3, 4, 5)
 # --- reference: the regex tokenizer and stream loops the CLI used before ---
 
 _TOKEN = re.compile(r"\S+")
+_INT = re.compile(r"-?[0-9]+")  # an optional '-', then ASCII digits
 
 
 def _tokens(stream: TextIO) -> Iterator[tuple[str, int, int]]:
@@ -39,10 +40,9 @@ def _blocks(stream: TextIO, size: int, q: int, allow_erasures: bool):
                 raise ParseError("erasure mark '?' not allowed here", line, col)
             block.append(None)
         else:
-            try:
-                value = int(tok)
-            except ValueError:
-                raise ParseError(f"not an integer: {tok!r}", line, col) from None
+            if not _INT.fullmatch(tok):
+                raise ParseError(f"not an integer: {tok!r}", line, col)
+            value = int(tok)
             if not 0 <= value < q:
                 raise ParseError(f"symbol {value} outside [0, {q})", line, col)
             block.append(value)

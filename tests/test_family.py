@@ -12,7 +12,7 @@ from mrcodes.errors import BadParams, BadSet, Mismatch, TooLarge
 from mrcodes.family import FamilyParams, ZeroSumFamily, build_family
 from mrcodes.mrcode import _identity_subsets, _kernel_cost
 from mrcodes.progfree import ProgressionFreeSet
-from zero_sum import family_residues, zero_sum_witness
+from reference import family_residues, zero_sum_witness
 
 
 @pytest.fixture

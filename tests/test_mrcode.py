@@ -4,7 +4,6 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,13 +17,13 @@ from mrcodes.errors import (BadParams, BadSet, BadSymbol, Inconsistent, LengthMi
                             NotInGroup, PropertyViolation, TooLarge)
 from mrcodes.family import FamilyParams, ZeroSumFamily, build_family
 from mrcodes.field import Field, FieldElement, make_field
-from mrcodes.mrcode import (MrCode, _build_plan, _closed_form_rows, _DecodePlan,
-                            _identity_subsets, _row_reduce, build_code, decode, encode,
-                            is_correctable, local_repair, verify_mr)
+from mrcodes.mrcode import (MrCode, _build_plan, _closed_form_rows, _identity_subsets,
+                            build_code, decode, encode, is_correctable, local_repair, verify_mr)
 from mrcodes.pipeline import choose_params, construct
 from mrcodes.progfree import ProgressionFreeSet, verify_progression_free
-from rank_scan import columns, rank, rank_scan, raw
-from zero_sum import family_residues
+import reference
+from reference import (ReadTracker, closed_form_column, columns, family_residues, matrix, rank,
+                       rank_scan)
 
 
 @pytest.fixture(scope="module")
@@ -45,28 +44,8 @@ def _user_family(r, q, D):
     return ZeroSumFamily(choose_params(r, q), ProgressionFreeSet(r, D, "user_supplied"))
 
 
-class ReadTracker:
-    """Sequence proxy recording which positions get read."""
-
-    def __init__(self, data):
-        self.data = data
-        self.reads = []
-
-    def __getitem__(self, i):
-        self.reads.append(i)
-        return self.data[i]
-
-    def __len__(self):
-        return len(self.data)
-
-
 def column(code, j):
     return [code.G[i][j].value for i in range(code.k)]
-
-
-def closed_form_column(x, r, q):
-    """(x, x^2, ..., x^r, x^(r+1) + (-1)^(r+1)) mod q."""
-    return [row[0] for row in _closed_form_rows([x], r, q)]
 
 
 class TestBuild:
@@ -95,34 +74,39 @@ class TestBuild:
             build_code(make_field(13), code6.family)
 
 
-class TestRank:
-    def test_zero_matrix(self, code6):
-        z = code6.field.zero
-        assert rank([[z] * 3] * 3) == 0
+_ZERO = [[0] * 3] * 3
+_EYE = [[int(i == j) for j in range(3)] for i in range(3)]
 
-    def test_identity(self, code6):
-        f = code6.field
-        eye = [[f.one if i == j else f.zero for j in range(3)] for i in range(3)]
-        assert rank(eye) == 3
+
+class TestRank:
+    def test_zero_matrix(self):
+        assert rank(_ZERO, 101) == 0
+
+    def test_identity(self):
+        assert rank(_EYE, 101) == 3
 
     def test_repair_group_deficient(self, code6):
-        assert rank(columns(code6, (0, 1, 2))) == 2
+        m = columns(matrix(code6), (0, 1, 2))
+        assert rank(m, 101) == 2
         # cross-check via determinant over GF(101)
-        m = [[code6.G[i][j].value for j in (0, 1, 2)] for i in range(3)]
         det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])) % 101
         assert det == 0
 
-    @pytest.mark.parametrize("matrix", [
-        lambda one: [[one], [one, one]],
-        lambda one: [[one, one], [one]],
-        lambda one: [[1, 0], [0, 1]],
-        lambda one: [[one, 1], [one, one]],
-    ], ids=["short-first-row", "short-last-row", "ints", "one-int"])
-    def test_not_a_matrix_of_field_elements(self, code6, matrix):
+    @pytest.mark.parametrize("rows", [[[1], [1, 1]], [[1, 1], [1]]],
+                             ids=["short-first-row", "short-last-row"])
+    def test_not_a_matrix_of_field_elements(self, rows):
         with pytest.raises(Mismatch):
-            rank(matrix(code6.field.one))
+            rank(rows, 101)
+
+    def test_matches_the_library_reduction(self, code6):
+        # kept while the decoder's reduction exists: it finds as many pivots
+        # as the int rank on the inputs above
+        from mrcodes.mrcode import _row_reduce
+        for m in (_ZERO, _EYE, columns(matrix(code6), (0, 1, 2))):
+            rows = [list(map(code6.field.element, row)) for row in m]
+            assert len(_row_reduce(rows, 3)) == rank(m, 101)
 
 
 class TestVerify:
@@ -141,14 +125,14 @@ class TestVerify:
 
     def test_vandermonde_subrank(self, code6):
         for subset in combinations(range(6), 3):
-            assert rank([code6.G[i][j] for j in subset] for i in range(2)) == 2
+            assert rank(columns(matrix(code6)[:2], subset), 101) == 2
 
     def test_zero_sum_iff_deficient(self, code6, code8):
         for code in (code6, code8):
-            N = code.field.N
+            N, G = code.field.N, matrix(code)
             for subset in combinations(range(code.n), code.k):
                 expo = sum(code.family.elements[j] for j in subset) % N
-                assert (expo == 0) == (rank(columns(code, subset)) == code.r)
+                assert (expo == 0) == (rank(columns(G, subset), code.field.q) == code.r)
 
 
 class TestEncode:
@@ -293,7 +277,7 @@ class TestClosedFormVerify:
     def test_matches_rank_scan(self, r, q, mode):
         code = construct(r, q)[0]
         report = verify_mr(code, mode=mode)
-        assert report == rank_scan(code, mode=mode)
+        assert report == rank_scan(matrix(code), code.repair_groups, q)
         assert report.ok and report.mode == mode
 
     @pytest.mark.parametrize("q", [101, 1601, 4294967291])
@@ -303,24 +287,21 @@ class TestClosedFormVerify:
         rng = random.Random(q * 10 + r)
         xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(200)]
         for x, col in zip(xs, zip(*_closed_form_rows(xs, r, q))):
-            powers = [pow(x, ell, q) for ell in range(1, r + 2)]
-            powers[r] = (powers[r] + (-1) ** (r + 1)) % q
-            assert col == tuple(powers), x
+            assert list(col) == closed_form_column(x, r, q), x
 
     def test_mutations_are_caught_and_not_mr(self, code6):
         # every single-entry mutation is caught, and the rank scan over the
         # raw matrix finds none of them MR: refusing them refuses no MR code
-        q = code6.field.q
+        q, G6 = code6.field.q, matrix(code6)
         for i in range(code6.k):
             for j in range(code6.n):
                 for value in range(q):
-                    if value == code6.G[i][j].value:
+                    if value == G6[i][j]:
                         continue
                     assert _caught(code6, i, j, value), (i, j, value)
-                    G = [list(row) for row in code6.G]
-                    G[i][j] = code6.field.element(value)
-                    report = rank_scan(raw(G, code6.repair_groups), mode="exhaustive")
-                    assert not report.ok, (i, j, value)
+                    G = [list(row) for row in G6]
+                    G[i][j] = value
+                    assert not rank_scan(G, code6.repair_groups, q).ok, (i, j, value)
 
     def test_product_one_subset_reported(self, code6):
         # D = (1, 2, 3) is not progression free (1 + 3 = 2 * 2), and its
@@ -332,10 +313,9 @@ class TestClosedFormVerify:
         field, D = code6.field, (1, 2, 3)
         params = code6.family.params
         elements, _ = family_residues(params, D)
-        xs = [pow(field.gamma, a, field.q) for a in elements]
-        G = [list(map(field.element, row)) for row in _closed_form_rows(xs, 2, field.q)]
-        groups = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-        report = rank_scan(raw(G, groups), mode="exhaustive")
+        G = [list(row) for row in zip(*(closed_form_column(pow(field.gamma, a, field.q), 2,
+                                                          field.q) for a in elements))]
+        report = rank_scan(G, ((0, 1, 2), (3, 4, 5), (6, 7, 8)), field.q)
         assert list(_identity_subsets(elements, 2, field.N)) == report.deficient_subsets
         assert not report.ok
         assert report.violations == [((0, 5, 7), 2, 3), ((1, 5, 6), 2, 3)]
@@ -359,12 +339,13 @@ class TestClosedFormVerify:
         # scan's C(6, 3) = 20 subsets: auto certifies, with the rank scan's
         # report, on both sides of the kernel's guard, and exhaustive passes
         # on the kernel's own refusal past it
-        expected = rank_scan(code6)
+        G6 = matrix(code6)
+        expected = rank_scan(G6, code6.repair_groups, 101)
         report = verify_mr(code6)
         assert report.mode == "certificate"
         assert dataclasses.replace(report, mode="exhaustive") == expected
         monkeypatch.setattr(mrcodes.mrcode, "_KERNEL_GUARD", 20)
-        monkeypatch.setattr("rank_scan.EXHAUSTIVE_SUBSET_GUARD", 19)
+        monkeypatch.setattr(reference, "EXHAUSTIVE_SUBSET_GUARD", 19)
         assert verify_mr(code6) == report
         message = "^the lookup kernel's cost for n=6, r=2 = 21 exceeds its guard 20$"
         with pytest.raises(TooLarge, match=message):
@@ -372,7 +353,7 @@ class TestClosedFormVerify:
         with pytest.raises(TooLarge, match=message):
             verify_mr(code6, mode="exhaustive")
         with pytest.raises(TooLarge):
-            rank_scan(code6, mode="exhaustive")
+            rank_scan(G6, code6.repair_groups, 101)
         # the certificate runs no set oracle, so past the oracle's own guard
         # it still certifies
         monkeypatch.setattr(mrcodes.progfree, "_VERIFY_GUARD", 2)
@@ -386,8 +367,6 @@ class TestClosedFormVerify:
     def test_unknown_mode(self, code6):
         with pytest.raises(BadParams):
             verify_mr(code6, mode="exhaustve")
-        with pytest.raises(BadParams):
-            rank_scan(code6, mode="exhaustve")
 
 
 def _user_code(code, D):
@@ -703,122 +682,26 @@ def test_bad_symbols_rejected(code6, bad):
         local_repair(code6, received, 0)
 
 
-def _solve(matrix: list[list[FieldElement]], rhs: list[FieldElement],
-           zero: FieldElement) -> Optional[list[FieldElement]]:
-    """Solve matrix * x = rhs by Gauss-Jordan; None if inconsistent.
-
-    Requires the solution, when it exists, to be unique (full column rank).
-    """
-    rows = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0])
-    pivots = []
-    rk = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        inv = rows[rk][col].inv()
-        rows[rk] = [x * inv for x in rows[rk]]
-        for i in range(len(rows)):
-            if i != rk and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
-        pivots.append(col)
-        rk += 1
-    if rk < ncols:
-        return None  # underdetermined; callers guarantee full column rank
-    for i in range(rk, len(rows)):
-        if rows[i][-1]:
-            return None  # inconsistent
-    solution = [zero] * ncols
-    for i, col in enumerate(pivots):
-        solution[col] = rows[i][-1]
-    return solution
-
-
-def _ref_element(code, x):
-    """A FieldElement passes; anything else must be an int in [0, q)."""
-    if isinstance(x, FieldElement):
-        return x
-    if type(x) is not int or not 0 <= x < code.field.q:
-        raise BadSymbol(f"symbol {x!r} is not an integer in [0, {code.field.q})")
-    return code.field.element(x)
-
-
-def _dot(field, xs, ys):
-    """The element sum(x * y) over paired elements, summed as ints mod q."""
-    return field.element(sum(x.value * y.value for x, y in zip(xs, ys)))
-
-
-def _reference_encode(code, message):
-    msg = [_ref_element(code, x) for x in message]
-    return [_dot(code.field, msg, column) for column in zip(*code.G)]
-
-
-def _reference_correctable(code, erased):
-    """True iff the surviving columns span the full message space."""
-    survivors = [j for j in range(code.n) if j not in erased]
-    return rank(columns(code, survivors)) == code.k
-
-
-def _reference_decode(code, received):
-    """Decoding by FieldElement reductions and element sums (_dot) with no
-    memo: local repair of every single-erasure group, greedy pivots among the
-    known columns, _solve, then a re-encode check of every originally present
-    symbol."""
-    if len(received) != code.n:
-        raise LengthMismatch(f"received length {len(received)} != n={code.n}")
-    erased = frozenset(j for j, s in enumerate(received) if s is None)
-    if not _reference_correctable(code, erased):
-        raise NotCorrectable(f"erasure pattern {sorted(erased)} is not correctable")
-    working = [None if s is None else _ref_element(code, s) for s in received]
-    zero = code.field.zero
-    for group in code.repair_groups:
-        missing = [j for j in group if working[j] is None]
-        if len(missing) == 1:
-            others = [j for j in group if j != missing[0]]
-            A = [[code.G[i][j] for j in others] for i in range(code.k)]
-            coeffs = _solve(A, [code.G[i][missing[0]] for i in range(code.k)], zero)
-            if coeffs is None:
-                raise AssertionError("repair system unsolvable; code structure violated")
-            working[missing[0]] = _dot(code.field, coeffs, [working[j] for j in others])
-    known = [j for j in range(code.n) if working[j] is not None]
-    pivot_cols = []
-    for j in known:
-        if rank(columns(code, pivot_cols + [j])) > len(pivot_cols):
-            pivot_cols.append(j)
-        if len(pivot_cols) == code.k:
-            break
-    At = [[code.G[i][j] for i in range(code.k)] for j in pivot_cols]
-    message = _solve(At, [working[j] for j in pivot_cols], zero)
-    if message is None:
-        raise AssertionError("pivot system unsolvable despite full rank")
-    for j in range(code.n):
-        if j not in erased:
-            value = _dot(code.field, message, [code.G[i][j] for i in range(code.k)])
-            if value != working[j]:
-                raise Inconsistent(f"symbol at column {j} contradicts the decoded message")
-    return message
-
-
 def _outcome(decoder, code, received):
     """The decoded values, or the class of the typed error raised."""
     try:
-        return [s.value for s in decoder(code, received)]
+        return decoder(code, received)
     except MrCodesError as exc:
         return type(exc)
 
 
+def _decoded(code, received):
+    return [s.value for s in decode(code, received)]
+
+
 def _assert_agrees(code, received):
-    expected = _outcome(_reference_decode, code, received)
-    assert _outcome(decode, code, received) == expected, received
+    expected = _outcome(reference.decode, code, received)
+    assert _outcome(_decoded, code, received) == expected, received
     return expected
 
 
 def _codeword(code, rng):
-    return [s.value for s in _reference_encode(code, [rng.randrange(code.field.q)
-                                                      for _ in range(code.k)])]
+    return reference.encode(code, [rng.randrange(code.field.q) for _ in range(code.k)])
 
 
 def _pattern(code, rng, cls):
@@ -855,14 +738,14 @@ def _corrupt(code, received, rng):
 
 
 class TestDecodeMatchesReference:
-    """decode (int loops, last-pattern plan) against _reference_decode."""
+    """decode (int loops, last-pattern plan) against reference.decode."""
 
     def test_encode_matches_reference(self, code8):
         rng = random.Random(3)
         for code in (code8, construct(2, 1601)[0]):
             for _ in range(20):
                 msg = [rng.randrange(code.field.q) for _ in range(code.k)]
-                assert encode(code, msg) == _reference_encode(code, msg)
+                assert encode(code, msg) == reference.encode(code, msg)
 
     def test_two_word_slots(self):
         # at q = 4294967291 a packed column slot of G needs two 64-bit words
@@ -870,7 +753,7 @@ class TestDecodeMatchesReference:
         q, rng = code.field.q, random.Random(5)
         for msg in [[q - 1] * code.k] + [[rng.randrange(q) for _ in range(code.k)]
                                          for _ in range(20)]:
-            assert encode(code, msg) == _reference_encode(code, msg)
+            assert encode(code, msg) == reference.encode(code, msg)
         outcomes = []
         for cls in ("local", "global", "uncorrectable", "corrupted") * 4:
             received = _received(_codeword(code, rng),
@@ -920,13 +803,13 @@ class TestDecodeMatchesReference:
             received = _received(_codeword(code, rng), erased)
             if i in (2, 6, 10):
                 received = _corrupt(code, received, rng)
-            cases.append((received, _outcome(_reference_decode, code, received)))
+            cases.append((received, _outcome(reference.decode, code, received)))
         builds = []
         original = mrcodes.mrcode._build_plan
         monkeypatch.setattr(mrcodes.mrcode, "_build_plan",
                             lambda c, e: builds.append(e) or original(c, e))
         for received, expected in cases:
-            assert _outcome(decode, code, received) == expected
+            assert _outcome(_decoded, code, received) == expected
         assert len(builds) == 5  # a, b, a, u, a: one plan per change of pattern
 
     def test_codes_do_not_share_plans(self, code6):
@@ -981,22 +864,6 @@ class TestDecodeMatchesReference:
             assert local_repair(code, _received(codeword, {j}), j) == codeword[j]
 
 
-def _reference_repair_coefficients(code, erased_index, others):
-    """The c with G_erased = sum c_i G_others[i], by one reduction of
-    [G_others | g_erased] over G's FieldElements: how local_repair found
-    them before it read the x."""
-    # g_erased is in the span of the other r group columns (group rank
-    # is r, any r of them independent): reducing [G_others | g_erased]
-    # leaves c beside the r pivots and a zero row below them
-    r = len(others)
-    rows = [[code.G[i][j] for j in others] + [code.G[i][erased_index]]
-            for i in range(code.k)]
-    if len(_row_reduce(rows, r)) < r or any(row[r] for row in rows[r:]):
-        raise PropertyViolation(f"repair system for column {erased_index} unsolvable; "
-                                f"code structure violated")
-    return tuple(row[r].value for row in rows[:r])
-
-
 def _altered_last_row(code):
     """code with G's last row changed at column 0 before G or the repair map
     is built: group (0, 1, 2) then has full rank, so none of its columns is
@@ -1025,7 +892,7 @@ def test_repair_map_matches_the_reduction(make, unsolvable):
         for e in group:
             peers = tuple(j for j in group if j != e)
             try:
-                expected = _reference_repair_coefficients(code, e, peers)
+                expected = reference.repair_coefficients(code, e, peers)
             except PropertyViolation as exc:
                 found += 1
                 assert code._groups[e] == (i, peers, None)
@@ -1039,26 +906,6 @@ def test_repair_map_matches_the_reduction(make, unsolvable):
     assert found == unsolvable
 
 
-def _reference_plan(code, erased):
-    """A decode plan built the old way: a survivors rank check, k pivots
-    chosen greedily with rank, and the inverse from k calls to _solve."""
-    if not _reference_correctable(code, erased):
-        return _DecodePlan(erased, correctable=False)
-    pivots = []
-    for j in range(code.n):
-        if j not in erased and rank(columns(code, pivots + [j])) > len(pivots):
-            pivots.append(j)
-            if len(pivots) == code.k:
-                break
-    At = [[code.G[i][j] for i in range(code.k)] for j in pivots]
-    f = code.field
-    inverse_cols = [[x.value for x in _solve(At, [f.one if i == c else f.zero
-                                                  for i in range(code.k)], f.zero)]
-                    for c in range(code.k)]
-    return _DecodePlan(erased, correctable=True, pivots=tuple(pivots),
-                       inverse=tuple(zip(*inverse_cols)))
-
-
 def test_plan_matches_reference_and_closed_form_rule():
     # every erasure set of an n = 12 code: the one-reduction plan equals the
     # old construction, and the verdict is the closed-form rule (at least
@@ -1070,7 +917,7 @@ def test_plan_matches_reference_and_closed_form_rule():
     for mask in range(1 << code.n):
         erased = frozenset(j for j in range(code.n) if mask >> j & 1)
         plan = _build_plan(code, erased)
-        assert plan == _reference_plan(code, erased), sorted(erased)
+        assert plan == (erased, *reference.plan(code, erased)), sorted(erased)
         survivors = frozenset(range(code.n)) - erased
         assert plan.correctable == (len(survivors) >= code.k and survivors not in groups)
         verdicts.add(plan.correctable)

@@ -7,7 +7,6 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -20,7 +19,7 @@ from mrcodes.mrcode import build_code, is_correctable, verify_mr
 from mrcodes.pipeline import (choose_params, construct, exact_failure_probability,
                               scaling_table, simulate)
 from mrcodes.progfree import exhaustive_best
-from rank_scan import columns, rank
+from reference import failure_probabilities
 
 
 def test_choose_params_r2_q101():
@@ -226,26 +225,13 @@ def test_exact_failure_probability_matches_hand_count():
             < exact_failure_probability(code, 0.2))
 
 
-def _reference_failure_probabilities(code, ps):
-    """The 2^n pattern enumeration that the closed form replaced, each
-    pattern judged by the rank of its survivors; one value per p in ps."""
-    failing = [0] * (code.n + 1)
-    for size in range(code.n + 1):
-        for pattern in combinations(range(code.n), size):
-            survivors = [j for j in range(code.n) if j not in pattern]
-            if rank(columns(code, survivors)) < code.k:
-                failing[size] += 1
-    return [sum(count * p**size * (1 - p) ** (code.n - size)
-                for size, count in enumerate(failing)) for p in ps]
-
-
 _PS = (0.0, 0.05, 0.1, 0.3, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("r,q", [(2, 101), (3, 653), (2, 401), (4, 1283)])
 def test_exact_failure_probability_matches_enumeration(r, q):
     code = construct(r, q)[0]
-    expected = _reference_failure_probabilities(code, _PS)
+    expected = failure_probabilities(code, _PS)
     got = [exact_failure_probability(code, p) for p in _PS]
     assert got == pytest.approx(expected, rel=1e-12, abs=0)
 

@@ -9,16 +9,7 @@ from mrcodes.errors import BadParams, ParamsTooSmall, RangeTooLarge, TooLarge
 from mrcodes.pipeline import choose_params
 from mrcodes.progfree import (AlonMeta, ProgressionFreeSet, _first_of_size, alon_construct,
                               exhaustive_best, verify_progression_free)
-
-
-def brute_force_check(elems, r):
-    """Independent oracle: fully ordered tuple enumeration."""
-    from itertools import product
-    elems = sorted(elems)
-    for tup in product(elems, repeat=r + 1):
-        if sum(tup[:r]) == r * tup[r] and len(set(tup)) > 1:
-            return False
-    return True
+from reference import brute_force_check
 
 
 class TestVerify:

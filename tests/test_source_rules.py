@@ -80,9 +80,26 @@ ARITHMETIC = ({f"__{side}{op}__" for op in _BINARY for side in ("", "r", "i")}
 
 
 def test_field_elements_keep_only_the_decoders_arithmetic():
-    # the codec computes on ints mod q; only mrcode._row_reduce runs element
-    # arithmetic, x * y, x - y and x.inv(), and ROADMAP direction 2 removes
-    # those too.  A new operator needs a caller in src/ first
+    # the codec and the tests' references (tests/reference.py) compute on
+    # ints mod q: only mrcode._row_reduce runs element arithmetic, x * y,
+    # x - y and x.inv(), so outside src/ only tests/test_field.py does, and
+    # ROADMAP direction 2 removes those too.  A new operator needs a caller
+    # in src/ first
     defined = set(vars(FieldElement))
     assert defined & ARITHMETIC == {"__mul__", "__sub__"}
     assert "inv" in defined
+
+
+def test_the_references_read_only_public_data():
+    # the tests' oracles share no algorithm with the library: they import no
+    # private name of mrcodes, read no private attribute (such as
+    # code._rows) and run no element arithmetic (inv, one, zero)
+    found = []
+    tree = ast.parse(Path(__file__).with_name("reference.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mrcodes"):
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and (node.attr.startswith("_")
+                                                  or node.attr in ("inv", "one", "zero")):
+            found.append("." + node.attr)
+    assert found == []
