@@ -3,16 +3,18 @@
 Subcommands: construct, verify, encode, decode, repair, simulate, scaling.
 Symbol streams are whitespace-separated decimal integers in [0, q), with
 '?' marking an erased symbol; one block per encode/decode unit.  An integer,
-in a stream, --erasures or --q-list, is an optional '-' then ASCII digits
-(_INT): '+7', '1_0' and non-ASCII digits are refused.  Machine output goes
-to stdout, diagnostics to stderr.  Exit codes: 0 ok, 1 verification/decoding
-failure, 2 usage or parse error.
+in a stream, an integer flag, --erasures or --q-list, is an optional '-'
+then ASCII digits (_INT): '+7', '1_0' and non-ASCII digits are refused.
+Machine output goes to stdout, diagnostics to stderr.  Exit codes: 0 ok,
+1 verification/decoding failure or a closed stdout, 2 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -129,12 +131,19 @@ def repair_file(code: MrCode, instream: TextIO, outstream: TextIO,
     _each_block(code, instream, outstream, erasures, repaired, (MultipleErasuresInGroup,))
 
 
+def _int(text: str) -> int:
+    """An integer flag's _INT value; argparse makes a refusal its usage error."""
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _int_list(flag: str, text: Optional[str]) -> list[int]:
     """The comma-separated _INT integers of a flag's value, blanks skipped."""
-    tokens = [t.strip() for t in (text or "").split(",") if t.strip()]
-    if not all(_INT.fullmatch(t) for t in tokens):
-        raise ParseError(f"{flag}: not a comma-separated integer list: {text!r}")
-    return list(map(int, tokens))
+    try:
+        return [_int(t.strip()) for t in (text or "").split(",") if t.strip()]
+    except argparse.ArgumentTypeError:
+        raise ParseError(f"{flag}: not a comma-separated integer list: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,9 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a code and write its JSON spec")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--target-n", type=int, default=None)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--q", type=_int, required=True)
+    p.add_argument("--target-n", type=_int, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="re-verify a stored spec")
@@ -161,11 +170,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte-Carlo erasure trials")
     p.add_argument("--spec", required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int, required=True)
+    p.add_argument("--seed", type=_int, default=0)
 
     p = sub.add_parser("scaling", help="field-size scaling table (indicative)")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_int, required=True)
     p.add_argument("--q-list", required=True, help="comma-separated primes")
 
     return parser
@@ -177,54 +186,41 @@ def _run(args) -> int:
         save_code(code, args.out)
         print(f"wrote {args.out}: n={code.n} k={code.k} r={code.r} q={code.field.q}; "
               "verification certificate, the transversals", file=sys.stderr)
-        return 0
-
-    if args.command == "verify":
+    elif args.command == "verify":
         code = load_code(args.spec)  # proves D, so the certificate is exact
         report = verify_mr(code, mode="exhaustive" if args.exhaustive else "auto")
-        json.dump({"ok": report.ok} | asdict(report), sys.stdout, indent=2)
-        print()
+        print(json.dumps({"ok": report.ok} | asdict(report), indent=2))
         return 0 if report.ok else 1
-
-    if args.command == "encode":
+    elif args.command == "encode":
         encode_file(load_code(args.spec), sys.stdin, sys.stdout)
-        return 0
-
-    if args.command == "decode":
-        decode_file(load_code(args.spec), sys.stdin, sys.stdout,
-                    _int_list("--erasures", args.erasures))
-        return 0
-
-    if args.command == "repair":
-        repair_file(load_code(args.spec), sys.stdin, sys.stdout,
-                    _int_list("--erasures", args.erasures))
-        return 0
-
-    if args.command == "simulate":
+    elif args.command in ("decode", "repair"):
+        each_file = decode_file if args.command == "decode" else repair_file
+        each_file(load_code(args.spec), sys.stdin, sys.stdout,
+                  _int_list("--erasures", args.erasures))
+    elif args.command == "simulate":
         report = simulate(load_code(args.spec), args.p, args.trials, args.seed)
-        json.dump(asdict(report) | {"failure_rate": report.failure_rate},
-                  sys.stdout, indent=2)
-        print()
-        return 0
-
-    if args.command == "scaling":
-        json.dump(scaling_table(args.r, _int_list("--q-list", args.q_list)), sys.stdout,
-                  indent=2)
-        print()
-        return 0
-
-    raise ParseError(f"unhandled command {args.command!r}")
+        print(json.dumps(asdict(report) | {"failure_rate": report.failure_rate}, indent=2))
+    elif args.command == "scaling":
+        print(json.dumps(scaling_table(args.r, _int_list("--q-list", args.q_list)), indent=2))
+    else:
+        raise ParseError(f"unhandled command {args.command!r}")
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        status = _run(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at the interpreter's exit
+        return status
     except MrCodesError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ParseError) else 1
+    except BrokenPipeError:
+        # as Python's signal docs advise: fd 1 on devnull lets the final flush pass
+        with contextlib.suppress(OSError):  # io.UnsupportedOperation: no fd
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before all output was written", file=sys.stderr)
         return 1
 
 

@@ -1,9 +1,9 @@
 """Prime fields GF(q); elements are residues mod q.
 
-A Field is its q: N = q - 1, the distinct prime factors of N and the
-primitive element gamma are derived from q when the Field is made.  gamma is
-the least residue >= 2 that generates the cyclic multiplicative group of
-order N, so fixtures are reproducible.
+A Field is its q.  When it is made, trial division, at most 2^16 steps each
+as q <= MAX_Q, proves q prime and finds the distinct prime factors of
+N = q - 1, and gamma is the least residue >= 2 that generates the cyclic
+multiplicative group of order N, so fixtures are reproducible.
 
 The codec computes on ints mod q.  A FieldElement keeps only the arithmetic
 the decoder's row reduction (mrcode._row_reduce) runs: x * y and x - y
@@ -19,39 +19,10 @@ from dataclasses import dataclass, field as dc_field
 from .errors import (BadParams, DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime,
                      PropertyViolation)
 
-# What leans on this bound (MrCode._packed sizes its slots from q): the trial
-# factorization of N takes at most 2^16 steps, and every int of a spec but
-# lambda's and delta's parts stays within codespec's 2^53 rule.
+# What leans on this bound (MrCode._packed sizes its slots from q): trial
+# division of q and of N takes at most 2^16 steps each, and every int of a
+# spec but lambda's and delta's parts stays within codespec's 2^53 rule.
 MAX_Q = 1 << 32
-
-# Witnesses giving a deterministic Miller-Rabin test for all n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    if n < 41 * 41:  # no prime factor up to 37, the largest witness
-        return True
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def distinct_prime_factors(n: int) -> tuple[int, ...]:
@@ -86,7 +57,7 @@ class Field:
         _check_int("q", q)
         if q > MAX_Q:
             raise FieldTooLarge(f"q={q} exceeds the 64-bit intermediate bound (q <= 2^32)")
-        if q < 3 or not is_prime(q):
+        if q < 3 or distinct_prime_factors(q) != (q,):
             raise NotPrime(f"q={q} is not an odd prime >= 3")
         factors = distinct_prime_factors(q - 1)
         # g generates GF(q)* when no g^(N/p), p a prime factor of N, is 1
@@ -152,7 +123,7 @@ class FieldElement:
     def inv(self) -> "FieldElement":
         if self.value == 0:
             raise DivisionByZero("inverse of 0")
-        return FieldElement(pow(self.value, self.field.q - 2, self.field.q), self.field)
+        return FieldElement(pow(self.value, -1, self.field.q), self.field)
 
     def __eq__(self, other):
         # an int equals only its canonical residue, so equal objects hash

@@ -3,7 +3,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +26,8 @@ from mrcodes.pipeline import choose_params, construct, exact_failure_probability
 from mrcodes.progfree import ProgressionFreeSet
 from reference import matrix, rank_scan
 
-BENCH_SPEC = Path(__file__).resolve().parents[1] / "bench" / "data" / "r2_q1601.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_SPEC = ROOT / "bench" / "data" / "r2_q1601.json"
 
 
 def _hand_picked_code():
@@ -251,6 +255,65 @@ class TestFlagErrors:
             assert main(["scaling", "--r", "2", "--q-list", q_list]) == 2
             assert capsys.readouterr().err == (f"error: --q-list: not a comma-separated "
                                                f"integer list: {q_list!r}\n")
+
+    @pytest.mark.parametrize("value", ["+2", "1_01", "\u0663", "\uff11"],
+                             ids=["plus", "underscore", "arabic-indic", "fullwidth"])
+    @pytest.mark.parametrize("command,flag", [
+        ("construct", "--r"), ("construct", "--q"), ("construct", "--target-n"),
+        ("scaling", "--r"), ("simulate", "--trials"), ("simulate", "--seed"),
+    ])
+    def test_integer_flags(self, spec_path, tmp_path, capsys, command, flag, value):
+        # an integer flag is an _INT too, though Python's int() reads each of
+        # these values: argparse's usage error, exit 2, and nothing run
+        args = {"construct": {"--r": "2", "--q": "101", "--out": str(tmp_path / "x.json")},
+                "scaling": {"--r": "2", "--q-list": "101"},
+                "simulate": {"--spec": str(spec_path), "--p": "0.1", "--trials": "10"}}[command]
+        argv = [command, *(item for key, text in (args | {flag: value}).items()
+                           for item in (key, text))]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mrcodes ") and err.endswith(
+            f"error: argument {flag}: not an integer: {value!r}\n")
+        assert not (tmp_path / "x.json").exists()
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader is gone: write, or flush, raises BrokenPipeError."""
+
+    def __init__(self, method):
+        super().__init__()
+        setattr(self, method, self._broken)
+
+    def _broken(self, *args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_one_error_line(self, capsys, monkeypatch, method):
+        # an unbuffered stdout fails at a write, a buffered one at main's flush
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(method))
+        assert main(["scaling", "--r", "2", "--q-list", "101,211"]) == 1
+        assert capsys.readouterr().err == "error: stdout closed before all output was written\n"
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_no_traceback_at_exit(self, unbuffered):
+        # the pipe's read end is closed before the process starts, so its
+        # first write (unbuffered) or the flush before exit (buffered) fails;
+        # the interpreter's own final flush then finds fd 1 on devnull
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "mrcodes.cli", "scaling", "--r", "2", "--q-list", "101"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (
+            1, "error: stdout closed before all output was written\n")
 
 
 def _without(doc, key):

@@ -7,7 +7,11 @@ from hypothesis import given, strategies as st
 import mrcodes.field
 from mrcodes.errors import (BadParams, DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime,
                             PropertyViolation)
-from mrcodes.field import Field, is_prime, make_field
+from mrcodes.field import Field, make_field
+
+
+def trial(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def test_make_field_13():
@@ -24,11 +28,27 @@ def test_make_field_101():
     assert f.factorization_of_N == (2, 5)
 
 
+def _accepts(q):
+    try:
+        make_field(q)
+    except NotPrime:
+        return False
+    return True
+
+
 def test_is_prime_matches_trial_division():
-    # below 41^2 = 1681 the trial division by the witnesses decides alone
-    def trial(n):
-        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
-    assert [n for n in range(-2, 5000) if is_prime(n) != trial(n)] == []
+    # make_field's primality verdict against this test's own trial division:
+    # it accepts exactly the odd primes
+    assert [n for n in range(-2, 5000) if _accepts(n) != (trial(n) and n != 2)] == []
+
+
+@pytest.mark.parametrize("q", [
+    3215031751,  # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5 and 7
+    4292870399,  # 65519 * 65521, no factor below 2^16 - 17
+])
+def test_make_field_refuses_hard_composites(q):
+    with pytest.raises(NotPrime, match=f"^q={q} is not an odd prime >= 3$"):
+        make_field(q)
 
 
 def test_make_field_rejects_composite():
@@ -44,13 +64,15 @@ def test_make_field_rejects_huge():
 
 
 def test_no_primitive_element_is_property_violation(monkeypatch):
-    # with 1 among the factors of N no candidate passes the primitivity test
-    monkeypatch.setattr(mrcodes.field, "distinct_prime_factors", lambda n: (1,))
+    # with 1 among the factors of N no candidate passes the primitivity test;
+    # the patch leaves q's own primality check (its factors are (q,)) alone
+    monkeypatch.setattr(mrcodes.field, "distinct_prime_factors",
+                        lambda n: (n,) if n == 101 else (1,))
     with pytest.raises(PropertyViolation):
         make_field(101)
 
 
-@pytest.mark.parametrize("q", [3, 101, 500009, 4294967291])
+@pytest.mark.parametrize("q", [3, 101, 500009, 4294967291, 4294967087])
 def test_field_is_its_q(q):
     f = Field(q)
     assert f == make_field(q) and f.N == q - 1
@@ -58,7 +80,7 @@ def test_field_is_its_q(q):
     # least element of order N
     rest = f.N
     for p in f.factorization_of_N:
-        assert is_prime(p) and rest % p == 0
+        assert trial(p) and rest % p == 0
         while rest % p == 0:
             rest //= p
     assert rest == 1 and list(f.factorization_of_N) == sorted(set(f.factorization_of_N))
