@@ -5,6 +5,7 @@ Symbol streams are whitespace-separated decimal integers in [0, q), with
 '?' marking an erased symbol; one block per encode/decode unit.  An integer,
 in a stream, an integer flag, --erasures or --q-list, is an optional '-'
 then ASCII digits (_INT): '+7', '1_0' and non-ASCII digits are refused.
+--p is a finite ASCII decimal (_FLOAT): '1_0e-1', 'inf' and '1e400' are not.
 Machine output goes to stdout, diagnostics to stderr.  Exit codes: 0 ok,
 1 verification/decoding failure or a closed stdout, 2 usage or parse error.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import re
 import sys
@@ -28,6 +30,7 @@ from .pipeline import construct, scaling_table, simulate
 
 _TOKEN = re.compile(r"\S+")  # finds a bad token's column
 _INT = re.compile(r"-?[0-9]+")
+_FLOAT = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")  # any finite repr(float)
 _DIGITS_LINE = re.compile(r"[0-9\s]*")  # a line of nonnegative _INT tokens only
 
 
@@ -138,6 +141,13 @@ def _int(text: str) -> int:
     return int(text)
 
 
+def _float(text: str) -> float:
+    """--p's finite _FLOAT value; argparse makes a refusal its usage error."""
+    if not (_FLOAT.fullmatch(text) and math.isfinite(float(text))):
+        raise argparse.ArgumentTypeError(f"not a finite decimal number: {text!r}")
+    return float(text)
+
+
 def _int_list(flag: str, text: Optional[str]) -> list[int]:
     """The comma-separated _INT integers of a flag's value, blanks skipped."""
     try:
@@ -169,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo erasure trials")
     p.add_argument("--spec", required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_float, required=True)
     p.add_argument("--trials", type=_int, required=True)
     p.add_argument("--seed", type=_int, default=0)
 

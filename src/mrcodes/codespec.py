@@ -8,7 +8,7 @@ and, when D_method is "alon", D is a prefix (construct's target_n trims D)
 of the set alon_construct(d, r) builds and D_alon_meta is that set's;
 save_code checks that rule too, so it writes no spec load_code refuses.  An
 "exhaustive" label is not re-derived: the size sweep costs about 1 ms per
-load, against about 0.2 ms for the rest of load_code.
+load in a fresh process (a repeat would hit a cache); the rest takes 0.2 ms.
 
 A top-level key matches only when its value equals the rebuilt document's
 and has its type, so "q": 101.0, "gamma": 2.0 and "schema_version": true

@@ -7,11 +7,13 @@ m, one loop over a stack of bitmask levels (see exhaustive_best).
 _choose_set picks a code's D from the two.  Neither constructor runs the
 brute-force oracle: a set is proved when a family is made from it, so a
 losing candidate is never checked, and a D too long for a code is refused
-before the oracle meets it.
+before the oracle meets it.  The sweep's sizes and sets depend on r alone:
+bounded caches (_sizes, _best) keep them per r for the life of the process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from .field import _check_int
 
 _VERIFY_GUARD = 10**8  # verify_progression_free's enumeration budget: C(|D|+r-1, r) multisets
 _EXHAUSTIVE_MAX_M = 24  # exhaustive_best is exponential in m
+_CACHE_BOUND = 1024  # entries each of _sizes and _best keep, 24 per r; both take checked ints
 
 
 @dataclass(frozen=True)
@@ -155,51 +158,43 @@ def exhaustive_best(m: int, r: int) -> ProgressionFreeSet:
         raise BadParams("need r >= 2 and m >= 1")
     if m > _EXHAUSTIVE_MAX_M:
         raise RangeTooLarge(f"m={m} > {_EXHAUSTIVE_MAX_M}")
-    return _finish_sweep([0], m, r)
+    return _best(m, r)
 
 
-def _sweep(sizes: list[int], last: int, r: int) -> None:
-    """Extend sizes, where sizes[L] is the best size on {1..L}, through
-    L = last: one mirror-cut yes/no step per new L (see exhaustive_best)."""
-    for L in range(len(sizes), last + 1):
-        grew = _first_of_size(L, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True, True)
-        sizes.append(sizes[-1] + (grew is not None))
+@functools.lru_cache(maxsize=_CACHE_BOUND)
+def _sizes(last: int, r: int) -> tuple[int, ...]:
+    """sizes[0..last], sizes[L] the best size on {1..L}: one mirror-cut step per L."""
+    if last == 0:
+        return (0,)
+    sizes = [*_sizes(last - 1, r)]
+    grew = _first_of_size(last, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True, True)
+    return (*sizes, sizes[-1] + (grew is not None))
 
 
-def _finish_sweep(sizes: list[int], m: int, r: int) -> ProgressionFreeSet:
-    """exhaustive_best(m, r) from a sweep already run through some L < m
-    (sizes = [0] for none): the cut steps up to m - 1, the uncut last step,
-    and the unforced search if that step did not grow."""
-    _sweep(sizes, m - 1, r)
-    best = _first_of_size(m, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True, False)
-    sizes.append(sizes[-1] + (best is not None))
-    if best is None:
-        best = _first_of_size(m, r, sizes[m], sizes, False, False)
+@functools.lru_cache(maxsize=_CACHE_BOUND)
+def _best(m: int, r: int) -> ProgressionFreeSet:
+    """exhaustive_best(m, r) from the sweep through L = m - 1 (see there)."""
+    sizes = [*_sizes(m - 1, r)]
+    best = (_first_of_size(m, r, sizes[-1] + 1, sizes + [sizes[-1] + 1], True, False)
+            or _first_of_size(m, r, sizes[-1], sizes + [sizes[-1]], False, False))
     return ProgressionFreeSet(r=r, elements=tuple(best), method="exhaustive")
 
 
 def _choose_set(d: int, r: int) -> ProgressionFreeSet:
-    """Pick D for the given bound: exhaustive search where feasible, digit
-    construction beyond, never worse than the capped exhaustive set (any
-    valid subset of {1..24} stays valid for larger d; ties go to the digit
-    set).  The capped search's size sweep runs once: its steps up to L = 12
-    give the best size on {1..12}, and the capped search is skipped when the
-    digit set already reaches twice that (the defining equation is
-    translation invariant, so it bounds each half of {1..24}); otherwise the
-    same sweep goes on to L = 24."""
+    """Pick D for the given bound: exhaustive_best where feasible, else the
+    digit set unless the capped set (any valid subset of {1..24} stays valid
+    for larger d) is larger.  Its search is skipped when the digit set
+    reaches twice the best size on {1..12}, which bounds each half of
+    {1..24}, since the defining equation is translation invariant."""
     if d <= _EXHAUSTIVE_MAX_M:
         return exhaustive_best(d, r)
     try:
         alon = alon_construct(d, r)
     except ParamsTooSmall:  # digit range {0}: the construction degenerates
         return exhaustive_best(_EXHAUSTIVE_MAX_M, r)
-    half = (_EXHAUSTIVE_MAX_M + 1) // 2
-    sizes = [0]
-    _sweep(sizes, half, r)
-    if len(alon) >= 2 * sizes[half]:
+    if len(alon) >= 2 * _sizes((_EXHAUSTIVE_MAX_M + 1) // 2, r)[-1]:
         return alon
-    capped = _finish_sweep(sizes, _EXHAUSTIVE_MAX_M, r)
-    return alon if len(alon) >= len(capped) else capped
+    return max(alon, _best(_EXHAUSTIVE_MAX_M, r), key=len)  # a tie keeps the digit set
 
 
 def _first_of_size(m: int, r: int, target: int, bound: list[int],

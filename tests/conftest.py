@@ -1,6 +1,7 @@
 import pytest
 
 import mrcodes.mrcode
+import mrcodes.progfree
 
 
 @pytest.fixture
@@ -16,3 +17,16 @@ def off_group_subset(monkeypatch):
 
     monkeypatch.setattr(mrcodes.mrcode, "_identity_subsets", with_extra)
     yield (0, 1, 3)
+
+
+@pytest.fixture(autouse=True)
+def cold_set_search():
+    """Start and end every test with empty set-search caches, so no test's
+    counts depend on the tests run before it, and a search run under a
+    patched _first_of_size is not kept for later tests."""
+    caches = (mrcodes.progfree._sizes, mrcodes.progfree._best)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -4,7 +4,9 @@ import io
 import json
 import math
 import os
+import random
 import re
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -277,6 +279,37 @@ class TestFlagErrors:
         assert err.startswith("usage: mrcodes ") and err.endswith(
             f"error: argument {flag}: not an integer: {value!r}\n")
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("value", ["1_0e-1", "\u0660.1", "+0.1", "nan", "inf", "0.1 ",
+                                       "0x1p-3", "1e", ".", "1e400", "9" * 400],
+                             ids=["underscore", "arabic-indic", "plus", "nan", "inf", "space",
+                                  "hex", "no-exponent", "no-digits", "overflow",
+                                  "long-overflow"])
+    def test_p_flag(self, spec_path, capsys, value):
+        # --p is a finite ASCII decimal (_FLOAT), though Python's float()
+        # reads the first six values and the last two (as inf):
+        # argparse's usage error, exit 2, and nothing run (nan and inf no
+        # longer reach simulate's range check)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--spec", str(spec_path), "--p", value, "--trials", "10"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: mrcodes ") and err.endswith(
+            f"error: argument --p: not a finite decimal number: {value!r}\n")
+
+    @pytest.mark.parametrize("p", [0.0, 1e-05, 0.1, 1.0, 5e-324, 0.30000000000000004])
+    def test_p_flag_takes_each_float_repr(self, spec_path, capsys, p):
+        assert main(["simulate", "--spec", str(spec_path), "--p", repr(p),
+                     "--trials", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["p"] == p
+
+    def test_p_syntax_covers_every_finite_float_repr(self):
+        # random bit patterns reach every exponent, both signs and subnormals
+        rng = random.Random(1)
+        values = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                  for _ in range(2000)]
+        for x in [v for v in values if math.isfinite(v)] + [-0.0, 1e16, 1e22, 2.0**-1074]:
+            assert repr(mrcodes.cli._float(repr(x))) == repr(x)
 
 
 class _ClosedPipe(io.StringIO):

@@ -148,7 +148,7 @@ def test_construct_checks_target_n_before_choosing_the_set(monkeypatch, target_n
     # at q = 4294967291 the digit construction alone takes seconds: a bad
     # target_n is refused before any set constructor runs
     calls = []
-    for name in ("alon_construct", "_sweep", "_finish_sweep"):
+    for name in ("alon_construct", "_sizes", "_best"):
         monkeypatch.setattr(progfree, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(BadParams, match=message):
         construct(2, 4294967291, target_n=target_n)
@@ -333,6 +333,15 @@ def test_choose_set_sweeps_each_length_once(monkeypatch):
     assert checked == []
 
 
+def test_choose_set_repeats_no_search_step(monkeypatch):
+    # the sweep's sizes and the capped set are kept per r: a second choice
+    # at d = 33 runs no search step and returns an equal set
+    first = progfree._choose_set(33, 2)
+    steps, checked = _count_search_steps(monkeypatch)
+    assert progfree._choose_set(33, 2) == first
+    assert steps == [] and checked == []
+
+
 def test_choose_set_skips_capped_search_when_digits_win(monkeypatch):
     # at d = 10416 the digit set's 12 elements reach 2 * 6: no sweep step
     # past L = 12 runs, and the oracle proves no set here
@@ -372,6 +381,11 @@ def test_construct_checks_the_chosen_set_once(monkeypatch, r, q):
     assert report.ok
     assert report.mode == "certificate"
     assert calls == [(code.family.D.elements, r)]
+    # the cache keeps which set is largest, not a proof: a second construct,
+    # on a warm cache, proves its D again
+    again, _ = construct(r, q)
+    assert again.family.D == code.family.D
+    assert calls == [(code.family.D.elements, r)] * 2
 
 
 @pytest.mark.parametrize("d,r,expected", [
@@ -423,6 +437,27 @@ def test_scaling_table_fixed_r():
     ratios = [row["log_q_over_log_n"] for row in rows]
     assert ratios[-1] < ratios[0]  # ratio decreases as q grows, r fixed
     assert all("indicative" in row["note"] for row in rows)
+
+
+def test_scaling_rows_match_constructs_on_a_cold_cache(monkeypatch):
+    # one call reuses r = 2's sweep across the rows, and each q still gets
+    # its own D: each row's code is the one a cleared cache builds
+    built, real = [], pipeline.construct
+
+    def spy(r, q):
+        code, report = real(r, q)
+        built.append(code_to_dict(code))
+        return code, report
+
+    monkeypatch.setattr(pipeline, "construct", spy)
+    rows = scaling_table(2, [1601, 500009, 1601, 101])
+    assert [row["n"] for row in rows] == [30, 36, 30, 6]
+    for row, spec in zip(rows, built, strict=True):
+        progfree._sizes.cache_clear()
+        progfree._best.cache_clear()
+        code, report = real(2, row["q"])
+        assert code_to_dict(code) == spec
+        assert (code.n, report.mode) == (row["n"], row["verification"])
 
 
 def test_simulate_wrong_decode_raises(monkeypatch):

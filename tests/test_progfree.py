@@ -244,6 +244,41 @@ def test_flat_search_matches_recursive_search(monkeypatch, r):
         assert found == reference_first_of_size(*args), args
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_exhaustive_best_does_not_depend_on_call_order(r):
+    # the caches fill in whatever order m comes: shuffled on a cold cache,
+    # ascending on another cold one, and the unpruned search agree
+    order = random.Random(r).sample(range(1, 25), 24)
+    shuffled = {m: exhaustive_best(m, r) for m in order}
+    mrcodes.progfree._sizes.cache_clear()
+    mrcodes.progfree._best.cache_clear()
+    for m in range(1, 25):
+        assert exhaustive_best(m, r) == shuffled[m]
+        assert shuffled[m].elements == reference_exhaustive_best(m, r), m
+
+
+def test_a_search_that_raises_keeps_no_answer(monkeypatch):
+    # the sweep step at L = 7 raises: sizes through L = 6 are kept, nothing
+    # from L = 7 on is, and the next call resumes at L = 7 with the
+    # oracle's set (sizes[9] = sizes[10] = 5: the unforced search runs too)
+    real, steps = mrcodes.progfree._first_of_size, []
+
+    def failing(m, *rest):
+        if m == 7:
+            raise RuntimeError("interrupted")
+        return real(m, *rest)
+
+    monkeypatch.setattr(mrcodes.progfree, "_first_of_size", failing)
+    with pytest.raises(RuntimeError, match="^interrupted$"):
+        exhaustive_best(10, 2)
+    assert mrcodes.progfree._best.cache_info().currsize == 0
+    assert mrcodes.progfree._sizes.cache_info().currsize == 7
+    monkeypatch.setattr(mrcodes.progfree, "_first_of_size",
+                        lambda m, *rest: steps.append(m) or real(m, *rest))
+    assert exhaustive_best(10, 2).elements == reference_exhaustive_best(10, 2)
+    assert steps == [7, 8, 9, 10, 10]
+
+
 @pytest.mark.parametrize("make", [
     lambda: ProgressionFreeSet(2, (1, 2), "bogus"),
     lambda: ProgressionFreeSet(2, (1, 2), 7),
