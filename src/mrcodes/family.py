@@ -48,13 +48,14 @@ class FamilyParams:
         r = self.r
         if r < 2:
             raise BadParams("r must be >= 2")
-        if not (0 < self.lam < Fraction(1, r**3)):
+        # integer cross-products and exact floors: a Fraction's denominator is positive
+        a, b = self.lam.numerator, self.lam.denominator
+        c, e = self.delta.numerator, self.delta.denominator
+        if not (0 < a and a * r**3 < b):
             raise BadParams(f"lambda={self.lam} outside (0, 1/r^3)")
-        if not (0 < self.delta < self.lam / r):
+        if not (0 < c and c * r * b < a * e):
             raise BadParams(f"delta={self.delta} outside (0, lambda/r)")
-        # exact floors: a Fraction's denominator is positive
-        l = self.lam.numerator * self.N // self.lam.denominator
-        d = self.delta.numerator * self.N // self.delta.denominator
+        l, d = a * self.N // b, c * self.N // e
         if l < 1 or d < 1:
             raise BadParams(f"l={l}, d={d}: both must be >= 1")
         for name, value in (("l", l), ("d", d)):

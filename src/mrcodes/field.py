@@ -1,9 +1,10 @@
 """Prime fields GF(q); elements are residues mod q.
 
-A Field is its q.  When it is made, trial division, at most 2^16 steps each
-as q <= MAX_Q, proves q prime and finds the distinct prime factors of
-N = q - 1, and gamma is the least residue >= 2 that generates the cyclic
-multiplicative group of order N, so fixtures are reproducible.
+A Field is its q.  When it is made, trial division by 2, 3 and the
+6k +- 1, about 2^16/3 candidates each as q <= MAX_Q, proves q prime and
+finds the distinct prime factors of N = q - 1, and gamma is the least
+residue >= 2 that generates the cyclic multiplicative group of order N,
+so fixtures are reproducible.
 
 The codec computes on ints mod q.  A FieldElement keeps only the arithmetic
 the decoder's row reduction (mrcode._row_reduce) runs: x * y and x - y
@@ -20,20 +21,22 @@ from .errors import (BadParams, DivisionByZero, FieldMismatch, FieldTooLarge, No
                      PropertyViolation)
 
 # What leans on this bound (MrCode._packed sizes its slots from q): trial
-# division of q and of N takes at most 2^16 steps each, and every int of a
-# spec but lambda's and delta's parts stays within codespec's 2^53 rule.
+# division of q and of N tries about 2^16/3 candidates each, and every int
+# of a spec but lambda's and delta's parts stays within codespec's 2^53 rule.
 MAX_Q = 1 << 32
 
 
 def distinct_prime_factors(n: int) -> tuple[int, ...]:
+    """n's distinct prime factors, ascending; () for n < 2.  Trial division
+    by 2, 3 and then only 6k - 1 and 6k + 1, which hold every larger prime."""
     factors = []
-    f = 2
+    f, step = 2, 1
     while f * f <= n:
         if n % f == 0:
             factors.append(f)
             while n % f == 0:
                 n //= f
-        f += 1
+        f, step = f + step, 2 if f < 5 else 6 - step  # 2, 3, 5, 7, 11, 13, 17, ...
     if n > 1:
         factors.append(n)
     return tuple(factors)
@@ -56,7 +59,8 @@ class Field:
         q = self.q
         _check_int("q", q)
         if q > MAX_Q:
-            raise FieldTooLarge(f"q={q} exceeds the 64-bit intermediate bound (q <= 2^32)")
+            raise FieldTooLarge(f"q={q} exceeds the field-size bound q <= 2^32, which keeps "
+                                "trial division short and spec ints under 2^53")
         if q < 3 or distinct_prime_factors(q) != (q,):
             raise NotPrime(f"q={q} is not an odd prime >= 3")
         factors = distinct_prime_factors(q - 1)

@@ -40,11 +40,10 @@ def _check_r(r) -> None:
 def _params_over(field: Field, r: int) -> FamilyParams:
     """choose_params for a field already built (and so q already checked)."""
     _check_r(r)
-    lam = Fraction(1, 2 * r**3)
-    delta = lam / (r + 1)
-    if field.N < delta.denominator:  # delta = 1/denominator, so d = 0
-        raise FieldTooSmall(f"q={field.q} gives d=0 for r={r}; need N >= {delta.denominator}")
-    return FamilyParams(N=field.N, r=r, lam=lam, delta=delta)
+    den = 2 * r**3 * (r + 1)  # delta = lambda/(r+1) = 1/den
+    if field.N < den:  # d = floor(N/den) = 0
+        raise FieldTooSmall(f"q={field.q} gives d=0 for r={r}; need N >= {den}")
+    return FamilyParams(N=field.N, r=r, lam=Fraction(1, 2 * r**3), delta=Fraction(1, den))
 
 
 def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, MrReport]:

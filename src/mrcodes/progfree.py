@@ -95,7 +95,7 @@ def verify_progression_free(candidate, r: int) -> Optional[tuple]:
         if s % r:
             continue
         d_r = s // r
-        if d_r in elem_set and any(c != d_r for c in combo):
+        if d_r in elem_set and combo[0] != combo[-1]:  # sorted: not all equal
             return combo + (d_r,)
     return None
 
@@ -105,9 +105,10 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
 
     h = floor(e^{sqrt(ln m * ln r)}) (natural logs), t+1 digit positions with
     t = floor(log_h m) - 1.  Elements sharing the most popular square-sum B
-    form the set; convexity of z -> z^2 rules out nontrivial solutions.
-    Buckets are counted first; only B's is built.  ParamsTooSmall when
-    h <= r: the only digit is 0.
+    (the smallest such B > 0 on a tie) form the set; convexity of z -> z^2
+    rules out nontrivial solutions.  Buckets are counted first, by a DP over
+    digit positions that steps only from sums some digit vector reaches;
+    only B's is built.  ParamsTooSmall when h <= r: the only digit is 0.
     """
     _check_int("m", m)
     _check_int("r", r)
@@ -122,14 +123,17 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
         hp, t = hp * h, t + 1
     # ways[j][s]: j-digit vectors of square-sum s.  All nonzero ones lie in
     # [1, m]: h <= m and top < h/2 give x < h^(t+1) <= m
+    squares = [dig * dig for dig in range(top + 1)]
     ways = [[1]]
     for _ in range(t + 1):
-        row = [0] * (len(ways[-1]) + top * top)
+        row = [0] * (len(ways[-1]) + squares[-1])
         for s, c in enumerate(ways[-1]):
-            for dig in range(top + 1):
-                row[s + dig * dig] += c
+            if c:
+                for sq in squares:
+                    row[s + sq] += c
         ways.append(row)
-    best_b = max(range(1, len(ways[-1])), key=lambda b: (ways[-1][b], -b))
+    w = ways[-1]
+    best_b = w.index(max(w[1:]), 1)
     # top digit first, each ascending: sorted x
     level = [(best_b, 0)]
     for j in range(t, -1, -1):

@@ -4,18 +4,80 @@ Each is the slow, obvious path that a fast path of the library is checked
 against.  They read only public data: q, the values of code.G,
 code.repair_groups, and a family's exponents and D.  None runs an algorithm
 of the library: one Gauss-Jordan here (gauss_jordan) gives rank, solve and
-the decode plan's inverse, and the closed-form column is computed with pow.
+the decode plan's inverse, the closed-form column is computed with pow,
+factors come from trial division by every integer, and the digit set from
+a list of every digit vector.
 """
 
 import math
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
-from mrcodes.errors import (BadSymbol, Inconsistent, LengthMismatch, Mismatch,
-                            NotCorrectable, PropertyViolation, TooLarge)
+from mrcodes.errors import (BadParams, BadSymbol, Inconsistent, LengthMismatch, Mismatch,
+                            NotCorrectable, ParamsTooSmall, PropertyViolation, TooLarge)
 from mrcodes.mrcode import MrReport
+from mrcodes.progfree import AlonMeta, ProgressionFreeSet
 
 # rank_scan's C(n, r+1) rank computations must fit this
 EXHAUSTIVE_SUBSET_GUARD = 10**7
+
+
+# --- the field and the sets ---
+
+def prime_factors(n):
+    """n's distinct prime factors, ascending, by trial division by every
+    f >= 2 while f * f is at most what is left; () for n < 2."""
+    factors, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            factors.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        factors.append(n)
+    return tuple(factors)
+
+
+def first_witness(elems, r):
+    """The set oracle's first witness, (d_0, ..., d_{r-1}, d_r) with the
+    first r a sorted multiset of elems summing to r * d_r and some entry
+    unlike d_r, or None: every entry is compared with d_r."""
+    elem_set = set(elems)
+    for combo in combinations_with_replacement(sorted(elem_set), r):
+        s = sum(combo)
+        if s % r == 0 and s // r in elem_set and any(c != s // r for c in combo):
+            return combo + (s // r,)
+    return None
+
+
+def digit_set(m, r):
+    """The digit construction by enumeration: every vector of t+1 base-h
+    digits in [0, (h-1)//r], h = floor(e^sqrt(ln m ln r)) (at least 2) and
+    t = floor(log_h m) - 1 (at least 0), is bucketed by square-sum, and
+    the set is the largest bucket of values in [1, m], the smallest
+    square-sum on a tie."""
+    if r < 2 or m < 2:
+        raise BadParams("need r >= 2 and m >= 2")
+    h = max(2, math.floor(math.exp(math.sqrt(math.log(m) * math.log(r)))))
+    top = (h - 1) // r
+    if top < 1:
+        raise ParamsTooSmall("the digit range is {0}")
+    k, hp = 0, h
+    while hp <= m:
+        hp *= h
+        k += 1
+    t = max(k - 1, 0)
+    weights = [h**j for j in range(t + 1)]
+    buckets = {}
+    for digits in product(range(top + 1), repeat=t + 1):
+        x = sum(d * w for d, w in zip(digits, weights))
+        if 1 <= x <= m:
+            buckets.setdefault(sum(d * d for d in digits), []).append(x)
+    best_b = min(buckets, key=lambda b: (-len(buckets[b]), b))
+    meta = AlonMeta(h=h, t=t, B=best_b,
+                    size_bound=m * math.exp(-5 * math.sqrt(math.log(m) * math.log(r))))
+    return ProgressionFreeSet(r=r, elements=tuple(sorted(buckets[best_b])), method="alon",
+                              alon_meta=meta)
 
 
 # --- linear algebra over GF(q) ---

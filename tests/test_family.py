@@ -59,11 +59,46 @@ def test_params_derived_values_cannot_be_replaced(params_r2, name):
     (Fraction(1, 8), Fraction(1, 48)),   # lam = 1/r^3, not strict
     (Fraction(1, 16), Fraction(1, 32)),  # delta = lam/r, not strict
     (Fraction(0), Fraction(1, 48)),
+    (Fraction(-1, 16), Fraction(-1, 48)),
     (Fraction(1, 16), Fraction(-1, 48)),
+    (Fraction(1, 16), Fraction(0)),
 ])
 def test_params_rejected(lam, delta):
     with pytest.raises(BadParams):
         FamilyParams(N=100, r=2, lam=lam, delta=delta)
+
+
+def _scaled(bound):
+    """A Fraction near bound: p/s of it with p in -2..12, so 0, negatives,
+    bound itself (p = s) and both sides of it come up often."""
+    return st.builds(lambda p, s: bound * Fraction(p, s), st.integers(-2, 12), st.integers(1, 10))
+
+
+@st.composite
+def _lam_delta(draw):
+    r = draw(st.integers(2, 6))
+    lam = draw(st.one_of(_scaled(Fraction(1, r**3)), st.fractions(-1, 1, max_denominator=10**6)))
+    delta = draw(st.one_of(_scaled(lam / r), st.fractions(-1, 1, max_denominator=10**6)))
+    return r, lam, delta
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(case=_lam_delta())
+def test_params_range_checks_match_the_fraction_comparisons(case):
+    # the integer cross-products accept and refuse, with the same message,
+    # exactly what 0 < lam < 1/r^3 and 0 < delta < lam/r on Fractions do;
+    # N is large enough that l, d >= 1 holds wherever both are in range
+    r, lam, delta = case
+    N = 10**18
+    if not 0 < lam < Fraction(1, r**3):
+        with pytest.raises(BadParams, match=rf"^lambda={lam} outside \(0, 1/r\^3\)$"):
+            FamilyParams(N=N, r=r, lam=lam, delta=delta)
+    elif not 0 < delta < lam / r:
+        with pytest.raises(BadParams, match=rf"^delta={delta} outside \(0, lambda/r\)$"):
+            FamilyParams(N=N, r=r, lam=lam, delta=delta)
+    else:
+        params = FamilyParams(N=N, r=r, lam=lam, delta=delta)
+        assert (params.l, params.d) == (math.floor(lam * N), math.floor(delta * N))
 
 
 def test_params_require_positive_l_d():

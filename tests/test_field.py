@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 import mrcodes.field
 from mrcodes.errors import (BadParams, DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime,
                             PropertyViolation)
-from mrcodes.field import Field, make_field
+from mrcodes.field import Field, distinct_prime_factors, make_field
+from reference import prime_factors
 
 
 def trial(n):
@@ -59,8 +60,19 @@ def test_make_field_rejects_composite():
 
 
 def test_make_field_rejects_huge():
-    with pytest.raises(FieldTooLarge):
-        make_field((1 << 32) + 15)
+    q = (1 << 32) + 15
+    with pytest.raises(FieldTooLarge, match=rf"^q={q} exceeds the field-size bound q <= 2\^32, "
+                       r"which keeps trial division short and spec ints under 2\^53$"):
+        make_field(q)
+
+
+def test_factors_match_trial_division_by_every_integer():
+    # the 6k +- 1 wheel against division by every f >= 2: each n below
+    # 2*10^5, the product of the two largest primes below 2^16, a strong
+    # pseudoprime, and the primes 4294967291 and 4294967087 with their N
+    ns = [*range(-2, 2 * 10**5), 4292870399, 3215031751, 4294967291, 4294967087,
+          4294967290, 4294967086]
+    assert [n for n in ns if distinct_prime_factors(n) != prime_factors(n)] == []
 
 
 def test_no_primitive_element_is_property_violation(monkeypatch):

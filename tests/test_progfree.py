@@ -3,13 +3,23 @@ import random
 from typing import Optional
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mrcodes.progfree
 from mrcodes.errors import BadParams, ParamsTooSmall, RangeTooLarge, TooLarge
 from mrcodes.pipeline import choose_params
 from mrcodes.progfree import (AlonMeta, ProgressionFreeSet, _first_of_size, alon_construct,
                               exhaustive_best, verify_progression_free)
-from reference import brute_force_check
+from reference import brute_force_check, digit_set, first_witness
+
+
+@st.composite
+def _planted_solution(draw):
+    """(r, a set) holding x, x + r*g and their mean x + (r-k)*g over k
+    copies of x and r - k of x + r*g: for r >= 3 a term repeats."""
+    r = draw(st.integers(2, 6))
+    x, g, k = draw(st.integers(1, 20)), draw(st.integers(1, 5)), draw(st.integers(1, r - 1))
+    return r, draw(st.sets(st.integers(1, 60), max_size=5)) | {x, x + r * g, x + (r - k) * g}
 
 
 class TestVerify:
@@ -44,6 +54,19 @@ class TestVerify:
             r = rng.choice([2, 3])
             cand = sorted(rng.sample(range(1, 30), rng.randint(1, 6)))
             assert (verify_progression_free(cand, r) is None) == brute_force_check(cand, r)
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(case=st.one_of(
+        st.tuples(st.integers(2, 6), st.sets(st.integers(1, 40), min_size=1, max_size=8)),
+        _planted_solution()))
+    @example(case=(3, {1, 2, 4}))  # only 1 + 1 + 4 = 3*2
+    @example(case=(4, {1, 2, 4}))  # only 1 + 1 + 2 + 4 = 4*2
+    @example(case=(6, {1, 2, 4}))  # each solution repeats a term: r > |D|
+    def test_first_witness_matches_the_all_terms_loop(self, case):
+        # "not all equal" read off a sorted multiset's ends gives the same
+        # first witness as comparing every term with d_r
+        r, elems = case
+        assert verify_progression_free(elems, r) == first_witness(elems, r)
 
 
 class TestAlon:
@@ -302,34 +325,6 @@ def test_set_labels_are_typed(make):
         make()
 
 
-def reference_alon_construct(m, r):
-    """The digit construction by enumeration: every digit vector is built
-    and bucketed by square-sum, the oracle for the counted construction."""
-    from itertools import product
-    if r < 2 or m < 2:
-        raise BadParams("need r >= 2 and m >= 2")
-    h = max(2, math.floor(math.exp(math.sqrt(math.log(m) * math.log(r)))))
-    top = (h + r - 1) // r - 1
-    if top < 1:
-        raise ParamsTooSmall("the digit range is {0}")
-    k, hp = 0, h
-    while hp <= m:
-        hp *= h
-        k += 1
-    t = max(k - 1, 0)
-    weights = [h**j for j in range(t + 1)]
-    buckets = {}
-    for digits in product(range(top + 1), repeat=t + 1):
-        x = sum(d * w for d, w in zip(digits, weights))
-        if 1 <= x <= m:
-            buckets.setdefault(sum(d * d for d in digits), []).append(x)
-    best_b = min(buckets, key=lambda b: (-len(buckets[b]), b))
-    meta = AlonMeta(h=h, t=t, B=best_b,
-                    size_bound=m * math.exp(-5 * math.sqrt(math.log(m) * math.log(r))))
-    return ProgressionFreeSet(r=r, elements=tuple(sorted(buckets[best_b])), method="alon",
-                              alon_meta=meta)
-
-
 # the d that construct reaches in the tests and the benchmark, beside the
 # direct calls above; (2, 2) and (25, 25) have the digit range {0}
 _USED = sorted({(16, 2), (256, 2), (4096, 2), (16, 3), (256, 3), (4096, 3), (33, 2),
@@ -341,7 +336,7 @@ _USED = sorted({(16, 2), (256, 2), (4096, 2), (16, 3), (256, 3), (4096, 3), (33,
 
 def _same_as_reference(m, r):
     try:
-        expected = reference_alon_construct(m, r)
+        expected = digit_set(m, r)
     except ParamsTooSmall:
         with pytest.raises(ParamsTooSmall):
             alon_construct(m, r)
@@ -364,6 +359,22 @@ def test_counted_digit_set_matches_enumeration_seeded(r):
     rng = random.Random(17 + r)
     for m in [rng.randint(2, 10**6) for _ in range(12)] + [10**6]:
         _same_as_reference(m, r)
+
+
+def _digit_set_or_refusal(construct, m, r):
+    try:
+        return construct(m, r)
+    except ParamsTooSmall:
+        return ParamsTooSmall
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_digit_set_matches_enumeration_for_every_small_m(r):
+    # every m below 3000, and d = 10416 and 83334 of (2, 500009) and
+    # (2, 4000037): equal elements and meta, or ParamsTooSmall from both
+    for m in [*range(2, 3000), 10416, 83334]:
+        assert (_digit_set_or_refusal(alon_construct, m, r)
+                == _digit_set_or_refusal(digit_set, m, r)), m
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
