@@ -76,14 +76,6 @@ class Field:
         _check_int("value", value)
         return FieldElement(value % self.q, self)
 
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
 
 def make_field(q: int) -> Field:
     """Build GF(q) for prime q >= 3, with the smallest primitive element."""

@@ -363,8 +363,9 @@ def _build_plan(code: MrCode, erased: frozenset[int]) -> _DecodePlan:
     is the inverse of their k x k block G_P."""
     present = [j for j in range(code.n) if j not in erased]
     width, field, k = len(present), code.field, code.k
+    zero, one = FieldElement(0, field), FieldElement(1, field)  # immutable: shared by the rows
     rows = [[code.G[i][j] for j in present]
-            + [field.one if c == i else field.zero for c in range(k)] for i in range(k)]
+            + [one if c == i else zero for c in range(k)] for i in range(k)]
     pivots = _row_reduce(rows, width)
     if len(pivots) < k:
         return _DecodePlan(erased, correctable=False)

@@ -54,7 +54,7 @@ def construct(r: int, q: int, target_n: Optional[int] = None) -> tuple[MrCode, M
     a target_n past the n that D reaches raises TargetUnreachable."""
     field = make_field(q)
     params = _params_over(field, r)
-    if target_n is not None:  # before D is chosen, which can take seconds at large q
+    if target_n is not None:  # before D is chosen: a bad target runs no search
         _check_int("target_n", target_n)
         if target_n <= 0 or target_n % (r + 1) != 0:
             raise BadParams(f"target_n={target_n} is not a positive multiple of r+1={r + 1}")
@@ -163,11 +163,10 @@ def scaling_table(r: int, q_list) -> list[dict]:
     rows = []
     for q in q_list:
         code, report = construct(r, q)
+        # construct refused q with N < 2r^3(r+1): so n >= r+1 > 1 and q/r^4 > 2
         n = code.n
-        ratio = math.log(q) / math.log(n) if n > 1 else float("inf")
-        lower = math.log(q) - 3 * math.log(r) - 5 * math.sqrt(
-            max(math.log(q / r**4), 0.0) * math.log(r)
-        )
+        ratio = math.log(q) / math.log(n)
+        lower = math.log(q) - 3 * math.log(r) - 5 * math.sqrt(math.log(q / r**4) * math.log(r))
         rows.append({"q": q, "r": r, "n": n, "log_q_over_log_n": ratio,
                      "log_n_lower_bound": lower, "verification": report.mode,
                      "note": "indicative -- asymptotic claim not testable at desk scale"})

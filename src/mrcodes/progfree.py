@@ -137,8 +137,10 @@ def alon_construct(m: int, r: int) -> ProgressionFreeSet:
     # top digit first, each ascending: sorted x
     level = [(best_b, 0)]
     for j in range(t, -1, -1):
-        level = [(s, x + dig * h**j) for rest, x in level for dig in range(top + 1)
-                 if 0 <= (s := rest - dig * dig) < len(ways[j]) and ways[j][s]]
+        hj = h**j
+        level = [(s, x + dig * hj) for rest, x in level
+                 for dig in range(min(top, math.isqrt(rest)) + 1)
+                 if (s := rest - dig * dig) < len(ways[j]) and ways[j][s]]
     elements = tuple(x for _, x in level)
     meta = AlonMeta(h=h, t=t, B=best_b,
                     size_bound=m * math.exp(-5 * math.sqrt(math.log(m) * math.log(r))))
@@ -222,7 +224,7 @@ def _first_of_size(m: int, r: int, target: int, bound: list[int],
     caps = [0] + bound[m:0:-1]  # caps[x] = bound[m - x + 1], the cap on [x, m]
     cur, levels, left, js = [], [], target, range(1, r)
     sums, rev, means, allowed = [1] + [0] * (r - 1), [1 << K] + [0] * (r - 1), 0, (2 << m) - 2
-    while left:
+    while True:
         if allowed & need:
             x = (allowed & -allowed).bit_length() - 1
             if not (caps[x] < left or allowed.bit_count() < left
@@ -250,4 +252,3 @@ def _first_of_size(m: int, r: int, target: int, bound: list[int],
         sums, rev, means, allowed = levels.pop()  # pruned or spent: back to the parent
         cur.pop()
         left += 1
-    return cur

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import re
 from fractions import Fraction
@@ -907,21 +908,30 @@ def test_repair_map_matches_the_reduction(make, unsolvable):
 
 
 def test_plan_matches_reference_and_closed_form_rule():
-    # every erasure set of an n = 12 code: the one-reduction plan equals the
-    # old construction, and the verdict is the closed-form rule (at least
-    # r+1 survivors, and not exactly one repair group)
-    code = construct(2, 401)[0]
-    assert code.n == 12
-    groups = {frozenset(g) for g in code.repair_groups}
-    verdicts = set()
-    for mask in range(1 << code.n):
-        erased = frozenset(j for j in range(code.n) if mask >> j & 1)
-        plan = _build_plan(code, erased)
-        assert plan == (erased, *reference.plan(code, erased)), sorted(erased)
-        survivors = frozenset(range(code.n)) - erased
-        assert plan.correctable == (len(survivors) >= code.k and survivors not in groups)
-        verdicts.add(plan.correctable)
-    assert verdicts == {True, False}
+    # every erasure set of three small codes: the one-reduction plan equals
+    # the old construction, the verdict is the closed-form rule (at least
+    # r+1 survivors, and not exactly one repair group), and the pivots are
+    # ROADMAP direction 2's rule: the first r present columns, then the
+    # first later one whose x is not the inverse of their x's product
+    for r, q, n in ((2, 401, 12), (3, 653, 8), (4, 1283, 10)):
+        code = construct(r, q)[0]
+        assert code.n == n
+        xs = [x.value for x in code.G[0]]
+        groups = {frozenset(g) for g in code.repair_groups}
+        verdicts = set()
+        for mask in range(1 << n):
+            erased = frozenset(j for j in range(n) if mask >> j & 1)
+            plan = _build_plan(code, erased)
+            assert plan == (erased, *reference.plan(code, erased)), (r, sorted(erased))
+            survivors = frozenset(range(n)) - erased
+            assert plan.correctable == (len(survivors) >= code.k and survivors not in groups)
+            verdicts.add(plan.correctable)
+            present = sorted(survivors)
+            product_inverse = pow(math.prod(xs[j] for j in present[:r]), -1, q)
+            last = next((j for j in present[r:] if xs[j] != product_inverse), None)
+            pivots = () if last is None else (*present[:r], last)
+            assert plan.pivots == pivots, (r, sorted(erased))
+        assert verdicts == {True, False}
 
 
 class TestTamperedRepairGroups:

@@ -391,15 +391,22 @@ def test_every_nonzero_digit_vector_is_in_range(r):
         assert top * sum(meta.h**j for j in range(meta.t + 1)) <= m, (m, r)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: exhaustive_best(24, 2.0),
-    lambda: exhaustive_best(True, 2),
-    lambda: alon_construct(10416, "2"),
-    lambda: alon_construct(10416.0, 2),
-    lambda: verify_progression_free([1.5, 2, 4], 2),
-    lambda: verify_progression_free([1, 2, 4], 2.0),
+@pytest.mark.parametrize("call,message", [
+    (lambda: exhaustive_best(24, 2.0), "r=2.0 is not an int"),
+    (lambda: exhaustive_best(True, 2), "m=True is not an int"),
+    (lambda: alon_construct(10416, "2"), "r='2' is not an int"),
+    (lambda: alon_construct(10416.0, 2), "m=10416.0 is not an int"),
+    (lambda: verify_progression_free([1.5, 2, 4], 2), "element=1.5 is not an int"),
+    (lambda: verify_progression_free([1, 2, 4], 2.0), "r=2.0 is not an int"),
+    # well typed but out of range
+    (lambda: verify_progression_free([], 2), "candidate must be a nonempty set of integers >= 1"),
+    (lambda: verify_progression_free([0, 3], 2),
+     "candidate must be a nonempty set of integers >= 1"),
+    (lambda: exhaustive_best(0, 2), "need r >= 2 and m >= 1"),
+    (lambda: exhaustive_best(5, 1), "need r >= 2 and m >= 1"),
 ], ids=["eb-r-float", "eb-m-bool", "alon-r-str", "alon-m-float", "verify-element-float",
-        "verify-r-float"])
-def test_wrong_typed_inputs_are_bad_params(call):
-    with pytest.raises(BadParams):
+        "verify-r-float", "verify-empty", "verify-zero", "eb-m-zero", "eb-r-one"])
+def test_wrong_typed_inputs_are_bad_params(call, message):
+    with pytest.raises(BadParams) as refusal:
         call()
+    assert str(refusal.value) == message

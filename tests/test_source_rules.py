@@ -90,6 +90,20 @@ def test_field_elements_keep_only_the_decoders_arithmetic():
     assert "inv" in defined
 
 
+def test_field_elements_are_made_at_the_api_edge_or_in_the_reduction():
+    # the public edge wraps ints mod q (Field.element, G and the codec's
+    # results); the rest feed or run _row_reduce.  ROADMAP direction 2
+    # shows up as _build_plan and the three operators leaving this set
+    callers = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+               for scope in _callers(ast.parse(path.read_text(), filename=str(path)),
+                                     "FieldElement")}
+    assert callers == {("field.py", "Field.element"), ("mrcode.py", "MrCode.G"),
+                       ("mrcode.py", "encode"), ("mrcode.py", "decode"),
+                       ("mrcode.py", "local_repair"), ("mrcode.py", "_build_plan"),
+                       ("field.py", "FieldElement.__mul__"),
+                       ("field.py", "FieldElement.__sub__"), ("field.py", "FieldElement.inv")}
+
+
 def test_the_references_read_only_public_data():
     # the tests' oracles share no algorithm with the library: they import no
     # private name of mrcodes, read no private attribute (such as
